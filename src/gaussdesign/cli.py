@@ -251,6 +251,10 @@ def cmd_ci(args):
             raise ComputeError(
                 f"variance estimator not well-defined: minimum joint probability "
                 f"{report.min_joint_prob:.3g} <= 1e-8")
+        if report.point < 0:
+            raise ComputeError(
+                f"variance estimate {_fmt(report.point)} is negative; the "
+                f"unbiased estimator gives no normal interval for this sample")
         tau = ht_arm(records, spec.k, spec.K)
         interval = normal_ci(tau, report.point, records.n, args.alpha)
         point = tau
@@ -413,10 +417,13 @@ def main(argv=None):
     except (UsageError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a compute failure
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ComputeError as exc:
+    except (ComputeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

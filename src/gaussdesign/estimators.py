@@ -146,6 +146,12 @@ class ExperimentRecords:
             object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
         if self.D is not None:
             object.__setattr__(self, "D", np.asarray(self.D, dtype=int))
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("outcomes Y contain non-finite values")
+        for name in ("X", "T", "D"):
+            col = getattr(self, name)
+            if col is not None and len(col) != Y.size:
+                raise ValueError(f"{name} has {len(col)} rows for {Y.size} outcomes")
 
     @property
     def n(self):

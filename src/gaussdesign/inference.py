@@ -71,18 +71,19 @@ def variance_ht_arm(records: ExperimentRecords, factor: CorrelationFactor,
     if factor.n != records.n:
         raise ValueError("factor size does not match record count")
     arms = records.arms(K)
-    F = apply_map(f_arm(K, k), factor)
-    joint = F + 1.0 / K ** 2
-    mask = np.outer(arms == k, arms == k)
-    if not np.any(mask):
+    unit = np.flatnonzero(arms == k)
+    if unit.size == 0:
         return VarianceReport(point=0.0, well_defined=True,
                               min_joint_prob=np.inf, kind="ht_arm_variance")
-    min_joint = float(joint[mask].min())
+    # Only pairs of arm-k units enter the estimator.
+    F = apply_map(f_arm(K, k), CorrelationFactor(factor.rows[unit]))
+    joint = F + 1.0 / K ** 2
+    min_joint = float(joint.min())
     if min_joint <= _JOINT_GUARD:
         return VarianceReport(point=None, well_defined=False,
                               min_joint_prob=min_joint, kind="ht_arm_variance")
-    yy = np.outer(records.Y, records.Y)
-    point = K ** 2 / records.n * float(np.sum(yy[mask] * F[mask] / joint[mask]))
+    y = records.Y[unit]
+    point = K ** 2 / records.n * float(np.sum(np.outer(y, y) * F / joint))
     return VarianceReport(point=point, well_defined=True,
                           min_joint_prob=min_joint, kind="ht_arm_variance")
 
@@ -124,6 +125,7 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
     t2 = 0.0
     min_joint = np.inf
     offdiag = ~np.eye(n, dtype=bool)
+    yy = np.outer(Y, Y)
     cross_cache = {}
     for k in range(1, K + 1):
         for l in range(1, K + 1):
@@ -140,8 +142,7 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
                 return VarianceReport(point=None, well_defined=False,
                                       min_joint_prob=min_joint,
                                       kind="aronow_samii_bound")
-            yy = np.outer(Y, Y)[sel]
-            t2 += w[k - 1] * w[l - 1] * float(np.sum(yy * C / joint))
+            t2 += w[k - 1] * w[l - 1] * float(np.sum(yy[sel] * C / joint))
     t2 *= K ** 2 / n
 
     # Bound replacing the inestimable same-unit cross-arm products.

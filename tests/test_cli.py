@@ -61,6 +61,29 @@ class TestOptimizeCommand:
         assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
                      "--norm", "banana"]) == 2
 
+    def test_large_contrast_weights(self, covariates, tmp_path):
+        # the objective map is sum_k w_k^2 f_k: ten times the contrast is about
+        # 100 times the objective (the default step 0.1 / (1 + A max|f'|) is
+        # not scale-free), and the run, table included, must still succeed
+        initial = []
+        for contrast in ("1,-1,0", "10,-10,0"):
+            out = tmp_path / contrast
+            code = main(["optimize", "--covariates", str(covariates), "--arms", "3",
+                         "--contrast", contrast, "--iters", "5", "--out-dir", str(out)])
+            assert code == 0
+            trace = (out / "trace.csv").read_text().strip().splitlines()
+            initial.append(float(trace[1].split(",")[1]))
+        assert initial[1] == pytest.approx(100 * initial[0], rel=1e-3)
+
+    def test_arithmetic_error_is_compute_error(self, covariates, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("overflow in step")
+
+        monkeypatch.setattr("gaussdesign.cli.pgd_gauss", fail)
+        code = main(["optimize", "--covariates", str(covariates), "--arms", "3"])
+        assert code == 3
+        assert "overflow in step" in capsys.readouterr().err
+
     def test_continuous_objective(self, covariates, tmp_path):
         out = tmp_path / "cont"
         code = main(["optimize", "--covariates", str(covariates), "--continuous",
@@ -150,6 +173,31 @@ class TestCiCommand:
                      "--method", "normal", "--estimand", "arm:1", "--arms", "2"])
         assert code == 3
         assert "joint probability" in capsys.readouterr().err
+
+    def test_negative_variance_estimate_is_compute_error(self, tmp_path, capsys):
+        # equal outcomes on a strongly anti-correlated pair in one arm: the
+        # unbiased estimate is -3.764...
+        fpath = tmp_path / "factor.csv"
+        np.savetxt(fpath, np.array([[1.0, 0.0], [-0.8, 0.6]]), delimiter=",")
+        rpath = tmp_path / "records.csv"
+        records_to_csv(rpath, ExperimentRecords(Y=np.ones(2), D=np.array([1, 1])))
+        code = main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", "normal", "--estimand", "arm:1", "--arms", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "negative" in err and "-3.764" in err
+
+    def test_linalg_error_is_compute_error(self, records, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("gaussdesign.cli.variance_ht_arm", fail)
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(12))
+        code = main(["ci", "--records", str(records), "--factor", str(fpath),
+                     "--method", "normal", "--estimand", "arm:1", "--arms", "3"])
+        assert code == 3
+        assert "SVD did not converge" in capsys.readouterr().err
 
     def test_continuous_randomization(self, tmp_path, capsys):
         gen = np.random.default_rng(5)

@@ -145,7 +145,7 @@ class TestFCross:
         assert f_cross(2, 1, 2).eval(1.0) == pytest.approx(-0.25, abs=1e-15)
 
     def test_zero_for_all_pairs(self):
-        for K in (2, 3, 4):
+        for K in (2, 3, 4, 8, 16):
             for k in range(1, K + 1):
                 for l in range(1, K + 1):
                     assert f_cross(K, k, l).eval(0.0) == 0.0
@@ -275,3 +275,116 @@ def test_binormal_density_formula():
     omr2 = 1 - rho**2
     expected = np.exp(-(x**2 + y**2 - 2 * rho * x * y) / (2 * omr2)) / (2 * np.pi * np.sqrt(omr2))
     assert binormal_density(rho, x, y) == pytest.approx(expected, rel=1e-15)
+
+
+class TestTableError:
+    def test_errors_stored_on_tabulated_map(self):
+        m = f_arm(3, 1)
+        assert m.table_f_error is None and m.table_d_error is None
+        tab = build_table(m)
+        assert 0.0 < tab.table_f_error <= 1e-5
+        assert np.isfinite(tab.table_d_error)
+        grid = tab.table.grid
+        mid = 0.5 * (grid[1:] + grid[:-1])
+        assert np.max(np.abs(tab.eval(mid) - m.eval(mid))) == tab.table_f_error
+
+    def test_coarse_table_reports_larger_error(self):
+        fine = build_table(f_arm(3, 1))
+        coarse = build_table(f_arm(3, 1), grid_size=500)
+        assert coarse.table_f_error > 10 * fine.table_f_error
+
+    def test_error_scales_with_weights(self):
+        # f = sum_k w_k^2 f_k: ten times the contrast is 100 times the map
+        # and its table error, and tabulating it must still succeed
+        unit = build_table(weighted_discrete_map(np.array([1.0, -1.0, 0.0]), 3))
+        big = build_table(weighted_discrete_map(np.array([10.0, -10.0, 0.0]), 3))
+        assert big.table_f_error == pytest.approx(100 * unit.table_f_error, rel=1e-9)
+        assert big.table_f_error > 1e-5
+
+
+def _reference_r(mp, rho, h, k):
+    """40-digit r(rho; h, k) = integral_0^rho p_r(h, k) dr.
+
+    For |rho| > 0.5 the integral runs from the nearer endpoint s = sign(rho)
+    with r = s (1 - u^2), which keeps the integrand smooth and avoids the
+    cancellation of integrating all the way from 0; there
+    h^2 + k^2 - 2 r h k is formed as (h - s k)^2 + 2 s h k u^2.
+    """
+    h, k, rho = mp.mpf(h), mp.mpf(k), mp.mpf(rho)
+    if abs(rho) <= 0.5:
+        return mp.quad(lambda r: mp.exp(-(h * h + k * k - 2 * r * h * k) / (2 * (1 - r * r)))
+                       / (2 * mp.pi * mp.sqrt(1 - r * r)), [0, rho])
+    s = 1 if rho > 0 else -1
+    ph, pk = mp.ncdf(h), mp.ncdf(k)
+    limit = (min(ph, pk) if s > 0 else max(0, ph + pk - 1)) - ph * pk
+
+    def g(u):
+        u2 = u * u
+        return (mp.exp(-((h - s * k) ** 2 + 2 * s * h * k * u2) / (2 * u2 * (2 - u2)))
+                / (mp.pi * mp.sqrt(2 - u2)))
+
+    return limit - s * mp.quad(g, [0, mp.sqrt(1 - abs(rho))])
+
+
+def _kernel_rhos():
+    near_one = 1.0 - 10.0 ** -np.arange(1, 16)
+    inside = np.nextafter(0.925, 0.0)
+    fixed = np.concatenate([near_one, [0.925, inside, 0.3, 0.75]])
+    random = np.random.default_rng(7).uniform(-1.0, 1.0, 6)
+    return np.concatenate([fixed, -fixed, random])
+
+
+class TestGenzKernel:
+    @pytest.mark.parametrize("K", [2, 3, 8, 16])
+    def test_matches_40_digit_reference(self, K):
+        mpmath = pytest.importorskip("mpmath")
+        q = quantile_thresholds(K).thresholds
+        m = q.size - 1
+        pairs = sorted({(0, 0), (0, m), (m // 2, m // 2), (0, min(1, m))})
+        rhos = _kernel_rhos()
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i, j in pairs:
+                got = r_ij(rhos, q[i], q[j])
+                for rho, value in zip(rhos, got):
+                    ref = _reference_r(mpmath, rho, q[i], q[j])
+                    worst = max(worst, abs(float(ref - mpmath.mpf(value))))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 8, 16])
+    def test_row_sums_vanish_and_maps_are_symmetric(self, K):
+        rhos = np.concatenate([np.linspace(-1.0, 1.0, 401), _kernel_rhos()])
+        for k in range(1, K + 1):
+            row = [f_cross(K, k, l).eval(rhos) for l in range(1, K + 1)]
+            assert np.max(np.abs(sum(row))) <= 1e-15
+            for l in range(1, K + 1):
+                assert np.array_equal(row[l - 1], f_cross(K, l, k).eval(rhos))
+
+    def test_nan_propagates(self):
+        assert np.isnan(f_arm(3, 1).eval(np.array([0.5, np.nan]))[1])
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_invariance(self, chunk, monkeypatch):
+        import gaussdesign.covmap as covmap
+
+        rhos = np.concatenate([[0.0, 1.0, -1.0], _kernel_rhos(),
+                               np.random.default_rng(3).uniform(-1.0, 1.0, 500)])
+        m = weighted_discrete_map(np.random.default_rng(4).standard_normal(5), 5)
+        default = m.eval(rhos)
+        monkeypatch.setattr(covmap, "_CHUNK", chunk)
+        assert np.array_equal(m.eval(rhos), default)
+        assert np.array_equal(r_ij(rhos, -0.2, 0.9),
+                              np.array([r_ij(x, -0.2, 0.9) for x in rhos]))
+
+    def test_memory_bounded_on_two_million_points(self):
+        import tracemalloc
+
+        rhos = np.random.default_rng(5).uniform(-1.0, 1.0, 2_000_000)
+        m = f_cross(3, 1, 2)
+        tracemalloc.start()
+        try:
+            out = m.eval(rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 64 * 2 ** 20

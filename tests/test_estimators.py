@@ -223,3 +223,24 @@ def test_estimand_spec_validation():
     assert spec.arm_weights.tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(ValueError):
         EstimandSpec.continuous(WeightFn.first_derivative()).arm_weights
+
+
+class TestRecordsValidation:
+    def test_covariate_rows_must_match_outcomes(self):
+        with pytest.raises(ValueError, match="X has 3 rows"):
+            ExperimentRecords(Y=np.ones(5), X=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("column", ["T", "D"])
+    def test_treatment_length_must_match_outcomes(self, column):
+        with pytest.raises(ValueError, match=f"{column} has 4 rows"):
+            ExperimentRecords(Y=np.ones(3), **{column: np.ones(4)})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ExperimentRecords(Y=np.array([1.0, bad, 2.0]), D=np.array([1, 2, 1]))
+
+    def test_consistent_columns_accepted(self):
+        rec = ExperimentRecords(Y=np.ones(3), X=np.zeros((3, 2)), T=np.zeros(3),
+                                D=np.array([1, 2, 1]))
+        assert rec.n == 3
