@@ -24,7 +24,7 @@ _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
 # Largest number of counter blocks evaluated at once; bounds peak memory.
-_SLAB = 1 << 21
+_SLAB = 1 << 14
 
 
 def _philox_block(c0, c1, c2, c3, k0, k1):

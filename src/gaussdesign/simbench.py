@@ -21,18 +21,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from . import rng
-from .covmap import discretize, f_arm, quantile_thresholds, weighted_discrete_map
+from .covmap import (apply_map, discretize, f_arm, quantile_thresholds,
+                     weighted_discrete_map)
 from .elliptope import CorrelationFactor, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                          true_estimand, weight_eval)
 from .inference import randomization_ci_discrete
-from .optimizer import DesignProblem, objective, pgd_gauss
+from .optimizer import DesignProblem, pgd_gauss
 
 _CHUNK = 4096
 _RERAND_CAP = 100_000
+_BALANCE_DRAWS = 2000   # B_emp of the Monte Carlo balance measure
 
 
 @dataclass(frozen=True)
@@ -212,37 +214,24 @@ def _pairwise_mahalanobis_max(X, arms, K, S_inv):
 
 
 def rerand_threshold(d, K, p_a):
-    """Per-pair chi^2 cutoff giving joint acceptance ~ p_a (independence apx)."""
+    """Per-pair chi^2 cutoff giving joint acceptance ~ p_a (independence apx).
+
+    The chi^2_d quantile is 2 * P^{-1}(d / 2, p), P the regularized lower
+    incomplete gamma function; equal to ``scipy.stats.chi2.ppf`` without
+    importing ``scipy.stats``.
+    """
     pairs = K * (K - 1) // 2
-    return float(chi2.ppf(p_a ** (1.0 / pairs), df=d))
+    return float(2.0 * gammaincinv(d / 2.0, p_a ** (1.0 / pairs)))
 
 
 def design_rerand(X, seed, p_a, K):
-    """Rerandomized assignment: redraw CR until all pairwise-arm Mahalanobis
-    distances pass the calibrated cutoff; after 1e5 redraws return the
-    best-seen assignment with a warning."""
-    if not 0 < p_a <= 1:
-        raise ValueError("acceptance probability must lie in (0, 1]")
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if p_a == 1.0:
-        return design_cr(n, K, seed)
-    thr = rerand_threshold(d, K, p_a)
-    S_inv = np.linalg.pinv(np.cov(X, rowvar=False, ddof=1))
-    best, best_m = None, np.inf
-    batch = 512
-    for t0 in range(0, _RERAND_CAP, batch):
-        cand = _cr_batch(n, K, seed, np.arange(t0, min(t0 + batch, _RERAND_CAP)))
-        m = _pairwise_mahalanobis_max(X, cand, K, S_inv)
-        ok = np.flatnonzero(m < thr)
-        if ok.size:
-            return cand[ok[0]]
-        j = int(np.argmin(m))
-        if m[j] < best_m:
-            best, best_m = cand[j], m[j]
-    warnings.warn("rerandomization cap exhausted; returning best-seen assignment",
-                  RuntimeWarning)
-    return best
+    """One rerandomized assignment: stream 0 of ``Rerandomization(X, p_a)``.
+
+    CR candidates are redrawn until all pairwise-arm Mahalanobis distances
+    pass the calibrated cutoff; after 1e5 redraws the best-seen assignment is
+    returned with a warning.
+    """
+    return Rerandomization(X, p_a).arms(seed, np.arange(1), K)[0]
 
 
 class GaussianDesign:
@@ -273,10 +262,13 @@ class Rerandomization:
     """Design source for Mahalanobis-criterion rerandomization."""
 
     def __init__(self, X, p_a=0.01, name="rr"):
+        if not 0 < p_a <= 1:
+            raise ValueError("acceptance probability must lie in (0, 1]")
         self.X = np.asarray(X, dtype=float)
         self.p_a = float(p_a)
         self.name = name
-        self._S_inv = np.linalg.pinv(np.cov(self.X, rowvar=False, ddof=1))
+        # np.cov gives a 0-d array for a single covariate
+        self._S_inv = np.linalg.pinv(np.atleast_2d(np.cov(self.X, rowvar=False, ddof=1)))
 
     def arms(self, seed, streams, K):
         """Row b is the first accepted candidate for replicate streams[b];
@@ -302,10 +294,44 @@ class Rerandomization:
             unresolved = unresolved[~ok]
             t += 1
         if unresolved.size:
-            warnings.warn("rerandomization cap exhausted in MC batch",
+            warnings.warn(f"rerandomization cap exhausted for {unresolved.size} "
+                          "replicate(s); returning best-seen assignments",
                           RuntimeWarning)
             out[unresolved] = best[unresolved]
         return out
+
+
+def _draw(scenario, design, seed, streams):
+    """One draw of ``design`` for ``streams``: (arms, latent).
+
+    ``arms`` is the (B, n) arm matrix, or None for a continuous scenario
+    (K is None); ``latent`` is the (B, n) Gaussian treatment matrix, or None
+    for designs that only assign arms.
+    """
+    if isinstance(design, GaussianDesign):
+        latent = design.latent(seed, streams)
+        if scenario.K is None:
+            return None, latent
+        return discretize(latent, quantile_thresholds(scenario.K)), latent
+    if isinstance(design, CompleteRandomization):
+        return design.arms(seed, streams, scenario.K, n=scenario.n), None
+    return design.arms(seed, streams, scenario.K), None
+
+
+def _require_gaussian(design, specs):
+    if not isinstance(design, GaussianDesign) \
+            and any(e.kind == "continuous" for e in specs):
+        raise ValueError("continuous estimands need a Gaussian design")
+
+
+def _truth(scenario, estimand):
+    if estimand.kind == "continuous":
+        return true_estimand(scenario.responses, estimand)
+    return true_estimand(scenario.potential_outcomes, estimand)
+
+
+def _mse(est, truth):
+    return float(np.mean((est - truth) ** 2))
 
 
 def _estimates_discrete(scenario, arms_matrix, estimand):
@@ -322,37 +348,36 @@ def _estimates_continuous(scenario, t_matrix, estimand):
 
 
 def mc_estimates(scenario, design, estimand, B, seed):
-    """Estimates tau_hat over B replicates (counter substreams 0..B-1)."""
-    out = np.empty(B)
+    """Estimates tau_hat over B replicates (counter substreams 0..B-1).
+
+    ``estimand`` is one spec, giving a (B,) array, or a tuple of specs,
+    giving one row per spec from the same draws: each chunk of streams is
+    drawn once and scored for every spec.
+    """
+    specs = estimand if isinstance(estimand, tuple) else (estimand,)
+    _require_gaussian(design, specs)
+    out = np.empty((len(specs), B))
     for lo in range(0, B, _CHUNK):
         hi = min(lo + _CHUNK, B)
-        streams = np.arange(lo, hi)
-        if estimand.kind == "continuous":
-            if not isinstance(design, GaussianDesign):
-                raise ValueError("continuous estimands need a Gaussian design")
-            t = design.latent(seed, streams)
-            out[lo:hi] = _estimates_continuous(scenario, t, estimand)
-        else:
-            if isinstance(design, GaussianDesign):
-                arms = design.arms(seed, streams, scenario.K)
-            elif isinstance(design, CompleteRandomization):
-                arms = design.arms(seed, streams, scenario.K, n=scenario.n)
+        arms, latent = _draw(scenario, design, seed, np.arange(lo, hi))
+        for row, spec in zip(out, specs):
+            if spec.kind == "continuous":
+                row[lo:hi] = _estimates_continuous(scenario, latent, spec)
             else:
-                arms = design.arms(seed, streams, scenario.K)
-            out[lo:hi] = _estimates_discrete(scenario, arms, estimand)
-    return out
+                row[lo:hi] = _estimates_discrete(scenario, arms, spec)
+    return out if isinstance(estimand, tuple) else out[0]
+
+
+def _check_replicates(B):
+    if B < 100:
+        raise ValueError("need at least 100 replicates")
 
 
 def mc_mse(scenario, design, estimand, B, seed):
     """Monte Carlo mean squared error of the HT estimator."""
-    if B < 100:
-        raise ValueError("need at least 100 replicates")
-    if estimand.kind == "continuous":
-        truth = true_estimand(scenario.responses, estimand)
-    else:
-        truth = true_estimand(scenario.potential_outcomes, estimand)
-    est = mc_estimates(scenario, design, estimand, B, seed)
-    return float(np.mean((est - truth) ** 2))
+    _check_replicates(B)
+    truth = _truth(scenario, estimand)
+    return _mse(mc_estimates(scenario, design, estimand, B, seed), truth)
 
 
 def mc_coverage(scenario, design, estimand, ci_procedure, B_outer, seed):
@@ -364,61 +389,69 @@ def mc_coverage(scenario, design, estimand, ci_procedure, B_outer, seed):
     """
     if B_outer < 100:
         raise ValueError("need at least 100 outer replicates")
-    if estimand.kind == "continuous":
-        truth = true_estimand(scenario.responses, estimand)
-    else:
-        truth = true_estimand(scenario.potential_outcomes, estimand)
+    _require_gaussian(design, (estimand,))
+    truth = _truth(scenario, estimand)
     hits = 0
     widths = np.empty(B_outer)
     for b in range(B_outer):
-        streams = np.arange(b, b + 1)
+        arms, latent = _draw(scenario, design, seed, np.arange(b, b + 1))
+        t = None if latent is None else latent[0]
         if estimand.kind == "continuous":
-            t = design.latent(seed, streams)[0]
-            records = ExperimentRecords(Y=scenario.response_at(t[None, :])[0],
+            records = ExperimentRecords(Y=scenario.response_at(latent)[0],
                                         X=scenario.X, T=t)
         else:
-            if isinstance(design, GaussianDesign):
-                t = design.latent(seed, streams)[0]
-                arms = discretize(t, quantile_thresholds(scenario.K))
-                records = ExperimentRecords(Y=scenario.observed_outcomes(arms),
-                                            X=scenario.X, T=t, D=arms)
-            else:
-                arms = design.arms(seed, streams, scenario.K, n=scenario.n) \
-                    if isinstance(design, CompleteRandomization) \
-                    else design.arms(seed, streams, scenario.K)
-                arms = arms[0]
-                records = ExperimentRecords(Y=scenario.observed_outcomes(arms),
-                                            X=scenario.X, D=arms)
+            records = ExperimentRecords(Y=scenario.observed_outcomes(arms[0]),
+                                        X=scenario.X, T=t, D=arms[0])
         interval = ci_procedure(records, rng.derive_seed(seed, b))
         hits += interval.contains(truth)
         widths[b] = interval.width
     return {"coverage": hits / B_outer, "mean_width": float(np.mean(widths))}
 
 
-def balance_objective_nuc(scenario, design, estimand, seed, B_emp=2000):
-    """Nuclear-norm covariate balance measure sum_k w_k^2 ||X' Cov_k X||_nuc.
+def _nuclear_norm(M):
+    if not np.all(np.isfinite(M)):
+        return float("nan")
+    return float(np.sum(np.linalg.svd(M, compute_uv=False)))
+
+
+def _arm_nuclear_norms(scenario, design, seed, B_emp):
+    """||X' Cov_k X||_nuc for every arm k, the terms of the balance measure.
 
     Gaussian designs use the exact analytic maps; assignment designs estimate
     the indicator covariance matrices from B_emp Monte Carlo draws.
     """
-    K = scenario.K
-    w = estimand.arm_weights
-    X = scenario.X
+    X, K = scenario.X, scenario.K
     if isinstance(design, GaussianDesign):
-        maps = [f_arm(K, k) for k in range(1, K + 1)]
-        problem = DesignProblem(X=X, maps=tuple(maps), weights=w, norm="nuc")
-        return objective(problem, design.factor)
-    if isinstance(design, CompleteRandomization):
-        arms = design.arms(seed, np.arange(B_emp), K, n=scenario.n)
-    else:
-        arms = design.arms(seed, np.arange(B_emp), K)
+        return [_nuclear_norm(X.T @ apply_map(f_arm(K, k), design.factor) @ X)
+                for k in range(1, K + 1)]
+    arms, _ = _draw(scenario, design, seed, np.arange(B_emp))
+    return [_nuclear_norm(X.T @ np.cov((arms == k).astype(float), rowvar=False, ddof=1) @ X)
+            for k in range(1, K + 1)]
+
+
+def _weighted_balance(design, norms, w):
+    """sum_k w_k^2 norms[k], in the operation order of the exact objective
+    (w * w * s) for Gaussian designs and of the Monte Carlo sum
+    (w ** 2 * s) otherwise, so both stay bit-identical to those paths."""
     total = 0.0
-    for k in range(1, K + 1):
-        ind = (arms == k).astype(float)
-        C = np.cov(ind, rowvar=False, ddof=1)
-        M = X.T @ C @ X
-        total += w[k - 1] ** 2 * float(np.sum(np.linalg.svd(M, compute_uv=False)))
+    gaussian = isinstance(design, GaussianDesign)
+    for wk, s in zip(w, norms):
+        total += wk * wk * s if gaussian else wk ** 2 * s
     return total
+
+
+def balance_objective_nuc(scenario, design, estimand, seed, B_emp=_BALANCE_DRAWS):
+    """Nuclear-norm covariate balance measure sum_k w_k^2 ||X' Cov_k X||_nuc.
+
+    Gaussian designs use the exact analytic maps; assignment designs estimate
+    the indicator covariance matrices from B_emp Monte Carlo draws.
+    ``estimand`` is one spec, giving a float, or a tuple of specs, giving a
+    tuple of floats that share the per-arm norms (and their draws).
+    """
+    norms = _arm_nuclear_norms(scenario, design, seed, B_emp)
+    if isinstance(estimand, tuple):
+        return tuple(_weighted_balance(design, norms, e.arm_weights) for e in estimand)
+    return _weighted_balance(design, norms, estimand.arm_weights)
 
 
 @dataclass(frozen=True)
@@ -551,16 +584,19 @@ def run_scenario(config) -> BenchmarkReport:
     if cfg:
         raise ValueError(f"unknown config keys: {sorted(cfg)}")
 
+    _check_replicates(replicates)
+
     scenario = _GENERATORS[gen_name](seed)
+    estimands = tuple(e for e in scenario.estimands if e.kind != "continuous")
+    truths = [_truth(scenario, e) for e in estimands]
     rows = []
     for design in _build_designs(designs, scenario, seed, iters, norm):
-        for estimand in scenario.estimands:
-            if estimand.kind == "continuous":
-                continue
-            mse = mc_mse(scenario, design, estimand,
-                         replicates, rng.derive_seed(seed, 10))
-            bal = balance_objective_nuc(scenario, design, estimand,
-                                        rng.derive_seed(seed, 11))
+        # one draw per design, scored for every estimand
+        estimates = mc_estimates(scenario, design, estimands,
+                                 replicates, rng.derive_seed(seed, 10))
+        balances = balance_objective_nuc(scenario, design, estimands,
+                                         rng.derive_seed(seed, 11))
+        for estimand, est, truth, bal in zip(estimands, estimates, truths, balances):
             coverage = mean_width = None
             if coverage_reps > 0 and isinstance(design, GaussianDesign):
                 def proc(records, ci_seed, _d=design, _e=estimand):
@@ -573,6 +609,6 @@ def run_scenario(config) -> BenchmarkReport:
                 coverage, mean_width = res["coverage"], res["mean_width"]
             rows.append(BenchmarkRow(
                 scenario=scenario.name, design=design.name, estimand=estimand.label,
-                mse=mse, balance_objective_nuc=bal, coverage=coverage,
+                mse=_mse(est, truth), balance_objective_nuc=bal, coverage=coverage,
                 mean_ci_width=mean_width, replicates=replicates))
     return BenchmarkReport(rows=tuple(rows))

@@ -1,5 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdesign import rng
 
@@ -74,3 +78,42 @@ def test_derive_seed_changes_stream():
     assert s1 != s2
     assert rng.derive_seed(42, 0) == s1
     assert not np.array_equal(rng.normals(s1, [0], 4), rng.normals(s2, [0], 4))
+
+
+@contextmanager
+def _slab(size):
+    saved = rng._SLAB
+    rng._SLAB = size
+    try:
+        yield
+    finally:
+        rng._SLAB = saved
+
+
+_seeds = st.integers(0, 2**64 - 1)
+_stream_lists = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=24, unique=True)
+_widths = st.integers(1, 37)
+
+
+@pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, streams=_stream_lists, n=_widths)
+def test_rows_do_not_depend_on_slab_size(draw, seed, streams, n):
+    streams = np.array(streams, dtype=np.uint64)
+    with _slab(1 << 21):
+        expected = draw(seed, streams, n)
+    for size in (1, 7, 1 << 14):
+        with _slab(size):
+            assert np.array_equal(draw(seed, streams, n), expected)
+
+
+@pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, streams=_stream_lists, n=_widths, data=st.data())
+def test_rows_do_not_depend_on_requested_streams(draw, seed, streams, n, data):
+    streams = np.array(streams, dtype=np.uint64)
+    full = draw(seed, streams, n)
+    idx = data.draw(st.permutations(range(streams.size)))
+    idx = np.array(idx[:data.draw(st.integers(1, streams.size))])
+    with _slab(7):
+        assert np.array_equal(draw(seed, streams[idx], n), full[idx])

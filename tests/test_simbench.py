@@ -1,17 +1,27 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
+import gaussdesign
 import gaussdesign.rng as grng
+from gaussdesign import simbench
 from gaussdesign.elliptope import identity_factor
 from gaussdesign.estimators import EstimandSpec, true_estimand
 from gaussdesign.inference import IntervalReport
 from gaussdesign.simbench import (CompleteRandomization, GaussianDesign,
-                                  Rerandomization, design_cr, design_rerand,
-                                  gen_continuous, gen_factorial, gen_three_arm,
-                                  mc_coverage, mc_estimates, mc_mse,
+                                  Rerandomization, balance_objective_nuc,
+                                  design_cr, design_rerand, gen_continuous,
+                                  gen_factorial, gen_three_arm, mc_coverage,
+                                  mc_estimates, mc_mse, rerand_threshold,
                                   run_scenario)
-from gaussdesign.simbench import _cr_batch, _pairwise_mahalanobis_max
+from gaussdesign.simbench import (_build_designs, _cr_batch,
+                                  _pairwise_mahalanobis_max)
 
 
 class TestGenThreeArm:
@@ -134,6 +144,47 @@ class TestDesignRerand:
         with pytest.raises(ValueError):
             design_rerand(X, 0, 0.0, 2)
 
+    @pytest.mark.parametrize("p_a", [0.0, -0.5, 1.5, float("nan")])
+    def test_class_rejects_acceptance_outside_unit_interval(self, p_a):
+        X = np.random.default_rng(3).standard_normal((10, 2))
+        with pytest.raises(ValueError, match="acceptance probability"):
+            Rerandomization(X, p_a=p_a)
+
+    def test_single_covariate(self):
+        X = np.random.default_rng(4).standard_normal((30, 1))
+        rr = Rerandomization(X, p_a=0.1)
+        arms = rr.arms(2, np.arange(50), 3)
+        assert arms.shape == (50, 30)
+        m = _pairwise_mahalanobis_max(X, arms, 3, rr._S_inv)
+        assert np.all(m < rerand_threshold(1, 3, 0.1))
+        assert np.array_equal(design_rerand(X, 2, 0.1, 3), arms[0])
+
+    def test_single_replicate_of_the_class(self):
+        X = np.random.default_rng(5).standard_normal((24, 3))
+        a = design_rerand(X, 11, 0.05, 3)
+        assert np.array_equal(a, Rerandomization(X, 0.05).arms(11, np.arange(4), 3)[0])
+        S_inv = np.linalg.pinv(np.cov(X, rowvar=False, ddof=1))
+        assert _pairwise_mahalanobis_max(X, a, 3, S_inv) < rerand_threshold(3, 3, 0.05)
+
+
+class TestRerandThreshold:
+    def test_equals_chi2_ppf(self):
+        for d in range(1, 40):
+            for K in range(2, 17):
+                pairs = K * (K - 1) // 2
+                for p_a in (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0):
+                    expected = float(chi2.ppf(p_a ** (1.0 / pairs), df=d))
+                    assert rerand_threshold(d, K, p_a) == expected, (d, K, p_a)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(gaussdesign.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        code = "import sys, gaussdesign; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
 
 class TestMcMse:
     def test_zero_outcomes(self):
@@ -167,6 +218,31 @@ class TestMcMse:
         sc = gen_factorial(1)
         with pytest.raises(ValueError):
             mc_mse(sc, GaussianDesign(identity_factor(sc.n)), sc.estimands[0], 50, 5)
+
+
+class TestMcEstimates:
+    def test_tuple_of_specs_matches_single_specs(self):
+        sc = gen_factorial(2)
+        for design in (GaussianDesign(identity_factor(sc.n), "bg"),
+                       CompleteRandomization(), Rerandomization(sc.X, p_a=0.2)):
+            rows = mc_estimates(sc, design, sc.estimands, 5000, 8)
+            assert rows.shape == (len(sc.estimands), 5000)
+            for row, spec in zip(rows, sc.estimands):
+                single = mc_estimates(sc, design, spec, 5000, 8)
+                assert single.shape == (5000,)
+                assert np.array_equal(row, single)
+
+    def test_balance_tuple_matches_single_specs(self):
+        sc = gen_three_arm("uniform", 1)
+        for design in (GaussianDesign(identity_factor(sc.n), "bg"), CompleteRandomization()):
+            many = balance_objective_nuc(sc, design, sc.estimands, 4)
+            assert many == tuple(balance_objective_nuc(sc, design, e, 4)
+                                 for e in sc.estimands)
+
+    def test_continuous_needs_gaussian_design(self):
+        sc = gen_continuous("linear_slope", 12, 0)
+        with pytest.raises(ValueError, match="Gaussian design"):
+            mc_estimates(sc, CompleteRandomization(), sc.estimands[0], 100, 0)
 
 
 class TestMcCoverage:
@@ -215,7 +291,60 @@ class TestMcCoverage:
         assert 0.93 <= res["coverage"] <= 0.97
 
 
+def _count_draw_rows(monkeypatch):
+    """Rows returned by the outermost design draws, per design name."""
+    rows = Counter()
+    depth = [0]
+    for cls, method in ((GaussianDesign, "latent"), (GaussianDesign, "arms"),
+                        (CompleteRandomization, "arms"), (Rerandomization, "arms")):
+        def wrapper(self, *args, _fn=vars(cls)[method], **kwargs):
+            depth[0] += 1
+            try:
+                out = _fn(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                rows[self.name] += out.shape[0]
+            return out
+
+        monkeypatch.setattr(cls, method, wrapper)
+    return rows
+
+
 class TestRunScenario:
+    CFG = {"generator": "three_arm_uniform", "designs": "bg,og,cr,rr",
+           "replicates": 500, "seed": 3, "iters": 10}
+
+    def test_rows_equal_per_cell_reference(self):
+        seed, B = self.CFG["seed"], self.CFG["replicates"]
+        report = run_scenario(dict(self.CFG))
+        sc = gen_three_arm("uniform", seed)
+        designs = _build_designs(["bg", "og", "cr", "rr"], sc, seed, self.CFG["iters"], "nuc")
+        expected = [(d.name, e.label,
+                     mc_mse(sc, d, e, B, grng.derive_seed(seed, 10)),
+                     balance_objective_nuc(sc, d, e, grng.derive_seed(seed, 11)))
+                    for d in designs for e in sc.estimands]
+        got = [(r.design, r.estimand, r.mse, r.balance_objective_nuc) for r in report.rows]
+        assert got == expected
+
+    def test_one_draw_per_design(self, monkeypatch):
+        rows = _count_draw_rows(monkeypatch)
+        run_scenario(dict(self.CFG))
+        B, B_emp = self.CFG["replicates"], simbench._BALANCE_DRAWS
+        # Gaussian designs score balance exactly; cr and rr draw B_emp more
+        assert rows == {"bg": B, "og": B, "cr": B + B_emp, "rr": B + B_emp}
+
+    def test_too_few_replicates_fails_before_any_draw(self, monkeypatch):
+        rows = _count_draw_rows(monkeypatch)
+
+        def no_optimization(*args, **kwargs):
+            raise AssertionError("designs built before the replicate check")
+
+        monkeypatch.setattr(simbench, "pgd_gauss", no_optimization)
+        with pytest.raises(ValueError, match="at least 100 replicates"):
+            run_scenario(dict(self.CFG, replicates=99))
+        assert not rows
+
     def test_empty_design_list(self):
         report = run_scenario({"generator": "factorial", "designs": [],
                                "replicates": 200, "seed": 1})
