@@ -28,9 +28,16 @@ Against a 40-digit reference the kernel is within 1e-14 absolute (measured
 maximum 1.8e-16 over K <= 16 and |rho| up to 1 - 1e-15, largest at the
 0.925 branch point).  Each point is computed on its own, so the output does
 not depend on the chunk size.
-Maps can be tabulated (Chebyshev grid + monotone cubic interpolation) for the
-O(n^2) elementwise evaluations inside the design optimizer; the table's
-measured interpolation error is stored on the tabulated map.
+
+Maps can be tabulated for the O(n^2) elementwise evaluations inside the
+design optimizer: a Chebyshev grid with the monotone cubic (PCHIP)
+coefficients of scipy's ``PchipInterpolator``, computed here op for op in
+numpy.  A table query is one closed-form kernel, run on fixed-size chunks of
+points: the cell index comes from the grid formula (uniform in arccos) with
+one +-1 correction against the stored grid, the cubic is evaluated from the
+coefficient arrays in scipy's order, and points outside the grid go to the
+direct evaluator.  Its output equals ``PPoly`` evaluation bit for bit.  The
+table's measured interpolation error is stored on the tabulated map.
 """
 
 from __future__ import annotations
@@ -38,27 +45,113 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
 
 DEFAULT_TABLE_SIZE = 2001
 DEFAULT_EDGE_MARGIN = 1e-6
 
 _CHUNK = 8192       # points per kernel block; bounds the (points x nodes) temporaries
+_TABLE_CHUNK = 1 << 15   # points per table-kernel block
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_T = 0.5 * (1.0 + _GL_X)   # nodes mapped to [0, 1]
 
 
-class Table:
-    """Tabulated values of a map and its derivative on a fixed grid."""
+def _edge_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3. * np.abs(m0):
+        return 3. * m0
+    return d
 
-    def __init__(self, grid, f_values, d_values):
+
+def _pchip_coefficients(x, y):
+    """Cubic coefficients (4, len(x) - 1) of scipy's PchipInterpolator(x, y).
+
+    Fritsch-Butland harmonic-mean slopes (zero where the secant slopes change
+    sign or vanish), Moler's end slopes, then the cubic Hermite coefficients,
+    highest power first, each cell's cubic in s = x - x[cell].  Every
+    operation follows scipy's own, so the coefficients are bit-identical.
+    """
+    if not np.all(np.isfinite(y)):
+        raise ValueError("table values must be finite")
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    dk[0] = _edge_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
+
+
+class Table:
+    """Values of a map ``fn`` and its derivative ``dfn`` on a Chebyshev grid
+    of ``grid_size`` points over [-1 + edge_margin, 1 - edge_margin], with
+    their PCHIP cubic coefficients per grid cell.
+
+    The grid is dense near the endpoints, where f' blows up; the grid point
+    nearest 0 is moved to exactly 0, so f(0) = 0 stays exact.  ``cells``
+    inverts this construction, so both live here.
+    """
+
+    def __init__(self, fn, dfn, grid_size, edge_margin):
+        j = np.arange(grid_size)
+        grid = np.sort((1.0 - edge_margin) * np.cos(np.pi * j / (grid_size - 1)))
+        grid[np.argmin(np.abs(grid))] = 0.0
         self.grid = grid
-        self.f_values = f_values
-        self.d_values = d_values
-        self._f = PchipInterpolator(grid, f_values, extrapolate=False)
-        self._d = PchipInterpolator(grid, d_values, extrapolate=False)
+        self.f_values = fn(grid)
+        self.d_values = dfn(grid)
+        self.f_coef = _pchip_coefficients(grid, self.f_values)
+        self.d_coef = _pchip_coefficients(grid, self.d_values)
+
+    def cells(self, x):
+        """Cell index c with grid[c] <= x < grid[c + 1] for x in the grid
+        (the last cell is closed): the grid formula of ``__init__`` inverted
+        (uniform in arccos), then one +-1 correction for rounding and for
+        the grid point moved to 0."""
+        g = self.grid
+        last = g.size - 2
+        c = (np.arccos(-x / g[-1]) * ((g.size - 1) / np.pi)).astype(np.intp)
+        np.minimum(c, last, out=c)
+        c -= x < np.take(g, c)
+        c += x >= np.take(g, c + 1)
+        return np.minimum(c, last, out=c)
+
+    def evaluate(self, coef, direct, a):
+        """Piecewise cubic ``coef`` at every point of ``a``; points outside
+        the grid (and NaN) take ``direct``.  Chunks of _TABLE_CHUNK points."""
+        flat = a.reshape(-1)
+        out = np.empty(flat.size)
+        lo_edge, hi_edge = self.grid[0], self.grid[-1]
+        a3, a2, a1, a0 = coef   # coefficients of s^3, s^2, s, 1
+        for lo in range(0, flat.size, _TABLE_CHUNK):
+            x = flat[lo:lo + _TABLE_CHUNK]
+            inside = (x >= lo_edge) & (x <= hi_edge)
+            allin = inside.all()
+            # outside points and NaN get a dummy in-grid value (the integer
+            # cast of NaN warns); their output comes from ``direct`` below
+            xi = x if allin else np.where(inside, x, 0.0)
+            c = self.cells(xi)
+            s = xi - np.take(self.grid, c)
+            sp = s * s
+            # scipy's evaluate_poly1 order: a0 + a1 s + a2 s^2 + a3 (s^2 s)
+            o = np.take(a0, c) + np.take(a1, c) * s
+            o += np.take(a2, c) * sp
+            sp *= s
+            o += np.take(a3, c) * sp
+            if not allin:
+                o[~inside] = direct(x[~inside])
+            out[lo:lo + _TABLE_CHUNK] = o
+        return out.reshape(a.shape)
 
 
 class CovarianceMap:
@@ -87,12 +180,7 @@ class CovarianceMap:
         if self.table is None:
             out = self._fn(a)
         else:
-            out = np.empty_like(a)
-            g = self.table.grid
-            inside = (a >= g[0]) & (a <= g[-1])
-            out[inside] = self.table._f(a[inside])
-            if np.any(~inside):
-                out[~inside] = self._fn(a[~inside])
+            out = self.table.evaluate(self.table.f_coef, self._fn, a)
         return out if out.ndim else float(out)
 
     def deriv(self, rho):
@@ -102,12 +190,7 @@ class CovarianceMap:
         if self.table is None:
             out = self._dfn(a)
         else:
-            out = np.empty_like(a)
-            g = self.table.grid
-            inside = (a >= g[0]) & (a <= g[-1])
-            out[inside] = self.table._d(a[inside])
-            if np.any(~inside):
-                out[~inside] = self._dfn(a[~inside])
+            out = self.table.evaluate(self.table.d_coef, self._dfn, a)
         return out if out.ndim else float(out)
 
     def tail_bound(self, rho):
@@ -333,10 +416,26 @@ def apply_map(cmap: CovarianceMap, factor):
     Inner products are clamped to [-1, 1] to absorb row-normalization
     round-off; the diagonal is evaluated at exactly 1 (analytic limit).
     """
-    rows = factor.rows
-    g = np.clip(rows @ rows.T, -1.0, 1.0)
+    return cmap.eval(_gram(factor.rows))
+
+
+def _is_identity(rows):
+    """True when ``rows`` is exactly the identity (a square factor with n
+    nonzeros, all on a unit diagonal)."""
+    n = rows.shape[0]
+    return (rows.shape == (n, n) and np.count_nonzero(rows) == n
+            and bool(np.all(np.diagonal(rows) == 1.0)))
+
+
+def _gram(rows):
+    """V V^T clamped to [-1, 1] with the diagonal set to exactly 1; the
+    identity factor's gram is I, formed without the product."""
+    if _is_identity(rows):
+        return np.eye(rows.shape[0])
+    g = rows @ rows.T
+    np.clip(g, -1.0, 1.0, out=g)
     np.fill_diagonal(g, 1.0)
-    return cmap.eval(g)
+    return g
 
 
 def build_table(cmap: CovarianceMap, grid_size=DEFAULT_TABLE_SIZE,
@@ -354,14 +453,11 @@ def build_table(cmap: CovarianceMap, grid_size=DEFAULT_TABLE_SIZE,
     """
     if grid_size < 64:
         raise ValueError("table grid must have at least 64 points")
-    j = np.arange(grid_size)
-    grid = np.sort((1.0 - edge_margin) * np.cos(np.pi * j / (grid_size - 1)))
-    grid[np.argmin(np.abs(grid))] = 0.0  # keep f(0) = 0 exact through the table
     tabulated = CovarianceMap(cmap._fn, cmap._dfn, cmap.label,
                               tail_l2=cmap.tail_l2, truncation=cmap.truncation)
-    table = Table(grid, cmap._fn(grid), cmap._dfn(grid))
+    tabulated.table = Table(cmap._fn, cmap._dfn, grid_size, edge_margin)
+    grid = tabulated.table.grid
     mid = 0.5 * (grid[1:] + grid[:-1])
-    tabulated.table = table
-    tabulated.table_f_error = float(np.max(np.abs(table._f(mid) - cmap._fn(mid))))
-    tabulated.table_d_error = float(np.max(np.abs(table._d(mid) - cmap._dfn(mid))))
+    tabulated.table_f_error = float(np.max(np.abs(tabulated.eval(mid) - cmap._fn(mid))))
+    tabulated.table_d_error = float(np.max(np.abs(tabulated.deriv(mid) - cmap._dfn(mid))))
     return tabulated

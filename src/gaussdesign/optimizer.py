@@ -15,6 +15,15 @@ The default step policy is backtracking line search that accepts the first
 step not increasing the objective (within 1e-12); accepted steps warm-start
 the next trial step at twice the last accepted size, since the conservative
 base step alone makes progress impractically slow on scaled covariates.
+
+The O(n^3) work of an iteration is done once.  Each factor's gram (V V^T
+clamped to [-1, 1], unit diagonal) is formed once, and the objective of
+every map reads it; the accepted trial hands its gram and term matrices
+X^T f_j X on to the next gradient, so f' and (for the operator norm) the
+leading eigenvectors cost no second product.  G V is formed once per
+iteration and each trial step eta is rows - eta * G V.  A = X X^T is formed
+once per run.  The identity start (every caller's) has gram I and G V = G,
+so it needs no product at all.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covmap import CovarianceMap, apply_map, build_table
+from .covmap import _gram, _is_identity, build_table
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -99,22 +108,31 @@ def design_problem(X, cmap=None, norm="nuc", maps=None, weights=None,
                          norm=norm, row_normalized=row_normalized)
 
 
-def _term_matrices(problem, factor):
-    """X^T f_j(Sigma) X for every map j."""
-    return [problem.X.T @ apply_map(m, factor) @ problem.X for m in problem.maps]
-
-
-def objective(problem: DesignProblem, factor: CorrelationFactor):
-    """sum_j w_j^2 ||X^T f_j(Sigma) X||_norm at Sigma = V V^T."""
+def _check_size(problem, factor):
     if factor.n != problem.n:
         raise ValueError("factor size does not match covariate rows")
+
+
+def _terms(problem, g):
+    """X^T f_j(g) X for every map j, from the factor's gram g (see _gram)."""
+    return [problem.X.T @ m.eval(g) @ problem.X for m in problem.maps]
+
+
+def _objective(problem, terms):
+    """sum_j w_j^2 ||M_j||_norm over the term matrices M_j."""
     total = 0.0
-    for w, M in zip(problem.weights, _term_matrices(problem, factor)):
+    for w, M in zip(problem.weights, terms):
         if not np.all(np.isfinite(M)):
             return float("nan")
         sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(1)
         total += w * w * (float(np.sum(sv)) if problem.norm == "nuc" else float(sv[0]))
     return total
+
+
+def objective(problem: DesignProblem, factor: CorrelationFactor):
+    """sum_j w_j^2 ||X^T f_j(Sigma) X||_norm at Sigma = V V^T."""
+    _check_size(problem, factor)
+    return _objective(problem, _terms(problem, _gram(factor.rows)))
 
 
 def _deriv_offdiag(cmap, g):
@@ -125,15 +143,41 @@ def _deriv_offdiag(cmap, g):
     return d
 
 
-def gradient_nuclear(problem: DesignProblem, factor: CorrelationFactor):
-    """(X X^T - diag) o f'(V V^T); diagonal entries exactly zero."""
-    g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0)
-    A = problem.X @ problem.X.T
+def _offdiag_gram(X):
+    """X X^T with the diagonal zeroed: A of the nuclear-norm gradient."""
+    A = X @ X.T
     np.fill_diagonal(A, 0.0)
+    return A
+
+
+def _grad_nuc(problem, g, A):
+    """sum_j w_j^2 A o f_j'(g) at the gram g, with A = X X^T (zero diagonal)."""
     grad = np.zeros_like(g)
     for w, cmap in zip(problem.weights, problem.maps):
         grad += (w * w) * A * _deriv_offdiag(cmap, g)
     return grad
+
+
+def _grad_op(problem, g, terms):
+    """sum_j w_j^2 A_j o f_j'(g) at the gram g, A_j = b b^T (zero diagonal)
+    with b = X u1 and u1 the leading eigenvector of the term matrix M_j;
+    returns (gradient, tie), tie flagging an eigenvalue tie."""
+    grad = np.zeros_like(g)
+    tie = False
+    for w, cmap, M in zip(problem.weights, problem.maps, terms):
+        lam, U = np.linalg.eigh(M)
+        if lam.size >= 2 and lam[-1] - lam[-2] < 1e-10:
+            tie = True
+        b = problem.X @ U[:, -1]
+        Aj = np.outer(b, b)
+        np.fill_diagonal(Aj, 0.0)
+        grad += (w * w) * Aj * _deriv_offdiag(cmap, g)
+    return grad, tie
+
+
+def gradient_nuclear(problem: DesignProblem, factor: CorrelationFactor):
+    """(X X^T - diag) o f'(V V^T); diagonal entries exactly zero."""
+    return _grad_nuc(problem, _gram(factor.rows), _offdiag_gram(problem.X))
 
 
 @dataclass(frozen=True)
@@ -144,40 +188,31 @@ class OperatorGradient:
 
 def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
     """Per-map leading-eigenvector gradients, weighted; flags eigenvalue ties."""
-    g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0)
-    grad = np.zeros_like(g)
-    degenerate = False
-    for w, cmap, M in zip(problem.weights, problem.maps, _term_matrices(problem, factor)):
-        lam, U = np.linalg.eigh(M)
-        if lam.size >= 2 and lam[-1] - lam[-2] < 1e-10:
-            degenerate = True
-        u1 = U[:, -1]
-        b = problem.X @ u1
-        A = np.outer(b, b)
-        np.fill_diagonal(A, 0.0)
-        grad += (w * w) * A * _deriv_offdiag(cmap, g)
-    return OperatorGradient(matrix=grad, is_subgradient=degenerate)
+    g = _gram(factor.rows)
+    grad, tie = _grad_op(problem, g, _terms(problem, g))
+    return OperatorGradient(matrix=grad, is_subgradient=tie)
 
 
-def _gradient(problem, factor):
-    if problem.norm == "nuc":
-        return gradient_nuclear(problem, factor)
-    return gradient_operator(problem, factor).matrix
-
-
-def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
-    """Multiplicative update (I - eta G) V followed by row renormalization."""
+def _step(rows, GV, eta):
+    """Row-normalized rows - eta * GV, with GV = G V and eta >= 0; a row that
+    collapses keeps its previous value, with a warning."""
     if eta < 0:
         raise ValueError("step size must be nonnegative")
-    rows = factor.rows - eta * (grad @ factor.rows)
-    norms = np.linalg.norm(rows, axis=1)
+    new = rows - eta * GV
+    norms = np.linalg.norm(new, axis=1)
     dead = norms < _ZERO_ROW
     if np.any(dead):
         warnings.warn(f"pgd_step: rows {np.flatnonzero(dead).tolist()} collapsed; "
                       "keeping previous values", RuntimeWarning)
-        rows[dead] = factor.rows[dead]
+        new[dead] = rows[dead]
         norms[dead] = 1.0
-    return CorrelationFactor(rows / norms[:, None])
+    new /= norms[:, None]
+    return CorrelationFactor(new)
+
+
+def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
+    """Multiplicative update (I - eta G) V followed by row renormalization."""
+    return _step(factor.rows, grad @ factor.rows, eta)
 
 
 @dataclass(frozen=True)
@@ -262,65 +297,89 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     iteration).  With the backtracking policy the objective trace is
     non-increasing; iteration stops early once the gradient norm falls below
     1e-10 or no acceptable step exists.
+
+    Each factor's gram is formed once: the objective of every map and, for
+    the accepted factor, the next gradient's f' read it.  G V is formed once
+    per iteration and every trial step is rows - eta * G V.
     """
     if iters < 0:
         raise ValueError("iteration count must be nonnegative")
-    if not np.isfinite(objective(problem, init)):
+    _check_size(problem, init)
+    g = _gram(init.rows)
+    if not np.isfinite(_objective(problem, _terms(problem, g))):
         raise OptimizationError("objective non-finite at the initial design",
                                 OptimizerTrace(initial_objective=np.nan))
     work = _tabulated(problem)
     if step_policy is None:
         step_policy = Backtracking(eta0=default_eta0(work))
+    if problem.norm == "nuc":
+        A = _offdiag_gram(problem.X)
+
+        def gradient(g, terms):
+            return _grad_nuc(work, g, A)
+    else:
+        def gradient(g, terms):
+            return _grad_op(work, g, terms)[0]
     factor = init
-    obj = objective(work, factor)
+    terms = _terms(work, g)
+    obj = _objective(work, terms)
     trace = OptimizerTrace(initial_objective=obj)
     eta_prev = None
     for t in range(1, int(iters) + 1):
-        grad = _gradient(work, factor)
+        grad = gradient(g, terms)
+        del g  # freed before the trial steps form their own grams
         gnorm = float(np.linalg.norm(grad))
         if gnorm < _GRAD_TOL:
             break
-        if isinstance(step_policy, FixedStep):
-            factor = pgd_step(factor, grad, step_policy.eta)
-            obj = objective(work, factor)
-            if not np.isfinite(obj):
-                raise OptimizationError(f"objective non-finite at iteration {t}", trace)
-            trace.rows.append(TraceRow(t, obj, step_policy.eta, gnorm, 0))
-            continue
+        # G V; the identity factor's is G itself
+        GV = grad if _is_identity(factor.rows) else grad @ factor.rows
+        del grad
 
         def try_eta(eta):
-            cand = pgd_step(factor, grad, eta)
-            cand_obj = objective(work, cand)
+            cand = _step(factor.rows, GV, eta)
+            cand_g = _gram(cand.rows)
+            cand_terms = _terms(work, cand_g)
+            cand_obj = _objective(work, cand_terms)
             if not np.isfinite(cand_obj):
                 raise OptimizationError(f"objective non-finite at iteration {t}", trace)
-            return cand, cand_obj
+            return (cand, cand_g, cand_terms), cand_obj
 
+        if isinstance(step_policy, FixedStep):
+            (factor, g, terms), obj = try_eta(step_policy.eta)
+            trace.rows.append(TraceRow(t, obj, step_policy.eta, gnorm, 0))
+            continue
         base = step_policy.eta0 if eta_prev is None else eta_prev
-        # Probe the grown step against the held step and keep the better
-        # acceptable one; pure growth with non-increase acceptance drifts the
-        # step into a zone of vanishing progress near the f' barrier.
-        accepted = None
-        halvings = 0
-        grown, grown_obj = try_eta(base * step_policy.grow)
-        held, held_obj = try_eta(base)
-        if grown_obj <= min(held_obj, obj + _ACCEPT_SLACK):
-            accepted = (grown, grown_obj, base * step_policy.grow, 0)
-        elif held_obj <= obj + _ACCEPT_SLACK:
-            accepted = (held, held_obj, base, 0)
-        else:
-            eta = base * step_policy.shrink
-            while halvings < step_policy.max_halvings:
-                halvings += 1
-                cand, cand_obj = try_eta(eta)
-                if cand_obj <= obj + _ACCEPT_SLACK:
-                    accepted = (cand, cand_obj, eta, halvings)
-                    break
-                eta *= step_policy.shrink
-        if accepted is None:
+        cand, obj, eta_prev, halvings = _backtrack(step_policy, base, obj, try_eta)
+        trace.rows.append(TraceRow(t, obj, eta_prev, gnorm, halvings))
+        if cand is None:
             # No descent step within the halving budget: the gradient is
             # stale at this point, so further iterations cannot help.
-            trace.rows.append(TraceRow(t, obj, 0.0, gnorm, halvings))
             break
-        factor, obj, eta_prev, halvings = accepted
-        trace.rows.append(TraceRow(t, obj, eta_prev, gnorm, halvings))
+        factor, g, terms = cand
+        del cand  # the gram is freed once the next gradient is formed
     return factor, trace
+
+
+def _backtrack(policy, base, obj, try_eta):
+    """Line search from step ``base``; returns (candidate, objective, eta,
+    halvings), with candidate None, the objective unchanged and eta 0 when no
+    step within the halving budget is acceptable."""
+    # Probe the grown step against the held step and keep the better
+    # acceptable one; pure growth with non-increase acceptance drifts the
+    # step into a zone of vanishing progress near the f' barrier.
+    grown, grown_obj = try_eta(base * policy.grow)
+    held, held_obj = try_eta(base)
+    if grown_obj <= min(held_obj, obj + _ACCEPT_SLACK):
+        return grown, grown_obj, base * policy.grow, 0
+    if held_obj <= obj + _ACCEPT_SLACK:
+        return held, held_obj, base, 0
+    del grown, held
+    halvings = 0
+    eta = base * policy.shrink
+    while halvings < policy.max_halvings:
+        halvings += 1
+        cand, cand_obj = try_eta(eta)
+        if cand_obj <= obj + _ACCEPT_SLACK:
+            return cand, cand_obj, eta, halvings
+        eta *= policy.shrink
+    return None, obj, 0.0, halvings

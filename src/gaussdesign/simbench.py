@@ -255,6 +255,8 @@ class CompleteRandomization:
     name = "cr"
 
     def arms(self, seed, streams, K, n=None):
+        if n is None:
+            raise ValueError("CompleteRandomization.arms needs the unit count n")
         return _cr_batch(n, K, seed, streams)
 
 

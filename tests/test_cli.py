@@ -61,6 +61,12 @@ class TestOptimizeCommand:
         assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
                      "--norm", "banana"]) == 2
 
+    def test_negative_step_size_is_usage_error(self, covariates, tmp_path):
+        out = tmp_path / "out"
+        assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
+                     "--step-size", "-0.1", "--iters", "3", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_large_contrast_weights(self, covariates, tmp_path):
         # the objective map is sum_k w_k^2 f_k: ten times the contrast is about
         # 100 times the objective (the default step 0.1 / (1 + A max|f'|) is

@@ -388,3 +388,150 @@ class TestGenzKernel:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 64 * 2 ** 20
+
+
+def _pchip_reference(tab, values):
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(tab.table.grid, values, extrapolate=False)
+
+
+def _reference_eval(tab, direct, values, x):
+    """The PPoly path: PchipInterpolator inside the grid, direct outside."""
+    x = np.asarray(x, dtype=float)
+    g = tab.table.grid
+    inside = (x >= g[0]) & (x <= g[-1])
+    out = np.empty_like(x)
+    out[inside] = _pchip_reference(tab, values)(x[inside])
+    out[~inside] = direct(x[~inside])
+    return out
+
+
+# f_16(K=16) falls to ~1e-300 near -1, where the harmonic mean of two secant
+# slopes overflows to inf (slope 0) with a RuntimeWarning, in scipy and in
+# the copy alike.
+_TABLED = {
+    "f_1(K=2)": lambda: f_arm(2, 1),
+    "f_2(K=3)": lambda: f_arm(3, 2),
+    "f_3,5(K=8)": lambda: f_cross(8, 3, 5),
+    "f_16(K=16)": lambda: f_arm(16, 16),
+    "weighted(K=3)": lambda: weighted_discrete_map(np.array([10.0, -10.0, 0.5]), 3),
+}
+
+
+class TestTableCoefficients:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("label", sorted(_TABLED))
+    def test_equal_to_scipy_pchip(self, label):
+        tab = build_table(_TABLED[label]())
+        assert np.array_equal(tab.table.f_coef, _pchip_reference(tab, tab.table.f_values).c)
+        assert np.array_equal(tab.table.d_coef, _pchip_reference(tab, tab.table.d_values).c)
+
+    def test_equal_to_scipy_pchip_on_shaped_data(self):
+        # sign changes, flat runs and both end-slope corrections (the
+        # one-sided slope zeroed, and capped at 3 m0)
+        from scipy.interpolate import PchipInterpolator
+        from gaussdesign.covmap import _pchip_coefficients
+
+        gen = np.random.default_rng(9)
+        uneven = np.cumsum(gen.uniform(0.1, 2.0, 40))
+        even = np.arange(40.0)
+        walk = np.round(np.cumsum(gen.standard_normal(40)), 1)
+        for x in (uneven, even):
+            for y in (walk, np.r_[0.0, 1.0, 10.0, walk[3:]], np.r_[0.0, 1.0, -5.0, walk[3:]],
+                      np.r_[walk[:-3], 2.0, 1.0, 1.0], np.r_[walk[:-3], -5.0, 1.0, 0.0]):
+                assert np.array_equal(_pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+
+    def test_non_finite_values_rejected(self):
+        from gaussdesign.covmap import CovarianceMap
+        bad = CovarianceMap(lambda a: np.full_like(a, np.nan), lambda a: np.zeros_like(a), "bad")
+        with pytest.raises(ValueError, match="finite"):
+            build_table(bad)
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("grid_size", [64, 65, 100, 777, 2000, 2001])
+    def test_cells_match_search(self, grid_size):
+        tab = build_table(f_arm(3, 1), grid_size=grid_size).table
+        g = tab.grid
+        x = np.concatenate([g, 0.5 * (g[1:] + g[:-1]), np.nextafter(g, 2.0),
+                            np.nextafter(g, -2.0),
+                            np.random.default_rng(grid_size).uniform(g[0], g[-1], 20_000)])
+        x = x[(x >= g[0]) & (x <= g[-1])]
+        expected = np.minimum(np.searchsorted(g, x, side="right") - 1, g.size - 2)
+        assert np.array_equal(tab.cells(x), expected)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("label", sorted(_TABLED))
+    def test_grid_points_and_midpoints_equal_ppoly(self, label):
+        m = _TABLED[label]()
+        tab = build_table(m)
+        g = tab.table.grid
+        x = np.concatenate([g, 0.5 * (g[1:] + g[:-1]), [g[-1]]])
+        assert np.array_equal(tab.eval(x), _reference_eval(tab, m._fn, tab.table.f_values, x))
+        assert np.array_equal(tab.deriv(x), _reference_eval(tab, m._dfn, tab.table.d_values, x))
+
+    def test_random_points_equal_ppoly_across_chunks(self):
+        m = weighted_discrete_map(np.array([1.0, 2.0, 0.5, -1.0]), 4)
+        tab = build_table(m)
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, 3 * 2 ** 15 + 17)
+        x[::1000] = 1.0
+        x[1::1000] = -1.0
+        x = np.clip(x, -1.0, 1.0)
+        assert np.array_equal(tab.eval(x), _reference_eval(tab, m._fn, tab.table.f_values, x))
+        inner = x[np.abs(x) < 1.0]
+        assert np.array_equal(tab.deriv(inner),
+                              _reference_eval(tab, m._dfn, tab.table.d_values, inner))
+
+    def test_last_grid_point_uses_last_cell(self):
+        m = f_arm(3, 3)
+        tab = build_table(m)
+        g = tab.table.grid
+        assert tab.table.cells(np.array([g[-1]]))[0] == g.size - 2
+        assert tab.eval(g[-1]) == float(_pchip_reference(tab, tab.table.f_values)(g[-1]))
+
+    def test_outside_grid_takes_direct_evaluator(self):
+        m = f_cross(3, 1, 2)
+        tab = build_table(m)
+        g = tab.table.grid
+        x = np.array([-1.0, np.nextafter(g[0], -2.0), np.nextafter(g[-1], 2.0), 1.0])
+        assert np.array_equal(tab.eval(x), m.eval(x))
+        assert np.array_equal(tab.deriv(x[1:3]), m.deriv(x[1:3]))
+
+    def test_scalars_and_zero_d(self):
+        m = f_arm(3, 1)
+        tab = build_table(m)
+        x = np.array([0.0, 0.3, -0.7, 1.0, tab.table.grid[5]])
+        vec = tab.eval(x)
+        for xi, v in zip(x, vec):
+            for q in (float(xi), np.float64(xi), np.array(xi)):
+                out = tab.eval(q)
+                assert isinstance(out, float) and out == v
+        assert isinstance(tab.deriv(np.array(0.3)), float)
+        assert tab.deriv(np.array(0.3)) == tab.deriv(x[1:2])[0]
+        assert tab.eval(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_nan_propagates_without_warning(self):
+        import warnings
+
+        tab = build_table(f_arm(3, 1))
+        x = np.array([0.5, np.nan, -0.2, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = tab.eval(x)
+            d = tab.deriv(x)
+        assert np.isnan(f[[1, 3]]).all() and np.isnan(d[[1, 3]]).all()
+        assert np.array_equal(f[[0, 2]], tab.eval(x[[0, 2]]))
+        assert np.array_equal(d[[0, 2]], tab.deriv(x[[0, 2]]))
+
+    def test_memory_bounded_on_two_million_points(self):
+        import tracemalloc
+
+        rhos = np.random.default_rng(6).uniform(-1.0, 1.0, 2_000_000)
+        tab = build_table(f_cross(3, 1, 2))
+        tracemalloc.start()
+        try:
+            out = tab.eval(rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 64 * 2 ** 20

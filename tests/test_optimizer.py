@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussdesign.covmap import CovarianceMap, f_arm, weighted_discrete_map
+from gaussdesign.covmap import CovarianceMap, build_table, f_arm, weighted_discrete_map
 from gaussdesign.elliptope import factor_from_rows, identity_factor, validate
 from gaussdesign.optimizer import (Backtracking, DesignProblem, FixedStep,
-                                   OptimizationError, design_problem,
-                                   gradient_nuclear, gradient_operator,
-                                   objective, pgd_gauss, pgd_step)
+                                   OptimizationError, TraceRow, default_eta0,
+                                   design_problem, gradient_nuclear,
+                                   gradient_operator, objective, pgd_gauss,
+                                   pgd_step)
 
 F2 = weighted_discrete_map(np.array([1.0, 1.0]), 2)   # f_1 + f_2 = 2 f_1 for K=2
 
@@ -168,6 +173,11 @@ class TestPgdStep:
             out = pgd_step(fac, g, 1.0)
         assert np.allclose(out.rows[0], fac.rows[0])
 
+    def test_negative_step_rejected(self):
+        fac = identity_factor(3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pgd_step(fac, np.ones((3, 3)) - np.eye(3), -0.1)
+
 
 class TestPgdGauss:
     def test_zero_iterations(self):
@@ -236,6 +246,14 @@ class TestPgdGauss:
         with pytest.raises(ValueError):
             pgd_gauss(prob, fac, -1)
 
+    @pytest.mark.parametrize("norm", ["nuc", "op"])
+    @pytest.mark.parametrize("policy", [FixedStep(-1e-3), Backtracking(eta0=-1e-3)])
+    def test_negative_step_size_rejected(self, norm, policy):
+        prob, _ = _random_problem(11, norm=norm)
+        for init in (identity_factor(prob.n), _random_problem(11, norm=norm)[1]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pgd_gauss(prob, init, 3, policy)
+
 
 class TestBacktrackingPolicy:
     def test_monotone_descent_holds(self):
@@ -265,3 +283,178 @@ def test_cap_rank_projects_and_renormalizes():
     assert same is low
     rotated = cap_rank(low, 2)
     assert np.allclose(rotated.to_matrix(), low.to_matrix(), atol=1e-12)
+
+
+# -- properties ---------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), k=st.integers(1, 12),
+       eta=st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_nan=False)),
+       scale=st.sampled_from([1e-6, 1.0, 1e4]))
+def test_pgd_step_keeps_rows_on_the_unit_sphere(seed, n, k, eta, scale):
+    gen = np.random.default_rng(seed)
+    fac = factor_from_rows(gen.standard_normal((n, k)) + 1e-3)
+    G = scale * gen.standard_normal((n, n))
+    G = G + G.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # collapsed rows are kept
+        out = pgd_step(fac, G, eta)
+    assert out.rows.shape == (n, k)
+    assert np.max(np.abs(np.linalg.norm(out.rows, axis=1) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), norm=st.sampled_from(["nuc", "op"]),
+       n=st.integers(2, 7), d=st.integers(1, 3), K=st.integers(2, 4),
+       eta0=st.sampled_from([1e-3, 0.5, 50.0]))
+def test_backtracking_trace_never_rises(seed, norm, n, d, K, eta0):
+    prob, _ = _random_problem(seed, d=d, K=K, norm=norm, n=n)
+    _, trace = pgd_gauss(prob, identity_factor(n), 8, Backtracking(eta0=eta0))
+    objs = np.concatenate([[trace.initial_objective], trace.objectives])
+    assert np.all(np.diff(objs) <= 1e-12)
+
+
+# -- reference loop -----------------------------------------------------------
+# The PGD loop as it stood before each factor's gram was shared: every
+# objective forms its own gram per map, every gradient forms it again, every
+# trial step forms G V again.  pgd_gauss must match it bit for bit.
+
+def _ref_terms(problem, factor):
+    out = []
+    for m in problem.maps:
+        g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0)
+        np.fill_diagonal(g, 1.0)
+        out.append(problem.X.T @ m.eval(g) @ problem.X)
+    return out
+
+
+def _ref_objective(problem, factor):
+    total = 0.0
+    for w, M in zip(problem.weights, _ref_terms(problem, factor)):
+        if not np.all(np.isfinite(M)):
+            return float("nan")
+        sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(1)
+        total += w * w * (float(np.sum(sv)) if problem.norm == "nuc" else float(sv[0]))
+    return total
+
+
+def _ref_deriv_offdiag(cmap, g):
+    d = cmap.deriv(np.clip(g, -1.0 + 1e-6, 1.0 - 1e-6))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _ref_gradient(problem, factor):
+    g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0)
+    grad = np.zeros_like(g)
+    if problem.norm == "nuc":
+        A = problem.X @ problem.X.T
+        np.fill_diagonal(A, 0.0)
+        for w, cmap in zip(problem.weights, problem.maps):
+            grad += (w * w) * A * _ref_deriv_offdiag(cmap, g)
+        return grad
+    for w, cmap, M in zip(problem.weights, problem.maps, _ref_terms(problem, factor)):
+        u1 = np.linalg.eigh(M)[1][:, -1]
+        b = problem.X @ u1
+        A = np.outer(b, b)
+        np.fill_diagonal(A, 0.0)
+        grad += (w * w) * A * _ref_deriv_offdiag(cmap, g)
+    return grad
+
+
+def _ref_step(factor, grad, eta):
+    rows = factor.rows - eta * (grad @ factor.rows)
+    norms = np.linalg.norm(rows, axis=1)
+    dead = norms < 1e-14
+    rows[dead] = factor.rows[dead]
+    norms[dead] = 1.0
+    return type(factor)(rows / norms[:, None])
+
+
+def _ref_pgd_gauss(problem, init, iters, step_policy=None):
+    assert np.isfinite(_ref_objective(problem, init))
+    work = DesignProblem(X=problem.X, maps=tuple(build_table(m) for m in problem.maps),
+                         weights=problem.weights, norm=problem.norm)
+    if step_policy is None:
+        step_policy = Backtracking(eta0=default_eta0(work))
+    factor = init
+    obj = _ref_objective(work, factor)
+    initial, rows = obj, []
+    eta_prev = None
+    for t in range(1, int(iters) + 1):
+        grad = _ref_gradient(work, factor)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-10:
+            break
+        if isinstance(step_policy, FixedStep):
+            factor = _ref_step(factor, grad, step_policy.eta)
+            obj = _ref_objective(work, factor)
+            rows.append(TraceRow(t, obj, step_policy.eta, gnorm, 0))
+            continue
+
+        def try_eta(eta):
+            cand = _ref_step(factor, grad, eta)
+            return cand, _ref_objective(work, cand)
+
+        base = step_policy.eta0 if eta_prev is None else eta_prev
+        accepted = None
+        halvings = 0
+        grown, grown_obj = try_eta(base * step_policy.grow)
+        held, held_obj = try_eta(base)
+        if grown_obj <= min(held_obj, obj + 1e-12):
+            accepted = (grown, grown_obj, base * step_policy.grow, 0)
+        elif held_obj <= obj + 1e-12:
+            accepted = (held, held_obj, base, 0)
+        else:
+            eta = base * step_policy.shrink
+            while halvings < step_policy.max_halvings:
+                halvings += 1
+                cand, cand_obj = try_eta(eta)
+                if cand_obj <= obj + 1e-12:
+                    accepted = (cand, cand_obj, eta, halvings)
+                    break
+                eta *= step_policy.shrink
+        if accepted is None:
+            rows.append(TraceRow(t, obj, 0.0, gnorm, halvings))
+            break
+        factor, obj, eta_prev, halvings = accepted
+        rows.append(TraceRow(t, obj, eta_prev, gnorm, halvings))
+    return factor, initial, rows
+
+
+def _reference_cases():
+    gen = np.random.default_rng(30)
+    X = gen.standard_normal((40, 3))
+    nuc = design_problem(X, cmap=weighted_discrete_map(np.full(3, 1 / 3), 3), norm="nuc")
+    op = DesignProblem(X=X, maps=tuple(f_arm(4, k) for k in range(1, 5)),
+                       weights=np.array([1.0, -1.0, 0.5, 0.0]), norm="op")
+    start = factor_from_rows(gen.standard_normal((40, 9)))
+    return {
+        "nuc": (nuc, identity_factor(40), 6, None),
+        "nuc, non-identity start": (nuc, start, 6, None),
+        "op": (op, identity_factor(40), 5, None),
+        "op, non-identity start": (op, start, 5, None),
+        "fixed step": (nuc, identity_factor(40), 4, FixedStep(1e-3)),
+        "fixed step, non-identity start": (op, start, 4, FixedStep(1e-2)),
+        "forced halvings": (nuc, identity_factor(40), 6, Backtracking(eta0=100.0)),
+        "no acceptable step": (nuc, identity_factor(40), 3,
+                               Backtracking(eta0=100.0, max_halvings=2)),
+        "gradient stop": (design_problem(np.eye(3), cmap=f_arm(2, 1), norm="nuc"),
+                          identity_factor(3), 10, None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_pgd_gauss_matches_reference_loop(case):
+    prob, init, iters, policy = _reference_cases()[case]
+    factor, trace = pgd_gauss(prob, init, iters, policy)
+    ref_factor, ref_initial, ref_rows = _ref_pgd_gauss(prob, init, iters, policy)
+    assert factor.rows.tobytes() == ref_factor.rows.tobytes()
+    assert trace.initial_objective == ref_initial
+    assert trace.rows == ref_rows
+    if case == "forced halvings":
+        assert trace.rows[0].halvings > 0
+    if case == "no acceptable step":
+        assert trace.rows[-1].eta == 0.0 and trace.rows[-1].halvings == 2
+    if case == "gradient stop":
+        assert trace.rows == []

@@ -139,6 +139,10 @@ class TestDesignRerand:
         X = np.random.default_rng(2).standard_normal((20, 3))
         assert np.array_equal(design_rerand(X, 9, 0.1, 2), design_rerand(X, 9, 0.1, 2))
 
+    def test_complete_randomization_needs_unit_count(self):
+        with pytest.raises(ValueError, match=r"\bn\b"):
+            CompleteRandomization().arms(0, np.arange(3), 2)
+
     def test_invalid_acceptance(self):
         X = np.zeros((4, 1))
         with pytest.raises(ValueError):
@@ -180,10 +184,11 @@ class TestRerandThreshold:
         src = str(Path(gaussdesign.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        code = "import sys, gaussdesign; print('scipy.stats' in sys.modules)"
+        code = ("import sys, gaussdesign; "
+                "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
 
 
 class TestMcMse:
