@@ -20,12 +20,12 @@ from .inference import (ContinuousModelSpec, IntervalReport, VarianceReport,
                         true_variance, variance_ht_arm)
 from .optimizer import (Backtracking, DesignProblem, FixedStep,
                         OptimizationError, OptimizerTrace, cap_rank,
-                        design_problem, gradient_nuclear, gradient_operator,
-                        objective, pgd_gauss, pgd_step)
+                        design_problem, discrete_problem, gradient_nuclear,
+                        gradient_operator, objective, pgd_gauss, pgd_step)
 from .simbench import (BenchmarkReport, CompleteRandomization, GaussianDesign,
-                       Rerandomization, Scenario, design_cr, design_rerand,
-                       gen_continuous, gen_factorial, gen_three_arm,
-                       load_scenario, mc_coverage, mc_estimates, mc_mse,
-                       run_scenario, save_scenario)
+                       Rerandomization, Scenario, gen_continuous,
+                       gen_factorial, gen_three_arm, load_scenario,
+                       mc_coverage, mc_estimates, mc_mse, run_scenario,
+                       save_scenario)
 
 __version__ = "0.1.0"

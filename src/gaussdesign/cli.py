@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from . import elliptope, rng
-from .covmap import (build_table, discretize, f_arm, f_cross,
-                     quantile_thresholds, weighted_discrete_map)
+from . import elliptope
+from .covmap import (discretize, f_arm, f_cross, quantile_thresholds,
+                     weighted_discrete_map)
 from .elliptope import identity_factor, load_factor, save_matrix, validate
 from .estimators import (EstimandSpec, WeightFn, ht_arm, ht_contrast,
                          ht_continuous, records_from_csv, rescale_treatment)
@@ -24,8 +24,8 @@ from .hermite import continuous_cov_maps
 from .inference import (ContinuousModelSpec, normal_ci,
                         randomization_ci_continuous, randomization_ci_discrete,
                         variance_ht_arm)
-from .optimizer import (DesignProblem, FixedStep, OptimizationError, objective,
-                        pgd_gauss)
+from .optimizer import (DesignProblem, FixedStep, OptimizationError,
+                        discrete_problem, pgd_gauss)
 from .simbench import run_scenario
 
 EXIT_OK = 0
@@ -110,12 +110,7 @@ def cmd_optimize(args):
             np.asarray([float(v) for v in args.contrast.split(",")])
         if w.shape != (K,):
             raise UsageError(f"--contrast needs {K} comma-separated weights")
-        if args.norm == "nuc":
-            problem = DesignProblem(X=X, maps=(weighted_discrete_map(w, K),),
-                                    weights=np.ones(1), norm="nuc")
-        else:
-            maps = tuple(f_arm(K, k) for k in range(1, K + 1))
-            problem = DesignProblem(X=X, maps=maps, weights=w, norm="op")
+        problem = discrete_problem(X, w, args.norm)
     elif args.continuous:
         weight = _parse_weight(args.weight or "first_derivative")
         y0_slope, y0_icept = args.y0_slope, args.y0_intercept

@@ -83,7 +83,7 @@ def _pchip_coefficients(x, y):
     condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
     w1 = 2 * hk[1:] + hk[:-1]
     w2 = hk[1:] + 2 * hk[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
     dk = np.zeros_like(y)
     dk[1:-1][~condition] = 1.0 / whmean[~condition]

@@ -11,7 +11,7 @@ identifies the averaged response over [r, l].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri

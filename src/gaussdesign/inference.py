@@ -126,16 +126,12 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
     min_joint = np.inf
     offdiag = ~np.eye(n, dtype=bool)
     yy = np.outer(Y, Y)
-    cross_cache = {}
     for k in range(1, K + 1):
         for l in range(1, K + 1):
             sel = np.outer(arms == k, arms == l) & offdiag
             if not np.any(sel):
                 continue
-            key = (k, l)
-            if key not in cross_cache:
-                cross_cache[key] = f_cross(K, k, l)
-            C = cross_cache[key].eval(sigma[sel])
+            C = f_cross(K, k, l).eval(sigma[sel])
             joint = C + 1.0 / K ** 2
             min_joint = min(min_joint, float(joint.min()))
             if min_joint <= _JOINT_GUARD:

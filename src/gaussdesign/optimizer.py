@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covmap import _gram, _is_identity, build_table
+from .covmap import _gram, _is_identity, build_table, f_arm, weighted_discrete_map
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -106,6 +106,21 @@ def design_problem(X, cmap=None, norm="nuc", maps=None, weights=None,
         weights = np.ones(len(maps))
     return DesignProblem(X=X, maps=tuple(maps), weights=np.asarray(weights, float),
                          norm=norm, row_normalized=row_normalized)
+
+
+def discrete_problem(X, w, norm="nuc"):
+    """Balance problem of a K-arm design for contrast weights w (K = len(w)).
+
+    The nuclear norm takes the one combined map sum_k w_k^2 f_k at unit
+    weight; the operator norm takes the per-arm maps f_k with weights w_k.
+    """
+    w = np.asarray(w, dtype=float)
+    K = w.size
+    if norm == "nuc":
+        return DesignProblem(X=X, maps=(weighted_discrete_map(w, K),),
+                             weights=np.ones(1), norm="nuc")
+    return DesignProblem(X=X, maps=tuple(f_arm(K, k) for k in range(1, K + 1)),
+                         weights=w, norm=norm)
 
 
 def _check_size(problem, factor):

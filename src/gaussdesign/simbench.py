@@ -13,6 +13,25 @@ Baseline designs are complete randomization and Mahalanobis rerandomization;
 Gaussian designs are wrapped factors (identity or optimized).  All Monte
 Carlo replicates read from counter-based RNG substreams keyed by replicate
 index, so every number below is a pure function of (scenario seed, run seed).
+
+Every design (``GaussianDesign``, ``CompleteRandomization(n)``,
+``Rerandomization(X)``) gives the engine the same interface:
+
+* ``name``, the label of its benchmark rows;
+* ``arms(seed, streams, K)``, the (B, n) arm matrix, row b drawn from stream
+  ``streams[b]`` alone;
+* ``draw(seed, streams, K)`` -> ``(arms, latent)``, what the engine scores:
+  ``latent`` is the (B, n) Gaussian treatment matrix, or None for designs
+  that only assign arms; ``arms`` is None when ``K`` is None (a continuous
+  scenario), which only Gaussian designs accept;
+* ``arm_covariances(K, seed, B_emp)``, the K per-arm indicator covariance
+  matrices: exact maps for Gaussian designs, B_emp Monte Carlo draws for the
+  others;
+* ``factor``, the correlation factor that the randomization CI resamples,
+  or None (such designs get no coverage columns).
+
+``mc_estimates`` and ``mc_coverage`` call ``draw``, ``balance_objective_nuc``
+calls ``arm_covariances`` and ``run_scenario`` reads ``factor``.
 """
 
 from __future__ import annotations
@@ -24,13 +43,12 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import rng
-from .covmap import (apply_map, discretize, f_arm, quantile_thresholds,
-                     weighted_discrete_map)
+from .covmap import apply_map, discretize, f_arm, quantile_thresholds
 from .elliptope import CorrelationFactor, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                          true_estimand, weight_eval)
 from .inference import randomization_ci_discrete
-from .optimizer import DesignProblem, pgd_gauss
+from .optimizer import discrete_problem, pgd_gauss
 
 _CHUNK = 4096
 _RERAND_CAP = 100_000
@@ -73,11 +91,7 @@ class Scenario:
 
     def observed_outcomes(self, arms):
         """Pick Y_i(D_i) from the table for a (B, n) or (n,) arm array."""
-        arms = np.asarray(arms)
-        n_idx = np.arange(self.n)
-        if arms.ndim == 1:
-            return self.potential_outcomes[n_idx, arms - 1]
-        return self.potential_outcomes[n_idx[None, :], arms - 1]
+        return self.potential_outcomes[np.arange(self.n), np.asarray(arms) - 1]
 
 
 def _exp1(u):
@@ -184,11 +198,6 @@ def _cr_batch(n, K, seed, streams):
     return np.take_along_axis(full, unit_order, axis=1)
 
 
-def design_cr(n, K, seed):
-    """One complete-randomization assignment (equal split up to remainder)."""
-    return _cr_batch(n, K, seed, np.arange(1))[0]
-
-
 def _pairwise_mahalanobis_max(X, arms, K, S_inv):
     """Largest pairwise-arm Mahalanobis distance of covariate means.
 
@@ -224,16 +233,6 @@ def rerand_threshold(d, K, p_a):
     return float(2.0 * gammaincinv(d / 2.0, p_a ** (1.0 / pairs)))
 
 
-def design_rerand(X, seed, p_a, K):
-    """One rerandomized assignment: stream 0 of ``Rerandomization(X, p_a)``.
-
-    CR candidates are redrawn until all pairwise-arm Mahalanobis distances
-    pass the calibrated cutoff; after 1e5 redraws the best-seen assignment is
-    returned with a warning.
-    """
-    return Rerandomization(X, p_a).arms(seed, np.arange(1), K)[0]
-
-
 class GaussianDesign:
     """Design source sampling T = V z from a correlation factor."""
 
@@ -246,22 +245,57 @@ class GaussianDesign:
         return z @ self.factor.rows.T
 
     def arms(self, seed, streams, K):
-        return discretize(self.latent(seed, streams), quantile_thresholds(K))
+        return self.draw(seed, streams, K)[0]
+
+    def draw(self, seed, streams, K):
+        latent = self.latent(seed, streams)
+        arms = None if K is None else discretize(latent, quantile_thresholds(K))
+        return arms, latent
+
+    def arm_covariances(self, K, seed, B_emp):
+        """Exact f_k(V V^T) for k = 1..K; nothing is drawn."""
+        return (apply_map(f_arm(K, k), self.factor) for k in range(1, K + 1))
 
 
-class CompleteRandomization:
-    """Design source drawing independent complete randomizations."""
+class _ArmDesign:
+    """Engine interface of a design that only assigns arms (see the module
+    docstring); subclasses define ``name`` and ``arms``."""
+
+    factor = None
+
+    def draw(self, seed, streams, K):
+        if K is None:
+            raise ValueError(f"design {self.name!r} only assigns arms; "
+                             "continuous estimands need a Gaussian design")
+        return self.arms(seed, streams, K), None
+
+    def arm_covariances(self, K, seed, B_emp):
+        """Sample covariances of the arm indicators over streams 0..B_emp-1."""
+        arms = self.arms(seed, np.arange(B_emp), K)
+        return (np.cov((arms == k).astype(float), rowvar=False, ddof=1)
+                for k in range(1, K + 1))
+
+
+class CompleteRandomization(_ArmDesign):
+    """Design source drawing independent complete randomizations of n units
+    (equal split up to remainder)."""
 
     name = "cr"
 
-    def arms(self, seed, streams, K, n=None):
-        if n is None:
-            raise ValueError("CompleteRandomization.arms needs the unit count n")
-        return _cr_batch(n, K, seed, streams)
+    def __init__(self, n):
+        self.n = n
+
+    def arms(self, seed, streams, K):
+        return _cr_batch(self.n, K, seed, streams)
 
 
-class Rerandomization:
-    """Design source for Mahalanobis-criterion rerandomization."""
+class Rerandomization(_ArmDesign):
+    """Design source for Mahalanobis-criterion rerandomization.
+
+    CR candidates are redrawn until all pairwise-arm Mahalanobis distances
+    pass the calibrated cutoff; after 1e5 redraws the best-seen assignment is
+    returned with a warning.
+    """
 
     def __init__(self, X, p_a=0.01, name="rr"):
         if not 0 < p_a <= 1:
@@ -303,29 +337,6 @@ class Rerandomization:
         return out
 
 
-def _draw(scenario, design, seed, streams):
-    """One draw of ``design`` for ``streams``: (arms, latent).
-
-    ``arms`` is the (B, n) arm matrix, or None for a continuous scenario
-    (K is None); ``latent`` is the (B, n) Gaussian treatment matrix, or None
-    for designs that only assign arms.
-    """
-    if isinstance(design, GaussianDesign):
-        latent = design.latent(seed, streams)
-        if scenario.K is None:
-            return None, latent
-        return discretize(latent, quantile_thresholds(scenario.K)), latent
-    if isinstance(design, CompleteRandomization):
-        return design.arms(seed, streams, scenario.K, n=scenario.n), None
-    return design.arms(seed, streams, scenario.K), None
-
-
-def _require_gaussian(design, specs):
-    if not isinstance(design, GaussianDesign) \
-            and any(e.kind == "continuous" for e in specs):
-        raise ValueError("continuous estimands need a Gaussian design")
-
-
 def _truth(scenario, estimand):
     if estimand.kind == "continuous":
         return true_estimand(scenario.responses, estimand)
@@ -357,11 +368,10 @@ def mc_estimates(scenario, design, estimand, B, seed):
     drawn once and scored for every spec.
     """
     specs = estimand if isinstance(estimand, tuple) else (estimand,)
-    _require_gaussian(design, specs)
     out = np.empty((len(specs), B))
     for lo in range(0, B, _CHUNK):
         hi = min(lo + _CHUNK, B)
-        arms, latent = _draw(scenario, design, seed, np.arange(lo, hi))
+        arms, latent = design.draw(seed, np.arange(lo, hi), scenario.K)
         for row, spec in zip(out, specs):
             if spec.kind == "continuous":
                 row[lo:hi] = _estimates_continuous(scenario, latent, spec)
@@ -391,12 +401,11 @@ def mc_coverage(scenario, design, estimand, ci_procedure, B_outer, seed):
     """
     if B_outer < 100:
         raise ValueError("need at least 100 outer replicates")
-    _require_gaussian(design, (estimand,))
     truth = _truth(scenario, estimand)
     hits = 0
     widths = np.empty(B_outer)
     for b in range(B_outer):
-        arms, latent = _draw(scenario, design, seed, np.arange(b, b + 1))
+        arms, latent = design.draw(seed, np.arange(b, b + 1), scenario.K)
         t = None if latent is None else latent[0]
         if estimand.kind == "continuous":
             records = ExperimentRecords(Y=scenario.response_at(latent)[0],
@@ -416,29 +425,12 @@ def _nuclear_norm(M):
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
 
 
-def _arm_nuclear_norms(scenario, design, seed, B_emp):
-    """||X' Cov_k X||_nuc for every arm k, the terms of the balance measure.
-
-    Gaussian designs use the exact analytic maps; assignment designs estimate
-    the indicator covariance matrices from B_emp Monte Carlo draws.
-    """
-    X, K = scenario.X, scenario.K
-    if isinstance(design, GaussianDesign):
-        return [_nuclear_norm(X.T @ apply_map(f_arm(K, k), design.factor) @ X)
-                for k in range(1, K + 1)]
-    arms, _ = _draw(scenario, design, seed, np.arange(B_emp))
-    return [_nuclear_norm(X.T @ np.cov((arms == k).astype(float), rowvar=False, ddof=1) @ X)
-            for k in range(1, K + 1)]
-
-
-def _weighted_balance(design, norms, w):
-    """sum_k w_k^2 norms[k], in the operation order of the exact objective
-    (w * w * s) for Gaussian designs and of the Monte Carlo sum
-    (w ** 2 * s) otherwise, so both stay bit-identical to those paths."""
+def _weighted_balance(norms, w):
+    """sum_k w_k^2 norms[k], in the operation order of the optimizer's
+    objective (w * w * s)."""
     total = 0.0
-    gaussian = isinstance(design, GaussianDesign)
     for wk, s in zip(w, norms):
-        total += wk * wk * s if gaussian else wk ** 2 * s
+        total += wk * wk * s
     return total
 
 
@@ -450,10 +442,12 @@ def balance_objective_nuc(scenario, design, estimand, seed, B_emp=_BALANCE_DRAWS
     ``estimand`` is one spec, giving a float, or a tuple of specs, giving a
     tuple of floats that share the per-arm norms (and their draws).
     """
-    norms = _arm_nuclear_norms(scenario, design, seed, B_emp)
+    X = scenario.X
+    norms = [_nuclear_norm(X.T @ C @ X)
+             for C in design.arm_covariances(scenario.K, seed, B_emp)]
     if isinstance(estimand, tuple):
-        return tuple(_weighted_balance(design, norms, e.arm_weights) for e in estimand)
-    return _weighted_balance(design, norms, estimand.arm_weights)
+        return tuple(_weighted_balance(norms, e.arm_weights) for e in estimand)
+    return _weighted_balance(norms, estimand.arm_weights)
 
 
 @dataclass(frozen=True)
@@ -543,18 +537,11 @@ def _build_designs(names, scenario, seed, iters, norm):
         if name == "bg":
             designs.append(GaussianDesign(identity_factor(scenario.n), name="bg"))
         elif name == "og":
-            w = scenario.estimands[0].arm_weights
-            if norm == "nuc":
-                problem = DesignProblem(X=scenario.X,
-                                        maps=(weighted_discrete_map(w, scenario.K),),
-                                        weights=np.ones(1), norm="nuc")
-            else:
-                maps = tuple(f_arm(scenario.K, k) for k in range(1, scenario.K + 1))
-                problem = DesignProblem(X=scenario.X, maps=maps, weights=w, norm="op")
+            problem = discrete_problem(scenario.X, scenario.estimands[0].arm_weights, norm)
             factor, _ = pgd_gauss(problem, identity_factor(scenario.n), iters)
             designs.append(GaussianDesign(factor, name="og"))
         elif name == "cr":
-            designs.append(CompleteRandomization())
+            designs.append(CompleteRandomization(scenario.n))
         elif name == "rr":
             designs.append(Rerandomization(scenario.X))
         else:
@@ -600,7 +587,7 @@ def run_scenario(config) -> BenchmarkReport:
                                          rng.derive_seed(seed, 11))
         for estimand, est, truth, bal in zip(estimands, estimates, truths, balances):
             coverage = mean_width = None
-            if coverage_reps > 0 and isinstance(design, GaussianDesign):
+            if coverage_reps > 0 and design.factor is not None:
                 def proc(records, ci_seed, _d=design, _e=estimand):
                     return randomization_ci_discrete(
                         records, _d.factor, scenario.K, _e.arm_weights,

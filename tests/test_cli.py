@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gaussdesign
 from gaussdesign.cli import main, parse_config
 from gaussdesign.covmap import f_arm
 from gaussdesign.elliptope import identity_factor, load_factor, load_matrix, save_factor
@@ -80,6 +86,21 @@ class TestOptimizeCommand:
             trace = (out / "trace.csv").read_text().strip().splitlines()
             initial.append(float(trace[1].split(",")[1]))
         assert initial[1] == pytest.approx(100 * initial[0], rel=1e-3)
+
+    def test_sixteen_arm_operator_norm_prints_no_overflow(self, tmp_path):
+        # a fresh process, so stderr shows exactly what a user sees
+        path = tmp_path / "cov20.csv"
+        np.savetxt(path, np.random.default_rng(2).standard_normal((20, 2)), delimiter=",")
+        src = str(Path(gaussdesign.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussdesign.cli", "optimize", "--covariates", str(path),
+             "--arms", "16", "--norm", "op", "--iters", "3",
+             "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "overflow" not in proc.stderr
 
     def test_arithmetic_error_is_compute_error(self, covariates, monkeypatch, capsys):
         def fail(*args, **kwargs):

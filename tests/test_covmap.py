@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -268,6 +270,14 @@ class TestBuildTable:
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
             build_table(f_arm(2, 1), grid_size=10)
+
+    def test_sixteen_arm_tables_build_without_warning(self):
+        # f_1, f_2, f_15 and f_16 of K = 16 are about 1e-300 near -1, where
+        # the harmonic-mean slope overflows to inf and the slope becomes 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, 17):
+                build_table(f_arm(16, k))
 
 
 def test_binormal_density_formula():

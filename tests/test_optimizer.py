@@ -9,9 +9,9 @@ from gaussdesign.covmap import CovarianceMap, build_table, f_arm, weighted_discr
 from gaussdesign.elliptope import factor_from_rows, identity_factor, validate
 from gaussdesign.optimizer import (Backtracking, DesignProblem, FixedStep,
                                    OptimizationError, TraceRow, default_eta0,
-                                   design_problem, gradient_nuclear,
-                                   gradient_operator, objective, pgd_gauss,
-                                   pgd_step)
+                                   design_problem, discrete_problem,
+                                   gradient_nuclear, gradient_operator,
+                                   objective, pgd_gauss, pgd_step)
 
 F2 = weighted_discrete_map(np.array([1.0, 1.0]), 2)   # f_1 + f_2 = 2 f_1 for K=2
 
@@ -68,6 +68,23 @@ class TestObjective:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             design_problem(np.ones((2, 1)), cmap=f_arm(2, 1), norm="banana")
+
+    @pytest.mark.parametrize("norm", ["nuc", "op"])
+    def test_discrete_problem_is_the_direct_construction(self, norm):
+        prob, fac = _random_problem(5, norm=norm, n=6)
+        w = np.array([0.5, -0.25, 1.0 / 3.0])
+        built = discrete_problem(prob.X, w, norm)
+        direct = design_problem(prob.X, cmap=weighted_discrete_map(w, 3), norm="nuc") \
+            if norm == "nuc" else \
+            DesignProblem(X=prob.X, maps=tuple(f_arm(3, k) for k in (1, 2, 3)),
+                          weights=w, norm="op")
+        assert built.norm == direct.norm
+        assert np.array_equal(built.weights, direct.weights)
+        assert [(m.label, m.terms) for m in built.maps] == \
+            [(m.label, m.terms) for m in direct.maps]
+        assert objective(built, fac) == objective(direct, fac)
+        with pytest.raises(ValueError, match="norm"):
+            discrete_problem(prob.X, w, "banana")
 
 
 class TestGradientNuclear:

@@ -6,20 +6,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
 
 import gaussdesign
 import gaussdesign.rng as grng
 from gaussdesign import simbench
-from gaussdesign.elliptope import identity_factor
+from gaussdesign.elliptope import factor_from_rows, identity_factor
 from gaussdesign.estimators import EstimandSpec, true_estimand
 from gaussdesign.inference import IntervalReport
 from gaussdesign.simbench import (CompleteRandomization, GaussianDesign,
                                   Rerandomization, balance_objective_nuc,
-                                  design_cr, design_rerand, gen_continuous,
-                                  gen_factorial, gen_three_arm, mc_coverage,
-                                  mc_estimates, mc_mse, rerand_threshold,
-                                  run_scenario)
+                                  gen_continuous, gen_factorial, gen_three_arm,
+                                  mc_coverage, mc_estimates, mc_mse,
+                                  rerand_threshold, run_scenario)
 from gaussdesign.simbench import (_build_designs, _cr_batch,
                                   _pairwise_mahalanobis_max)
 
@@ -97,9 +98,14 @@ class TestGenContinuous:
             gen_continuous("cubic_monotone", 10, 0, b=-1.0)
 
 
+def _first(design, seed, K):
+    """Stream 0 of a design: one assignment."""
+    return design.arms(seed, np.arange(1), K)[0]
+
+
 class TestDesignCr:
     def test_balanced_counts(self):
-        arms = design_cr(12, 3, 0)
+        arms = _first(CompleteRandomization(12), 0, 3)
         assert np.bincount(arms, minlength=4)[1:].tolist() == [4, 4, 4]
 
     def test_remainder_counts_differ_by_at_most_one(self):
@@ -117,36 +123,40 @@ class TestDesignCr:
         assert p > 0.001
 
     def test_determinism(self):
-        assert np.array_equal(design_cr(10, 2, 7), design_cr(10, 2, 7))
+        cr = CompleteRandomization(10)
+        assert np.array_equal(cr.arms(7, np.arange(5), 2), cr.arms(7, np.arange(5), 2))
 
 
 class TestDesignRerand:
     def test_full_acceptance_equals_cr(self):
         X = np.random.default_rng(0).standard_normal((12, 3))
-        assert np.array_equal(design_rerand(X, 5, 1.0, 3), design_cr(12, 3, 5))
+        assert np.array_equal(_first(Rerandomization(X, 1.0), 5, 3),
+                              _first(CompleteRandomization(12), 5, 3))
 
     def test_accepted_assignments_are_balanced(self):
         X = np.random.default_rng(1).standard_normal((40, 4))
         rr = Rerandomization(X, p_a=0.05)
-        cr = CompleteRandomization()
+        cr = CompleteRandomization(40)
         a_rr = rr.arms(3, np.arange(400), 2)
-        a_cr = cr.arms(3, np.arange(400), 2, n=40)
+        a_cr = cr.arms(3, np.arange(400), 2)
         m_rr = _pairwise_mahalanobis_max(X, a_rr, 2, rr._S_inv)
         m_cr = _pairwise_mahalanobis_max(X, a_cr, 2, rr._S_inv)
         assert m_rr.mean() < m_cr.mean()
 
     def test_determinism(self):
         X = np.random.default_rng(2).standard_normal((20, 3))
-        assert np.array_equal(design_rerand(X, 9, 0.1, 2), design_rerand(X, 9, 0.1, 2))
+        assert np.array_equal(Rerandomization(X, 0.1).arms(9, np.arange(3), 2),
+                              Rerandomization(X, 0.1).arms(9, np.arange(3), 2))
 
     def test_complete_randomization_needs_unit_count(self):
-        with pytest.raises(ValueError, match=r"\bn\b"):
-            CompleteRandomization().arms(0, np.arange(3), 2)
+        # n is fixed at construction, so arms() has the other designs' signature
+        with pytest.raises(TypeError, match=r"\bn\b"):
+            CompleteRandomization()
 
     def test_invalid_acceptance(self):
         X = np.zeros((4, 1))
         with pytest.raises(ValueError):
-            design_rerand(X, 0, 0.0, 2)
+            Rerandomization(X, 0.0)
 
     @pytest.mark.parametrize("p_a", [0.0, -0.5, 1.5, float("nan")])
     def test_class_rejects_acceptance_outside_unit_interval(self, p_a):
@@ -161,14 +171,46 @@ class TestDesignRerand:
         assert arms.shape == (50, 30)
         m = _pairwise_mahalanobis_max(X, arms, 3, rr._S_inv)
         assert np.all(m < rerand_threshold(1, 3, 0.1))
-        assert np.array_equal(design_rerand(X, 2, 0.1, 3), arms[0])
+        assert np.array_equal(_first(rr, 2, 3), arms[0])
 
     def test_single_replicate_of_the_class(self):
         X = np.random.default_rng(5).standard_normal((24, 3))
-        a = design_rerand(X, 11, 0.05, 3)
+        a = _first(Rerandomization(X, 0.05), 11, 3)
         assert np.array_equal(a, Rerandomization(X, 0.05).arms(11, np.arange(4), 3)[0])
         S_inv = np.linalg.pinv(np.cov(X, rowvar=False, ddof=1))
         assert _pairwise_mahalanobis_max(X, a, 3, S_inv) < rerand_threshold(3, 3, 0.05)
+
+
+_N = 12
+_DESIGNS = {
+    "gaussian": GaussianDesign(factor_from_rows(
+        np.random.default_rng(6).standard_normal((_N, 4))), "og"),
+    "cr": CompleteRandomization(_N),
+    "rr": Rerandomization(np.random.default_rng(7).standard_normal((_N, 3)), p_a=0.3),
+}
+
+
+# streams stay below 2**47: rr numbers candidate t of stream s as
+# s * 100000 + t in uint64, which wraps above that
+@pytest.mark.parametrize("name", sorted(_DESIGNS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       streams=st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True),
+       K=st.integers(2, 4), data=st.data())
+def test_design_rows_do_not_depend_on_requested_streams(name, seed, streams, K, data):
+    design = _DESIGNS[name]
+    streams = np.array(streams, dtype=np.uint64)
+    full = design.arms(seed, streams, K)
+    assert full.shape == (streams.size, _N)
+    assert full.min() >= 1 and full.max() <= K
+    arms, latent = design.draw(seed, streams, K)
+    assert np.array_equal(arms, full)
+    assert (latent is None) == (design.factor is None)
+    idx = data.draw(st.permutations(range(streams.size)))
+    idx = np.array(idx[:data.draw(st.integers(1, streams.size))])
+    assert np.array_equal(design.arms(seed, streams[idx], K), full[idx])
+    s = data.draw(st.integers(0, streams.size - 1))
+    assert np.array_equal(design.arms(seed, streams[s:s + 1], K), full[s:s + 1])
 
 
 class TestRerandThreshold:
@@ -229,7 +271,7 @@ class TestMcEstimates:
     def test_tuple_of_specs_matches_single_specs(self):
         sc = gen_factorial(2)
         for design in (GaussianDesign(identity_factor(sc.n), "bg"),
-                       CompleteRandomization(), Rerandomization(sc.X, p_a=0.2)):
+                       CompleteRandomization(sc.n), Rerandomization(sc.X, p_a=0.2)):
             rows = mc_estimates(sc, design, sc.estimands, 5000, 8)
             assert rows.shape == (len(sc.estimands), 5000)
             for row, spec in zip(rows, sc.estimands):
@@ -239,7 +281,8 @@ class TestMcEstimates:
 
     def test_balance_tuple_matches_single_specs(self):
         sc = gen_three_arm("uniform", 1)
-        for design in (GaussianDesign(identity_factor(sc.n), "bg"), CompleteRandomization()):
+        for design in (GaussianDesign(identity_factor(sc.n), "bg"),
+                       CompleteRandomization(sc.n)):
             many = balance_objective_nuc(sc, design, sc.estimands, 4)
             assert many == tuple(balance_objective_nuc(sc, design, e, 4)
                                  for e in sc.estimands)
@@ -247,7 +290,7 @@ class TestMcEstimates:
     def test_continuous_needs_gaussian_design(self):
         sc = gen_continuous("linear_slope", 12, 0)
         with pytest.raises(ValueError, match="Gaussian design"):
-            mc_estimates(sc, CompleteRandomization(), sc.estimands[0], 100, 0)
+            mc_estimates(sc, CompleteRandomization(sc.n), sc.estimands[0], 100, 0)
 
 
 class TestMcCoverage:
@@ -272,6 +315,25 @@ class TestMcCoverage:
         res = mc_coverage(sc, design, sc.estimands[0], empty, 100, 0)
         assert res["coverage"] == 0.0
         assert res["mean_width"] == 0.0
+
+    def test_assignment_design_records_carry_arms_only(self):
+        sc = gen_three_arm("uniform", 2)
+        design = CompleteRandomization(sc.n)
+        seen = []
+
+        def capture(records, seed):
+            seen.append(records)
+            return IntervalReport(lower=-np.inf, upper=np.inf, alpha=0.05,
+                                  method="normal")
+
+        res = mc_coverage(sc, design, sc.estimands[0], capture, 100, 4)
+        assert res["coverage"] == 1.0
+        expected = design.arms(4, np.arange(100), sc.K)
+        assert len(seen) == 100
+        for records, arms in zip(seen, expected):
+            assert records.T is None
+            assert np.array_equal(records.D, arms)
+            assert np.array_equal(records.Y, sc.observed_outcomes(arms))
 
     def test_normal_ci_clt_coverage(self):
         # bounded outcomes, i.i.d. design, n = 200: normal CI on the arm
@@ -369,6 +431,10 @@ class TestRunScenario:
             run_scenario({"generator": "nope"})
         with pytest.raises(ValueError, match="unknown config keys"):
             run_scenario({"generator": "factorial", "bogus": 1})
+
+    def test_unknown_norm(self):
+        with pytest.raises(ValueError, match="norm"):
+            run_scenario(dict(self.CFG, designs="og", norm="banana"))
 
     def test_report_regeneration_identical(self, tmp_path):
         cfg = {"generator": "three_arm_single_feature", "designs": "bg,cr",
