@@ -52,6 +52,10 @@ DEFAULT_EDGE_MARGIN = 1e-6
 
 _CHUNK = 8192       # points per kernel block; bounds the (points x nodes) temporaries
 _TABLE_CHUNK = 1 << 15   # points per table-kernel block
+# Rows per block of a symmetric map (_map_symmetric).  Its temporaries are
+# a few (rows x n) arrays; at n = 3200, 256-row blocks raised the optimizer's
+# peak RSS by 4 MB, 128-row blocks leave it unchanged.
+_ROW_BLOCK = 128
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_T = 0.5 * (1.0 + _GL_X)   # nodes mapped to [0, 1]
@@ -126,32 +130,47 @@ class Table:
         c += x >= np.take(g, c + 1)
         return np.minimum(c, last, out=c)
 
-    def evaluate(self, coef, direct, a):
-        """Piecewise cubic ``coef`` at every point of ``a``; points outside
-        the grid (and NaN) take ``direct``.  Chunks of _TABLE_CHUNK points."""
-        flat = a.reshape(-1)
-        out = np.empty(flat.size)
+    def evaluate(self, coef, direct, a, out=None):
+        """Piecewise cubic ``coef`` at every point of ``a``, written to
+        ``out`` (a new array when None); points outside the grid (and NaN)
+        take ``direct``.  The points go in blocks of about _TABLE_CHUNK:
+        whole rows of the last axis, or pieces of a longer row, so a strided
+        2-D ``a`` or ``out`` (a row block of a larger array) is read and
+        written in place."""
+        if out is None:
+            out = np.empty(a.shape)
+        if a.size == 0:
+            return out
+        width = a.shape[-1] if a.ndim else 1
+        pts = a.reshape(-1, width)
+        dst = out.reshape(pts.shape)
+        if not np.may_share_memory(dst, out):
+            raise ValueError("out must be 2-D or C-contiguous")
+        step = max(1, _TABLE_CHUNK // width)
+        piece = min(width, _TABLE_CHUNK)
         lo_edge, hi_edge = self.grid[0], self.grid[-1]
         a3, a2, a1, a0 = coef   # coefficients of s^3, s^2, s, 1
-        for lo in range(0, flat.size, _TABLE_CHUNK):
-            x = flat[lo:lo + _TABLE_CHUNK]
-            inside = (x >= lo_edge) & (x <= hi_edge)
-            allin = inside.all()
-            # outside points and NaN get a dummy in-grid value (the integer
-            # cast of NaN warns); their output comes from ``direct`` below
-            xi = x if allin else np.where(inside, x, 0.0)
-            c = self.cells(xi)
-            s = xi - np.take(self.grid, c)
-            sp = s * s
-            # scipy's evaluate_poly1 order: a0 + a1 s + a2 s^2 + a3 (s^2 s)
-            o = np.take(a0, c) + np.take(a1, c) * s
-            o += np.take(a2, c) * sp
-            sp *= s
-            o += np.take(a3, c) * sp
-            if not allin:
-                o[~inside] = direct(x[~inside])
-            out[lo:lo + _TABLE_CHUNK] = o
-        return out.reshape(a.shape)
+        for i in range(0, pts.shape[0], step):
+            for j in range(0, width, piece):
+                x = pts[i:i + step, j:j + piece]
+                inside = (x >= lo_edge) & (x <= hi_edge)
+                allin = inside.all()
+                # outside points and NaN get a dummy in-grid value (the
+                # integer cast of NaN warns); their output comes from
+                # ``direct`` below
+                xi = x if allin else np.where(inside, x, 0.0)
+                c = self.cells(xi)
+                s = xi - np.take(self.grid, c)
+                sp = s * s
+                # scipy's evaluate_poly1 order: a0 + a1 s + a2 s^2 + a3 (s^2 s)
+                o = np.take(a0, c) + np.take(a1, c) * s
+                o += np.take(a2, c) * sp
+                sp *= s
+                o += np.take(a3, c) * sp
+                if not allin:
+                    o[~inside] = direct(x[~inside])
+                dst[i:i + step, j:j + piece] = o
+        return out
 
 
 class CovarianceMap:
@@ -173,24 +192,30 @@ class CovarianceMap:
         self.tail_l2 = tail_l2
         self.truncation = truncation
 
-    def eval(self, rho):
+    def eval(self, rho, out=None):
+        """f at ``rho``, written to ``out`` (an array of rho's shape,
+        2-D or C-contiguous) when given."""
         a = np.asarray(rho, dtype=float)
         if np.any(np.abs(a) > 1.0):
             raise ValueError(f"{self.label}: correlation outside [-1, 1]")
-        if self.table is None:
-            out = self._fn(a)
-        else:
-            out = self.table.evaluate(self.table.f_coef, self._fn, a)
-        return out if out.ndim else float(out)
+        coef = None if self.table is None else self.table.f_coef
+        return self._apply(self._fn, coef, a, out)
 
-    def deriv(self, rho):
+    def deriv(self, rho, out=None):
+        """f' at ``rho``, written to ``out`` as in ``eval``."""
         a = np.asarray(rho, dtype=float)
         if np.any(np.abs(a) >= 1.0):
             raise ValueError(f"{self.label}: derivative requested at |rho| >= 1")
-        if self.table is None:
-            out = self._dfn(a)
+        coef = None if self.table is None else self.table.d_coef
+        return self._apply(self._dfn, coef, a, out)
+
+    def _apply(self, direct, coef, a, out):
+        if self.table is not None:
+            out = self.table.evaluate(coef, direct, a, out)
+        elif out is None:
+            out = direct(a)
         else:
-            out = self.table.evaluate(self.table.d_coef, self._dfn, a)
+            out[...] = direct(a)
         return out if out.ndim else float(out)
 
     def tail_bound(self, rho):
@@ -414,9 +439,38 @@ def apply_map(cmap: CovarianceMap, factor):
     """Elementwise image f(V V^T) of a correlation factor.
 
     Inner products are clamped to [-1, 1] to absorb row-normalization
-    round-off; the diagonal is evaluated at exactly 1 (analytic limit).
+    round-off; the diagonal is evaluated at exactly 1 (analytic limit).  The
+    gram is exactly symmetric, so f is evaluated once per unordered pair
+    {i, j} (see _map_symmetric) and the result equals the full elementwise
+    evaluation bit for bit.
     """
-    return cmap.eval(_gram(factor.rows))
+    return _eval_symmetric(cmap, _gram(factor.rows))
+
+
+def _eval_symmetric(cmap, g, out=None):
+    """cmap.eval(g) of a symmetric gram g, written to ``out`` (a new array
+    when None) once per unordered pair by _map_symmetric."""
+    if out is None:
+        out = np.empty_like(g)
+    return _map_symmetric(lambda b: cmap.eval(g[b], out=out[b]), out)
+
+
+def _map_symmetric(fn, out):
+    """Fill the symmetric square array ``out`` from its upper triangle.
+
+    ``fn(b)`` writes ``out[b]`` for each row block b = (slice(lo, hi),
+    slice(lo, None)) of _ROW_BLOCK rows, whose columns start at its first
+    row (so the block's diagonal starts at its column 0); the strictly lower
+    part below the block is then mirrored from it.  An elementwise map of a
+    symmetric gram is thus evaluated once per unordered pair, plus the lower
+    half of each diagonal block, and equals the full evaluation bit for bit.
+    """
+    n = out.shape[0]
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        fn((slice(lo, hi), slice(lo, n)))
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
+    return out
 
 
 def _is_identity(rows):
@@ -429,9 +483,16 @@ def _is_identity(rows):
 
 def _gram(rows):
     """V V^T clamped to [-1, 1] with the diagonal set to exactly 1; the
-    identity factor's gram is I, formed without the product."""
+    identity factor's gram is I, formed without the product.
+
+    The gram is exactly symmetric: the product is formed on C-contiguous
+    rows, which numpy computes as one symmetric rank-k update, while a
+    strided view takes a general loop whose (i, j) and (j, i) sums can
+    differ in the last bit.
+    """
     if _is_identity(rows):
         return np.eye(rows.shape[0])
+    rows = np.ascontiguousarray(rows)
     g = rows @ rows.T
     np.clip(g, -1.0, 1.0, out=g)
     np.fill_diagonal(g, 1.0)

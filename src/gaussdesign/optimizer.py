@@ -24,6 +24,14 @@ leading eigenvectors cost no second product.  G V is formed once per
 iteration and each trial step eta is rows - eta * G V.  A = X X^T is formed
 once per run.  The identity start (every caller's) has gram I and G V = G,
 so it needs no product at all.
+
+The O(n^2) elementwise work is done once per unordered pair.  The gram,
+A and the outer products b b^T are exactly symmetric, so f_j(gram) and the
+gradient are too: maps are evaluated on the upper triangle in row blocks and
+mirrored (covmap._map_symmetric).  Per block, the gradient runs the clip,
+f_j' and the product with A in the order of the full evaluation, so it
+needs no n x n temporary besides its output.  Every value equals the full
+elementwise evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covmap import _gram, _is_identity, build_table, f_arm, weighted_discrete_map
+from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, build_table,
+                     f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -129,8 +138,10 @@ def _check_size(problem, factor):
 
 
 def _terms(problem, g):
-    """X^T f_j(g) X for every map j, from the factor's gram g (see _gram)."""
-    return [problem.X.T @ m.eval(g) @ problem.X for m in problem.maps]
+    """X^T f_j(g) X for every map j, from the factor's gram g (see _gram);
+    each f_j(g) is evaluated once per unordered pair into one buffer."""
+    F = np.empty_like(g)
+    return [problem.X.T @ _eval_symmetric(m, g, F) @ problem.X for m in problem.maps]
 
 
 def _objective(problem, terms):
@@ -151,43 +162,63 @@ def objective(problem: DesignProblem, factor: CorrelationFactor):
 
 
 def _deriv_offdiag(cmap, g):
-    """f'(g) with inputs clipped just inside (-1, 1); diagonal zeroed."""
-    clipped = np.clip(g, -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
-    d = cmap.deriv(clipped)
+    """f'(g) with inputs clipped just inside (-1, 1) and the diagonal zeroed,
+    for a row block g = gram[lo:hi, lo:] (its diagonal starts at column 0)."""
+    d = np.clip(g, -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
+    cmap.deriv(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
 
 def _offdiag_gram(X):
-    """X X^T with the diagonal zeroed: A of the nuclear-norm gradient."""
+    """X X^T with the diagonal zeroed: A of the nuclear-norm gradient.
+    Formed on C-contiguous X, so it is exactly symmetric (see _gram)."""
+    X = np.ascontiguousarray(X)
     A = X @ X.T
     np.fill_diagonal(A, 0.0)
     return A
 
 
 def _grad_nuc(problem, g, A):
-    """sum_j w_j^2 A o f_j'(g) at the gram g, with A = X X^T (zero diagonal)."""
+    """sum_j w_j^2 A o f_j'(g) at the gram g, with A = X X^T (zero diagonal).
+
+    Evaluated once per unordered pair (see _map_symmetric): per row block,
+    the clip, f_j' and the product run in the order of the full evaluation,
+    with block-sized temporaries only.
+    """
     grad = np.zeros_like(g)
-    for w, cmap in zip(problem.weights, problem.maps):
-        grad += (w * w) * A * _deriv_offdiag(cmap, g)
-    return grad
+
+    def block(b):
+        gb = grad[b]
+        for w, cmap in zip(problem.weights, problem.maps):
+            gb += (w * w) * A[b] * _deriv_offdiag(cmap, g[b])
+
+    return _map_symmetric(block, grad)
 
 
 def _grad_op(problem, g, terms):
     """sum_j w_j^2 A_j o f_j'(g) at the gram g, A_j = b b^T (zero diagonal)
     with b = X u1 and u1 the leading eigenvector of the term matrix M_j;
-    returns (gradient, tie), tie flagging an eigenvalue tie."""
-    grad = np.zeros_like(g)
+    returns (gradient, tie), tie flagging an eigenvalue tie.  Evaluated
+    once per unordered pair, as _grad_nuc, each block of A_j formed from b."""
     tie = False
-    for w, cmap, M in zip(problem.weights, problem.maps, terms):
+    leading = []
+    for M in terms:
         lam, U = np.linalg.eigh(M)
         if lam.size >= 2 and lam[-1] - lam[-2] < 1e-10:
             tie = True
-        b = problem.X @ U[:, -1]
-        Aj = np.outer(b, b)
-        np.fill_diagonal(Aj, 0.0)
-        grad += (w * w) * Aj * _deriv_offdiag(cmap, g)
-    return grad, tie
+        leading.append(problem.X @ U[:, -1])
+    grad = np.zeros_like(g)
+
+    def block(blk):
+        rows, cols = blk
+        gb = grad[blk]
+        for w, cmap, b in zip(problem.weights, problem.maps, leading):
+            Aj = np.outer(b[rows], b[cols])
+            np.fill_diagonal(Aj, 0.0)
+            gb += (w * w) * Aj * _deriv_offdiag(cmap, g[blk])
+
+    return _map_symmetric(block, grad), tie
 
 
 def gradient_nuclear(problem: DesignProblem, factor: CorrelationFactor):

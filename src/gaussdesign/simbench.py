@@ -18,6 +18,7 @@ Every design (``GaussianDesign``, ``CompleteRandomization(n)``,
 ``Rerandomization(X)``) gives the engine the same interface:
 
 * ``name``, the label of its benchmark rows;
+* ``n``, its number of units, which must be the scenario's;
 * ``arms(seed, streams, K)``, the (B, n) arm matrix, row b drawn from stream
   ``streams[b]`` alone;
 * ``draw(seed, streams, K)`` -> ``(arms, latent)``, what the engine scores:
@@ -31,7 +32,8 @@ Every design (``GaussianDesign``, ``CompleteRandomization(n)``,
   or None (such designs get no coverage columns).
 
 ``mc_estimates`` and ``mc_coverage`` call ``draw``, ``balance_objective_nuc``
-calls ``arm_covariances`` and ``run_scenario`` reads ``factor``.
+calls ``arm_covariances`` and ``run_scenario`` reads ``factor``; the first
+three check ``n`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from .optimizer import discrete_problem, pgd_gauss
 
 _CHUNK = 4096
 _RERAND_CAP = 100_000
+# Largest replicate stream of Rerandomization: its candidate streams
+# s * _RERAND_CAP + t, t < _RERAND_CAP, must fit in 64 bits.
+_RERAND_MAX_STREAM = (2**64 - _RERAND_CAP) // _RERAND_CAP
 _BALANCE_DRAWS = 2000   # B_emp of the Monte Carlo balance measure
 
 
@@ -240,6 +245,10 @@ class GaussianDesign:
         self.factor = factor
         self.name = name
 
+    @property
+    def n(self):
+        return self.factor.n
+
     def latent(self, seed, streams):
         z = rng.normals(seed, streams, self.factor.k)
         return z @ self.factor.rows.T
@@ -306,11 +315,21 @@ class Rerandomization(_ArmDesign):
         # np.cov gives a 0-d array for a single covariate
         self._S_inv = np.linalg.pinv(np.atleast_2d(np.cov(self.X, rowvar=False, ddof=1)))
 
+    @property
+    def n(self):
+        return self.X.shape[0]
+
     def arms(self, seed, streams, K):
         """Row b is the first accepted candidate for replicate streams[b];
         candidate t of replicate b draws from CR stream b * cap + t, so
-        acceptance for one replicate never shifts another's stream."""
+        acceptance for one replicate never shifts another's stream.  Streams
+        above _RERAND_MAX_STREAM raise: their candidate streams would wrap
+        modulo 2**64 onto another replicate's."""
         streams = np.asarray(streams, dtype=np.uint64)
+        if streams.size and int(streams.max()) > _RERAND_MAX_STREAM:
+            raise ValueError(f"rerandomization stream {int(streams.max())} exceeds "
+                             f"{_RERAND_MAX_STREAM}, the largest whose candidate "
+                             f"streams s * {_RERAND_CAP} + t fit in 64 bits")
         n, d = self.X.shape
         thr = rerand_threshold(d, K, self.p_a)
         out = np.empty((streams.size, n), dtype=int)
@@ -335,6 +354,12 @@ class Rerandomization(_ArmDesign):
                           RuntimeWarning)
             out[unresolved] = best[unresolved]
         return out
+
+
+def _check_units(scenario, design):
+    if design.n != scenario.n:
+        raise ValueError(f"design {design.name!r} has n = {design.n} units but "
+                         f"scenario {scenario.name!r} has n = {scenario.n}")
 
 
 def _truth(scenario, estimand):
@@ -367,6 +392,7 @@ def mc_estimates(scenario, design, estimand, B, seed):
     giving one row per spec from the same draws: each chunk of streams is
     drawn once and scored for every spec.
     """
+    _check_units(scenario, design)
     specs = estimand if isinstance(estimand, tuple) else (estimand,)
     out = np.empty((len(specs), B))
     for lo in range(0, B, _CHUNK):
@@ -401,6 +427,7 @@ def mc_coverage(scenario, design, estimand, ci_procedure, B_outer, seed):
     """
     if B_outer < 100:
         raise ValueError("need at least 100 outer replicates")
+    _check_units(scenario, design)
     truth = _truth(scenario, estimand)
     hits = 0
     widths = np.empty(B_outer)
@@ -442,6 +469,7 @@ def balance_objective_nuc(scenario, design, estimand, seed, B_emp=_BALANCE_DRAWS
     ``estimand`` is one spec, giving a float, or a tuple of specs, giving a
     tuple of floats that share the per-arm norms (and their draws).
     """
+    _check_units(scenario, design)
     X = scenario.X
     norms = [_nuclear_norm(X.T @ C @ X)
              for C in design.arm_covariances(scenario.K, seed, B_emp)]

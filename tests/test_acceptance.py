@@ -6,15 +6,14 @@ standard-error units of the same run.
 """
 
 import numpy as np
-import pytest
 from scipy.stats import spearmanr
 
 import gaussdesign.rng as grng
 from gaussdesign.covmap import (apply_map, discretize, f_arm, f_cross,
                                 quantile_thresholds, weighted_discrete_map)
 from gaussdesign.elliptope import block_factor, identity_factor
-from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, WeightFn,
-                                    ht_continuous, true_estimand)
+from gaussdesign.estimators import (ExperimentRecords, WeightFn, ht_continuous,
+                                    true_estimand)
 from gaussdesign.inference import randomization_ci_discrete, true_variance
 from gaussdesign.optimizer import (DesignProblem, FixedStep, design_problem,
                                    gradient_nuclear, gradient_operator,

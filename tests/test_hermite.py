@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from gaussdesign import hermite
-from gaussdesign.hermite import (ContinuousCovMaps, ThresholdIndicator,
-                                 continuous_cov_maps, gauss_hermite_nodes,
-                                 hermite_coeffs, hermite_poly, mehler_series,
-                                 normalized_hermite)
+from gaussdesign.hermite import (ThresholdIndicator, continuous_cov_maps,
+                                 gauss_hermite_nodes, hermite_coeffs, hermite_poly,
+                                 mehler_series, normalized_hermite)
 
 PHI0 = 1.0 / np.sqrt(2.0 * np.pi)
 

@@ -180,6 +180,26 @@ class TestDesignRerand:
         S_inv = np.linalg.pinv(np.cov(X, rowvar=False, ddof=1))
         assert _pairwise_mahalanobis_max(X, a, 3, S_inv) < rerand_threshold(3, 3, 0.05)
 
+    def test_streams_that_would_wrap_are_rejected(self):
+        # s * cap + t wraps modulo 2**64: streams 1 and 1 + 2**59 would
+        # share every candidate
+        X = np.random.default_rng(0).standard_normal((12, 3))
+        streams = np.array([1, 1 + 2**59], dtype=np.uint64)
+        with pytest.raises(ValueError, match=str(simbench._RERAND_MAX_STREAM)):
+            Rerandomization(X, 0.5).arms(3, streams, 3)
+
+    def test_largest_allowed_stream(self):
+        cap, top = simbench._RERAND_CAP, simbench._RERAND_MAX_STREAM
+        assert top * cap + cap - 1 < 2**64 <= (top + 1) * cap + cap - 1
+        X = np.random.default_rng(1).standard_normal((12, 3))
+        streams = np.array([top], dtype=np.uint64)
+        # full acceptance takes candidate 0, CR stream top * cap
+        assert np.array_equal(Rerandomization(X, 1.0).arms(3, streams, 3),
+                              _cr_batch(12, 3, 3, np.array([top * cap], dtype=np.uint64)))
+        assert Rerandomization(X, 0.05).arms(3, streams, 3).shape == (1, 12)
+        with pytest.raises(ValueError, match="64 bits"):
+            Rerandomization(X, 1.0).arms(3, streams + np.uint64(1), 3)
+
 
 _N = 12
 _DESIGNS = {
@@ -191,7 +211,7 @@ _DESIGNS = {
 
 
 # streams stay below 2**47: rr numbers candidate t of stream s as
-# s * 100000 + t in uint64, which wraps above that
+# s * 100000 + t in uint64 and rejects streams whose candidates would wrap
 @pytest.mark.parametrize("name", sorted(_DESIGNS))
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
@@ -291,6 +311,33 @@ class TestMcEstimates:
         sc = gen_continuous("linear_slope", 12, 0)
         with pytest.raises(ValueError, match="Gaussian design"):
             mc_estimates(sc, CompleteRandomization(sc.n), sc.estimands[0], 100, 0)
+
+
+_SMALL_DESIGNS = {
+    "gaussian": lambda sc: GaussianDesign(identity_factor(50), "og"),
+    "cr": lambda sc: CompleteRandomization(50),
+    "rr": lambda sc: Rerandomization(sc.X[:50]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_DESIGNS))
+def test_unit_count_mismatch_is_reported_before_drawing(name):
+    sc = gen_factorial(0)
+    design = _SMALL_DESIGNS[name](sc)
+    assert design.n == 50
+
+    def no_draw(*args):
+        raise AssertionError("drawn before the unit count was checked")
+
+    design.draw = design.arm_covariances = no_draw
+    calls = (lambda: mc_estimates(sc, design, sc.estimands[0], 100, 0),
+             lambda: mc_estimates(sc, design, sc.estimands, 100, 0),
+             lambda: mc_coverage(sc, design, sc.estimands[0], no_draw, 100, 0),
+             lambda: balance_objective_nuc(sc, design, sc.estimands[0], 0))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"design '{design.name}' has n = 50 "
+                                             r"units but scenario 'factorial' has n = 100"):
+            call()
 
 
 class TestMcCoverage:
