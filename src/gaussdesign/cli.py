@@ -19,7 +19,8 @@ from .covmap import (discretize, f_arm, f_cross, quantile_thresholds,
                      weighted_discrete_map)
 from .elliptope import identity_factor, load_factor, save_matrix, validate
 from .estimators import (EstimandSpec, WeightFn, ht_arm, ht_contrast,
-                         ht_continuous, records_from_csv, rescale_treatment)
+                         ht_continuous, records_from_csv, rescale_treatment,
+                         write_rows)
 from .hermite import continuous_cov_maps
 from .inference import (ContinuousModelSpec, normal_ci,
                         randomization_ci_continuous, randomization_ci_discrete,
@@ -147,27 +148,26 @@ def cmd_sample(args):
                          f"(min eigenvalue {report.min_eigenvalue:.3g})")
     draws = elliptope.sample(factor, args.draws, args.seed)
     cols = ["unit", "rep", "T"]
-    arms = rescaled = None
+    row_format = "%d,%d,%.17g"
+    extra = []   # (B, n) arrays of the optional columns
     if args.discretize is not None:
-        arms = discretize(draws.draws, quantile_thresholds(args.discretize))
+        extra.append(discretize(draws.draws, quantile_thresholds(args.discretize)))
         cols.append("D")
+        row_format += ",%d"
     if args.rescale is not None:
         a, b = args.rescale
         if not a < b:
             raise UsageError("--rescale needs a < b")
-        rescaled = rescale_treatment(draws.draws, a, b)
+        extra.append(rescale_treatment(draws.draws, a, b))
         cols.append("T_rescaled")
+        row_format += ",%.17g"
+    units = list(range(1, factor.n + 1))
     out = args.out or "draws.csv"
     with open(out, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for b_idx in range(draws.draws.shape[0]):
-            for i in range(factor.n):
-                row = [str(i + 1), str(b_idx + 1), _fmt(draws.draws[b_idx, i])]
-                if arms is not None:
-                    row.append(str(int(arms[b_idx, i])))
-                if rescaled is not None:
-                    row.append(_fmt(rescaled[b_idx, i]))
-                fh.write(",".join(row) + "\n")
+            columns = [units, [b_idx + 1] * factor.n, draws.draws[b_idx]]
+            write_rows(fh, row_format, columns + [c[b_idx] for c in extra])
     print(f"sample: wrote {draws.draws.shape[0]} x {factor.n} draws to {out}")
     return EXIT_OK
 
@@ -322,8 +322,7 @@ def cmd_covmap_table(args):
     out = args.out or "covmap_table.csv"
     with open(out, "w") as fh:
         fh.write("rho,f,f_prime\n")
-        for r, f, d in zip(grid, f_vals, d_vals):
-            fh.write(f"{_fmt(r)},{_fmt(f)},{'inf' if np.isinf(d) else _fmt(d)}\n")
+        write_rows(fh, "%.17g,%.17g,%.17g", [grid, f_vals, d_vals])
     print(f"covmap-table: wrote {args.grid} rows to {out}")
     return EXIT_OK
 

@@ -20,6 +20,7 @@ from .covmap import discretize, quantile_thresholds
 from .hermite import gauss_hermite_nodes
 
 _PHI_FLOOR = 1e-300
+_WRITE_BLOCK = 4096   # rows per format call of write_rows (about 100 KB of text)
 _Z999 = float(ndtri(0.999))
 
 
@@ -148,6 +149,8 @@ class ExperimentRecords:
             object.__setattr__(self, "D", np.asarray(self.D, dtype=int))
         if not np.all(np.isfinite(Y)):
             raise ValueError("outcomes Y contain non-finite values")
+        if self.X is not None and not np.all(np.isfinite(self.X)):
+            raise ValueError("covariates X contain non-finite values")
         for name in ("X", "T", "D"):
             col = getattr(self, name)
             if col is not None and len(col) != Y.size:
@@ -168,24 +171,54 @@ class ExperimentRecords:
         return discretize(self.T, quantile_thresholds(K))
 
 
+def write_rows(fh, row_format, columns):
+    """Write one line ``row_format % row`` per row of ``columns``.
+
+    ``columns`` holds one equal-length list or 1-D array per % field of
+    ``row_format``.  Rows go out _WRITE_BLOCK at a time, each block in a
+    single format call over the block's fields.  ``"%.17g" % x`` equals
+    ``f"{x:.17g}"`` for every float (nan, +-inf and -0.0 included) and
+    ``"%d" % k`` equals ``str(k)``, so the bytes are those of formatting each
+    cell on its own.
+    """
+    width = len(columns)
+    n = len(columns[0])
+    for lo in range(0, n, _WRITE_BLOCK):
+        rows = min(_WRITE_BLOCK, n - lo)
+        fields = [None] * (rows * width)
+        for j, col in enumerate(columns):
+            part = col[lo:lo + rows]
+            fields[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        fh.write((row_format + "\n") * rows % tuple(fields))
+
+
 def records_to_csv(path, records: ExperimentRecords):
     n = records.n
     d = 0 if records.X is None else records.X.shape[1]
     cols = ["unit", "T", "D", "Y"] + [f"x{j + 1}" for j in range(d)]
+    # absent T or D columns are empty fields, written as part of the format
+    row_format = ("%d," + ("" if records.T is None else "%.17g") + ","
+                  + ("" if records.D is None else "%d") + ",%.17g" + ",%.17g" * d)
+    columns = [list(range(1, n + 1))]
+    columns += [c for c in (records.T, records.D) if c is not None]
+    columns += [records.Y] + [records.X[:, j] for j in range(d)]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            t = "" if records.T is None else f"{records.T[i]:.17g}"
-            dd = "" if records.D is None else str(int(records.D[i]))
-            row = [str(i + 1), t, dd, f"{records.Y[i]:.17g}"]
-            row += [f"{records.X[i, j]:.17g}" for j in range(d)]
-            fh.write(",".join(row) + "\n")
+        write_rows(fh, row_format, columns)
 
 
 def records_from_csv(path) -> ExperimentRecords:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(row)} fields, but the header "
+                                 f"has {len(header)}")
+            rows.append(row)
     idx = {name: j for j, name in enumerate(header)}
     for required in ("unit", "Y"):
         if required not in idx:

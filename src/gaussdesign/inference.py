@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .covmap import apply_map, discretize, f_arm, f_cross, quantile_thresholds
+from .covmap import (_eval_symmetric, _gram, apply_map, discretize, f_arm, f_cross,
+                     quantile_thresholds)
 from .elliptope import CorrelationFactor, sample
 from .estimators import ExperimentRecords, WeightFn, weight_eval
 
@@ -112,33 +113,42 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
     w = np.asarray(w, dtype=float)
     if w.shape != (K,):
         raise ValueError(f"contrast needs {K} weights, got shape {w.shape}")
+    if factor.n != records.n:
+        raise ValueError("factor size does not match record count")
     n = records.n
     arms = records.arms(K)
     Y = records.Y
-    sigma = np.clip(factor.to_matrix(), -1.0, 1.0)
 
     # Same-unit own-arm variance term, IPW by the 1/K marginal.
     var_ind = (K - 1.0) / K ** 2
     t1 = K ** 2 / n * float(np.sum(w[arms - 1] ** 2 * Y ** 2 * var_ind * K))
 
-    # Cross-unit term: each observed pair (i, j) realizes one (k, l) cell.
+    # Cross-unit term: each observed pair (i, j) realizes one (k, l) cell,
+    # visited in (k, l) order.  f_{l,k} equals f_{k,l} bit for bit and sigma
+    # is exactly symmetric, so cell (l, k) is cell (k, l) transposed: one map
+    # evaluation serves both, and the (l, k) sum is kept until its turn.
+    sigma = _gram(factor.rows)
+    members = [np.flatnonzero(arms == k) for k in range(1, K + 1)]
+    mirrored = {}
     t2 = 0.0
     min_joint = np.inf
-    offdiag = ~np.eye(n, dtype=bool)
-    yy = np.outer(Y, Y)
     for k in range(1, K + 1):
         for l in range(1, K + 1):
-            sel = np.outer(arms == k, arms == l) & offdiag
-            if not np.any(sel):
-                continue
-            C = f_cross(K, k, l).eval(sigma[sel])
-            joint = C + 1.0 / K ** 2
-            min_joint = min(min_joint, float(joint.min()))
+            if (k, l) in mirrored:
+                cell_min, cell_sum = mirrored.pop((k, l))
+            else:
+                cell = _cross_cell(sigma, Y, members[k - 1], members[l - 1], K, k, l)
+                if cell is None:
+                    continue
+                cell_min, cell_sum, transposed_sum = cell
+                if l > k:
+                    mirrored[(l, k)] = (cell_min, transposed_sum)
+            min_joint = min(min_joint, cell_min)
             if min_joint <= _JOINT_GUARD:
                 return VarianceReport(point=None, well_defined=False,
                                       min_joint_prob=min_joint,
                                       kind="aronow_samii_bound")
-            t2 += w[k - 1] * w[l - 1] * float(np.sum(yy[sel] * C / joint))
+            t2 += w[k - 1] * w[l - 1] * cell_sum
     t2 *= K ** 2 / n
 
     # Bound replacing the inestimable same-unit cross-arm products.
@@ -155,6 +165,45 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
 
     return VarianceReport(point=t1 + t2 + t3, well_defined=True,
                           min_joint_prob=min_joint, kind="aronow_samii_bound")
+
+
+def _cross_cell(sigma, Y, rows, cols, K, k, l):
+    """Cell (k, l) of the bound's cross-unit term, C = f_{k,l}(sigma) over
+    the pairs i in ``rows`` (arm k), j in ``cols`` (arm l), i != j.
+
+    Returns the minimum joint probability C + 1/K^2, the sum of
+    Y_i Y_j C / joint in the cell's row-major order, and (for k != l) the
+    same sum in the row-major order of the transposed cell (l, k); the sums
+    are None when the minimum is at the guard, and the whole result is None
+    when the cell holds no pair.  A diagonal cell's map goes through
+    _eval_symmetric.
+    """
+    cmap = f_cross(K, k, l)
+    if k == l:
+        if rows.size < 2:
+            return None
+        C = _off_diagonal(_eval_symmetric(cmap, sigma[np.ix_(rows, rows)]))
+        yy = _off_diagonal(np.outer(Y[rows], Y[rows]))
+    elif rows.size and cols.size:
+        C = cmap.eval(sigma[np.ix_(rows, cols)])
+        yy = np.outer(Y[rows], Y[cols])
+    else:
+        return None
+    joint = C + 1.0 / K ** 2
+    cell_min = float(joint.min())
+    if cell_min <= _JOINT_GUARD:
+        return cell_min, None, None
+    terms = yy * C / joint
+    if k == l:
+        return cell_min, float(np.sum(terms)), None
+    return cell_min, float(np.sum(terms.ravel())), float(np.sum(terms.T.ravel()))
+
+
+def _off_diagonal(a):
+    """The off-diagonal entries of a square array, in row-major order: after
+    the first entry, the diagonal is the last of every m + 1."""
+    m = a.shape[0]
+    return a.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1].ravel()
 
 
 def ols_fit(design_matrix, response):

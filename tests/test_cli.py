@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import gaussdesign
+from gaussdesign import elliptope
 from gaussdesign.cli import main, parse_config
-from gaussdesign.covmap import f_arm
-from gaussdesign.elliptope import identity_factor, load_factor, load_matrix, save_factor
-from gaussdesign.estimators import ExperimentRecords, records_to_csv
+from gaussdesign.covmap import (discretize, f_arm, f_cross, quantile_thresholds,
+                                weighted_discrete_map)
+from gaussdesign.elliptope import (factor_from_rows, identity_factor, load_factor,
+                                   load_matrix, save_factor)
+from gaussdesign.estimators import ExperimentRecords, records_to_csv, rescale_treatment
 
 
 @pytest.fixture
@@ -149,6 +152,42 @@ class TestSampleCommand:
         np.savetxt(fpath, np.array([[1.0, 1.5], [1.5, 1.0]]), delimiter=",")
         assert main(["sample", "--factor", str(fpath), "--draws", "2"]) == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 800])
+    @pytest.mark.parametrize("K,rescale", [(None, None), (3, None), (None, (-2.0, 5.0)),
+                                           (5, (0.0, 250.0))])
+    def test_bytes_match_per_cell_writer(self, tmp_path, n, K, rescale):
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, factor_from_rows(np.random.default_rng(n).standard_normal((n, 4))))
+        B = 3 if n == 800 else 9
+        options = ([] if K is None else ["--discretize", str(K)]) \
+            + ([] if rescale is None else ["--rescale", *map(str, rescale)])
+        out = tmp_path / "draws.csv"
+        assert main(["sample", "--factor", str(fpath), "--draws", str(B), "--seed", "11",
+                     *options, "--out", str(out)]) == 0
+        draws = elliptope.sample(load_factor(fpath), B, 11).draws
+        ref = tmp_path / "reference.csv"
+        _per_cell_draws_csv(
+            ref, draws, None if K is None else discretize(draws, quantile_thresholds(K)),
+            None if rescale is None else rescale_treatment(draws, *rescale))
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def _per_cell_draws_csv(path, draws, arms, rescaled):
+    """The draws CSV as `sample` wrote it before the batched writer: one
+    f-string per cell."""
+    cols = ["unit", "rep", "T"] + (["D"] if arms is not None else []) \
+        + (["T_rescaled"] if rescaled is not None else [])
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for b_idx in range(draws.shape[0]):
+            for i in range(draws.shape[1]):
+                row = [str(i + 1), str(b_idx + 1), f"{draws[b_idx, i]:.17g}"]
+                if arms is not None:
+                    row.append(str(int(arms[b_idx, i])))
+                if rescaled is not None:
+                    row.append(f"{rescaled[b_idx, i]:.17g}")
+                fh.write(",".join(row) + "\n")
+
 
 class TestEstimateCommand:
     def test_arm_estimate(self, records, capsys):
@@ -167,6 +206,20 @@ class TestEstimateCommand:
     def test_bad_estimand(self, records):
         assert main(["estimate", "--records", str(records),
                      "--estimand", "banana"]) == 2
+
+    def test_ragged_row_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("unit,T,D,Y,x1\n1,0.1,1,0.5,0.3\n2,0.2,2,1.0\n")
+        assert main(["estimate", "--records", str(path),
+                     "--estimand", "arm:1", "--arms", "2"]) == 2
+        assert ":3: 4 fields, but the header has 5" in capsys.readouterr().err
+
+    def test_non_finite_covariate_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("unit,T,D,Y,x1\n1,,1,0.5,0.3\n2,,2,1.0,nan\n")
+        assert main(["estimate", "--records", str(path),
+                     "--estimand", "arm:1", "--arms", "2"]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestCiCommand:
@@ -225,6 +278,36 @@ class TestCiCommand:
                      "--method", "normal", "--estimand", "arm:1", "--arms", "3"])
         assert code == 3
         assert "SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,estimand", [("normal", "arm:1"),
+                                                 ("randomization", "contrast:1,-1,0")])
+    def test_ragged_row_is_input_error(self, tmp_path, capsys, method, estimand):
+        rpath = tmp_path / "ragged.csv"
+        rpath.write_text("unit,T,D,Y,x1\n1,0.1,1,0.5,0.3\n2,0.2,2,1.0\n3,0.3,3,2.0,0.1\n")
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(3))
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", method, "--estimand", estimand, "--arms", "3",
+                     "--replicates", "200"]) == 2
+        assert ":3: 4 fields, but the header has 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,estimand", [("normal", "arm:1"),
+                                                 ("randomization", "contrast:1,-1,0")])
+    def test_non_finite_covariate_is_input_error(self, records, tmp_path, capsys,
+                                                 method, estimand):
+        # the records fixture with one covariate replaced by nan
+        lines = records.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[-1] = "nan"
+        lines[5] = ",".join(fields)
+        rpath = tmp_path / "nan.csv"
+        rpath.write_text("\n".join(lines) + "\n")
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(12))
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", method, "--estimand", estimand, "--arms", "3",
+                     "--replicates", "200"]) == 2
+        assert "covariates X contain non-finite values" in capsys.readouterr().err
 
     def test_continuous_randomization(self, tmp_path, capsys):
         gen = np.random.default_rng(5)
@@ -293,3 +376,30 @@ class TestCovmapTableCommand:
         out = tmp_path / "tab.csv"
         assert main(["covmap-table", "--arms", "3", "--cross", "1,2",
                      "--grid", "21", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("options,cmap", [
+        (["--arm", "2"], lambda: f_arm(3, 2)),
+        (["--cross", "1,3"], lambda: f_cross(3, 1, 3)),
+        (["--weights", "1,-1,0.5"], lambda: weighted_discrete_map(np.array([1.0, -1.0, 0.5]), 3)),
+    ])
+    def test_bytes_match_per_cell_writer(self, tmp_path, options, cmap):
+        out = tmp_path / "tab.csv"
+        assert main(["covmap-table", "--arms", "3", *options, "--grid", "101",
+                     "--out", str(out)]) == 0
+        ref = tmp_path / "reference.csv"
+        _per_cell_covmap_table(ref, cmap(), 101)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def _per_cell_covmap_table(path, cmap, grid_size):
+    """The covmap-table CSV as it was written before the batched writer: one
+    f-string per cell, and 'inf' spelled out for f' at the endpoints."""
+    grid = np.linspace(-1.0, 1.0, grid_size)
+    f_vals = cmap.eval(grid)
+    interior = np.abs(grid) < 1.0
+    d_vals = np.full(grid.shape, np.inf)
+    d_vals[interior] = cmap.deriv(grid[interior])
+    with open(path, "w") as fh:
+        fh.write("rho,f,f_prime\n")
+        for r, f, d in zip(grid, f_vals, d_vals):
+            fh.write(f"{r:.17g},{f:.17g},{'inf' if np.isinf(d) else f'{d:.17g}'}\n")

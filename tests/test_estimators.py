@@ -1,7 +1,12 @@
+import io
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import gaussdesign.rng as grng
@@ -9,7 +14,7 @@ from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                                     ht_arm, ht_contrast, ht_continuous,
                                     records_from_csv, records_to_csv,
                                     rescale_treatment, true_estimand,
-                                    weight_eval)
+                                    weight_eval, write_rows)
 
 RECORDS4 = ExperimentRecords(Y=np.array([1.0, 2.0, 3.0, 4.0]),
                              D=np.array([1, 1, 2, 2]))
@@ -213,6 +218,98 @@ class TestRecordsCsv:
         with pytest.raises(ValueError, match="Y"):
             records_from_csv(path)
 
+    @pytest.mark.parametrize("row", ["2,0.2,2,1.0", "2,0.2,2,1.0,0.4,9"])
+    def test_ragged_row_names_line_and_field_counts(self, tmp_path, row):
+        path = tmp_path / "ragged.csv"
+        fields = row.count(",") + 1
+        # a blank line still counts toward the line number
+        path.write_text(f"unit,T,D,Y,x1\n1,0.1,1,0.5,0.3\n\n{row}\n")
+        with pytest.raises(ValueError, match=f":4: {fields} fields, but the header has 5"):
+            records_from_csv(path)
+
+    @pytest.mark.parametrize("t,d,d_cols", [(True, True, 2), (False, True, 0),
+                                            (True, False, 1), (False, False, 3)])
+    def test_bytes_match_per_cell_writer(self, tmp_path, t, d, d_cols):
+        gen = np.random.default_rng(d_cols)
+        n = 37
+        rec = ExperimentRecords(
+            Y=gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, n),
+            X=gen.standard_normal((n, d_cols)) if d_cols else None,
+            T=np.r_[-0.0, 0.0, 5e-324, gen.standard_normal(n - 3)] if t else None,
+            D=gen.integers(1, 17, n) if d else None)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        records_to_csv(new, rec)
+        _per_cell_records_to_csv(old, rec)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_empty_records_write_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        records_to_csv(path, ExperimentRecords(Y=np.zeros(0)))
+        assert path.read_text() == "unit,T,D,Y\n"
+
+
+def _per_cell_records_to_csv(path, records):
+    """records_to_csv as it was written before the batched writer: one
+    f-string per cell."""
+    n = records.n
+    d = 0 if records.X is None else records.X.shape[1]
+    cols = ["unit", "T", "D", "Y"] + [f"x{j + 1}" for j in range(d)]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(n):
+            t = "" if records.T is None else f"{records.T[i]:.17g}"
+            dd = "" if records.D is None else str(int(records.D[i]))
+            row = [str(i + 1), t, dd, f"{records.Y[i]:.17g}"]
+            row += [f"{records.X[i, j]:.17g}" for j in range(d)]
+            fh.write(",".join(row) + "\n")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_write_rows_matches_per_cell_format():
+    gen = np.random.default_rng(0)
+    x = np.r_[np.nan, np.inf, -np.inf, _EDGE_FLOATS,
+              gen.standard_normal(10**5) * 10.0 ** gen.integers(-320, 307, 10**5)]
+    k = gen.integers(-10**12, 10**12, x.size)
+    buf = io.StringIO()
+    write_rows(buf, "%d;%.17g", [k, x])   # many blocks and a partial one
+    assert buf.getvalue() == "".join(f"{a};{b:.17g}\n" for a, b in zip(k, x))
+
+
+def _same(a, b):
+    """Both absent, or equal dtype, shape and bytes (signed zeros included)."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), d=st.integers(0, 4),
+       has_t=st.booleans(), has_d=st.booleans())
+def test_records_csv_round_trip_bit_for_bit(data, n, d, has_t, has_d):
+    def column(shape):
+        values = data.draw(st.lists(_FINITE, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+
+    rec = ExperimentRecords(
+        Y=column((n,)), X=column((n, d)) if d else None,
+        T=column((n,)) if has_t else None,
+        D=np.array(data.draw(st.lists(st.integers(-5, 64), min_size=n, max_size=n)))
+        if has_d else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        records_to_csv(path, rec)
+        back = records_from_csv(path)
+    for name in ("Y", "X", "T", "D"):
+        assert _same(getattr(back, name), getattr(rec, name)), name
+
 
 def test_estimand_spec_validation():
     with pytest.raises(ValueError):
@@ -239,6 +336,13 @@ class TestRecordsValidation:
     def test_non_finite_outcome_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             ExperimentRecords(Y=np.array([1.0, bad, 2.0]), D=np.array([1, 2, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariate_rejected(self, bad):
+        X = np.zeros((3, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="covariates X contain non-finite"):
+            ExperimentRecords(Y=np.ones(3), X=X, D=np.array([1, 2, 1]))
 
     def test_consistent_columns_accepted(self):
         rec = ExperimentRecords(Y=np.ones(3), X=np.zeros((3, 2)), T=np.zeros(3),

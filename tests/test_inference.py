@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import gaussdesign.rng as grng
-from gaussdesign.covmap import discretize, f_arm, quantile_thresholds
-from gaussdesign.elliptope import block_factor, factor_from_rows, identity_factor
+from gaussdesign.covmap import discretize, f_arm, f_cross, quantile_thresholds
+from gaussdesign.elliptope import (CorrelationFactor, block_factor, factor_from_rows,
+                                   identity_factor)
 from gaussdesign.estimators import ExperimentRecords, WeightFn
-from gaussdesign.inference import (ContinuousModelSpec, aronow_samii_bound,
-                                   normal_ci, ols_fit,
+from gaussdesign.inference import (_JOINT_GUARD, ContinuousModelSpec, VarianceReport,
+                                   aronow_samii_bound, normal_ci, ols_fit,
                                    randomization_ci_continuous,
                                    randomization_ci_discrete, true_variance,
                                    variance_ht_arm)
@@ -152,6 +157,127 @@ class TestAronowSamii:
         rec = ExperimentRecords(Y=np.zeros(2), D=np.array([1, 2]))
         with pytest.raises(ValueError):
             aronow_samii_bound(rec, identity_factor(2), np.array([1.0]), 2)
+
+    def test_factor_size_checked(self):
+        rec = ExperimentRecords(Y=np.zeros(3), D=np.array([1, 2, 1]))
+        with pytest.raises(ValueError, match="factor size"):
+            aronow_samii_bound(rec, identity_factor(4), np.array([1.0, -1.0]), 2)
+
+
+def _reference_aronow_samii(records, factor, w, K):
+    """The bound as it was written before each cell map was evaluated once
+    per unordered pair: every ordered pair (i, j), i != j, selected by n x n
+    masks."""
+    w = np.asarray(w, dtype=float)
+    n = records.n
+    arms = records.arms(K)
+    Y = records.Y
+    sigma = np.clip(factor.to_matrix(), -1.0, 1.0)
+    var_ind = (K - 1.0) / K ** 2
+    t1 = K ** 2 / n * float(np.sum(w[arms - 1] ** 2 * Y ** 2 * var_ind * K))
+    t2 = 0.0
+    min_joint = np.inf
+    offdiag = ~np.eye(n, dtype=bool)
+    yy = np.outer(Y, Y)
+    for k in range(1, K + 1):
+        for l in range(1, K + 1):
+            sel = np.outer(arms == k, arms == l) & offdiag
+            if not np.any(sel):
+                continue
+            C = f_cross(K, k, l).eval(sigma[sel])
+            joint = C + 1.0 / K ** 2
+            min_joint = min(min_joint, float(joint.min()))
+            if min_joint <= _JOINT_GUARD:
+                return VarianceReport(point=None, well_defined=False,
+                                      min_joint_prob=min_joint,
+                                      kind="aronow_samii_bound")
+            t2 += w[k - 1] * w[l - 1] * float(np.sum(yy[sel] * C / joint))
+    t2 *= K ** 2 / n
+    t3 = 0.0
+    absw = np.abs(w)
+    for k in range(1, K + 1):
+        for l in range(1, K + 1):
+            if k == l:
+                continue
+            in_k = (arms == k).astype(float)
+            in_l = (arms == l).astype(float)
+            t3 += absw[k - 1] * absw[l - 1] * float(np.sum(Y ** 2 * (in_k + in_l) * K))
+    t3 /= 2.0 * n
+    return VarianceReport(point=t1 + t2 + t3, well_defined=True,
+                          min_joint_prob=min_joint, kind="aronow_samii_bound")
+
+
+def _bound_factor(kind, n, gen):
+    """identity; random unit rows; random rows with exact duplicates and
+    negations; signed basis rows, whose correlations are exactly -1, 0 or 1
+    (an antithetic pair in one arm, or a comonotone pair in two arms, has
+    joint probability 0 and trips the guard)."""
+    if kind == "identity":
+        return identity_factor(n)
+    if kind == "signed basis":
+        rows = np.zeros((n, 3))
+        rows[np.arange(n), gen.integers(0, 3, n)] = gen.choice([-1.0, 1.0], n)
+        return CorrelationFactor(rows)
+    rows = factor_from_rows(gen.standard_normal((n, int(gen.integers(1, 6))))).rows.copy()
+    if kind == "repeated rows":
+        src = gen.integers(0, n, n // 2)
+        rows[:n // 2] = rows[src] * gen.choice([-1.0, 1.0], (n // 2, 1))
+    return CorrelationFactor(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(K=st.sampled_from([2, 3, 5]), n=st.integers(1, 40),
+       kind=st.sampled_from(["identity", "random", "repeated rows", "signed basis"]),
+       skew=st.sampled_from(["uniform", "one arm", "sparse"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_aronow_samii_matches_reference(K, n, kind, skew, seed):
+    gen = np.random.default_rng(seed)
+    # "one arm" and "sparse" leave arms with no unit or a single unit
+    if skew == "uniform":
+        D = gen.integers(1, K + 1, n)
+    elif skew == "one arm":
+        D = np.full(n, int(gen.integers(1, K + 1)))
+        D[:int(gen.integers(0, 2))] = 1
+    else:
+        D = gen.choice([1, K], n, p=[0.9, 0.1])
+    rec = ExperimentRecords(Y=gen.standard_normal(n), D=D)
+    factor = _bound_factor(kind, n, gen)
+    w = gen.standard_normal(K)
+    got = aronow_samii_bound(rec, factor, w, K)
+    want = _reference_aronow_samii(rec, factor, w, K)
+    assert got.well_defined == want.well_defined
+    assert got.min_joint_prob == want.min_joint_prob
+    if want.point is None:
+        assert got.point is None
+    else:
+        assert got.point.hex() == want.point.hex()
+
+
+def test_aronow_samii_guard_reached_through_reference():
+    # the guard cases of the property: an antithetic pair in one arm
+    rec = ExperimentRecords(Y=np.ones(2), D=np.array([1, 1]))
+    factor = CorrelationFactor(np.array([[1.0], [-1.0]]))
+    for impl in (aronow_samii_bound, _reference_aronow_samii):
+        rep = impl(rec, factor, np.array([1.0, -1.0]), 2)
+        assert not rep.well_defined and rep.min_joint_prob <= _JOINT_GUARD
+
+
+def test_aronow_samii_peak_memory():
+    # sigma is the one n x n array; the cells are (n/K)^2 blocks
+    n, K = 800, 3
+    gen = np.random.default_rng(8)
+    factor = factor_from_rows(gen.standard_normal((n, 20)))
+    rec = ExperimentRecords(Y=gen.standard_normal(n),
+                            T=factor.rows @ gen.standard_normal(20))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = aronow_samii_bound(rec, factor, np.array([1.0, -1.0, 0.0]), K)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.well_defined
+    assert peak < 3 * 8 * n * n
 
 
 class TestOlsFit:
