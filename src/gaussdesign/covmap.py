@@ -43,19 +43,23 @@ table's measured interpolation error is stored on the tabulated map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from . import blocks
+
 DEFAULT_TABLE_SIZE = 2001
 DEFAULT_EDGE_MARGIN = 1e-6
 
-_CHUNK = 8192       # points per kernel block; bounds the (points x nodes) temporaries
-_TABLE_CHUNK = 1 << 15   # points per table-kernel block
-# Rows per block of a symmetric map (_map_symmetric).  Its temporaries are
-# a few (rows x n) arrays; at n = 3200, 256-row blocks raised the optimizer's
-# peak RSS by 4 MB, 128-row blocks leave it unchanged.
-_ROW_BLOCK = 128
+# Points per kernel block, divided across the workers of a pool
+# (blocks.budget); they bound the (points x nodes) and table temporaries.
+# Two workers take 1 << 15 table points each: their per-chunk interpreter
+# overhead contends for one lock, so smaller chunks scale worse.
+_CHUNK = 8192
+_TABLE_CHUNK = 1 << 16
+_ROW_BLOCK = blocks.ROW_BLOCK   # rows per block of a symmetric map (_map_symmetric)
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_T = 0.5 * (1.0 + _GL_X)   # nodes mapped to [0, 1]
@@ -133,10 +137,12 @@ class Table:
     def evaluate(self, coef, direct, a, out=None):
         """Piecewise cubic ``coef`` at every point of ``a``, written to
         ``out`` (a new array when None); points outside the grid (and NaN)
-        take ``direct``.  The points go in blocks of about _TABLE_CHUNK:
-        whole rows of the last axis, or pieces of a longer row, so a strided
-        2-D ``a`` or ``out`` (a row block of a larger array) is read and
-        written in place."""
+        take ``direct``.  The points go in blocks of about
+        ``blocks.budget(_TABLE_CHUNK)``: whole rows of the last axis, or
+        pieces of a longer row, so a strided 2-D ``a`` or ``out`` (a row
+        block of a larger array) is read and written in place.  Each block's
+        outside points are read before the block is written, so ``out`` may
+        be ``a``."""
         if out is None:
             out = np.empty(a.shape)
         if a.size == 0:
@@ -146,8 +152,9 @@ class Table:
         dst = out.reshape(pts.shape)
         if not np.may_share_memory(dst, out):
             raise ValueError("out must be 2-D or C-contiguous")
-        step = max(1, _TABLE_CHUNK // width)
-        piece = min(width, _TABLE_CHUNK)
+        chunk = blocks.budget(_TABLE_CHUNK)
+        step = max(1, chunk // width)
+        piece = min(width, chunk)
         lo_edge, hi_edge = self.grid[0], self.grid[-1]
         a3, a2, a1, a0 = coef   # coefficients of s^3, s^2, s, 1
         for i in range(0, pts.shape[0], step):
@@ -331,9 +338,10 @@ def _rectangle_sum(rho, terms):
     flat = a.reshape(-1)
     out = np.zeros(flat.size)
     ends = {s: sum(c * _r_endpoint(s, h, k) for c, h, k in terms) for s in (1.0, -1.0)}
-    for lo in range(0, flat.size, _CHUNK):
-        x = flat[lo:lo + _CHUNK]
-        o = out[lo:lo + _CHUNK]
+    chunk = blocks.budget(_CHUNK)
+    for lo in range(0, flat.size, chunk):
+        x = flat[lo:lo + chunk]
+        o = out[lo:lo + chunk]
         ax = np.abs(x)
         high = ax >= _HIGH_RHO
         low = ~high & (x != 0.0)
@@ -458,27 +466,49 @@ def _eval_symmetric(cmap, g, out=None):
 def _map_symmetric(fn, out):
     """Fill the symmetric square array ``out`` from its upper triangle.
 
-    ``fn(b)`` writes ``out[b]`` for each row block b = (slice(lo, hi),
-    slice(lo, None)) of _ROW_BLOCK rows, whose columns start at its first
-    row (so the block's diagonal starts at its column 0); the strictly lower
-    part below the block is then mirrored from it.  An elementwise map of a
-    symmetric gram is thus evaluated once per unordered pair, plus the lower
-    half of each diagonal block, and equals the full evaluation bit for bit.
+    The upper triangle is cut into row blocks of _ROW_BLOCK rows, each
+    from its first row's column on (so the block's diagonal starts at its
+    column 0).  ``fn(b)`` writes ``out[b]`` for b = (rows, cols), a block
+    or, when the blocks run on several workers (see blocks), one of that
+    many column pieces of a block, so memory in flight stays one block's;
+    the strictly lower part below b is then mirrored from it.  An
+    elementwise map of a symmetric gram is thus evaluated once per
+    unordered pair, plus the lower half of each diagonal block, and equals
+    the full evaluation bit for bit.  Pieces write disjoint parts of
+    ``out``, so the result does not depend on the worker count.
     """
     n = out.shape[0]
-    for lo in range(0, n, _ROW_BLOCK):
+    starts = range(0, n, _ROW_BLOCK)
+    workers = blocks.width(len(starts))
+    tasks = []
+    for lo in starts:
         hi = min(lo + _ROW_BLOCK, n)
-        fn((slice(lo, hi), slice(lo, n)))
-        out[hi:, lo:hi] = out[lo:hi, hi:].T
+        edges = [lo + (n - lo) * p // workers for p in range(workers + 1)]
+        tasks += [partial(_map_piece, fn, out, lo, hi, c0, c1)
+                  for c0, c1 in zip(edges[:-1], edges[1:]) if c1 > c0]
+    blocks.run(tasks, workers)
     return out
+
+
+def _map_piece(fn, out, lo, hi, c0, c1):
+    fn((slice(lo, hi), slice(c0, c1)))
+    mid = max(c0, hi)
+    out[mid:c1, lo:hi] = out[lo:hi, mid:c1].T
+
+
+def _zero_diagonal(a, b):
+    """Zero the entries of a = x[b], b a block of _map_symmetric, that lie
+    on the diagonal of the square x."""
+    rows, cols = b
+    np.fill_diagonal(a[cols.start - rows.start:], 0.0)
 
 
 def _is_identity(rows):
     """True when ``rows`` is exactly the identity (a square factor with n
     nonzeros, all on a unit diagonal)."""
     n = rows.shape[0]
-    return (rows.shape == (n, n) and np.count_nonzero(rows) == n
-            and bool(np.all(np.diagonal(rows) == 1.0)))
+    return (rows.shape == (n, n) and bool(np.all(np.diagonal(rows) == 1.0))
+            and np.count_nonzero(rows) == n)
 
 
 def _gram(rows):

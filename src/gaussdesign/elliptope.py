@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import rng
+from . import blocks, rng
 
 _ROW_NORM_TOL = 1e-12
 _EIG_CLIP = 1e-10
@@ -34,10 +35,10 @@ class CorrelationFactor:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise ValueError("factor rows must form a 2-D array")
-        if not np.all(np.isfinite(rows)):
+        checks = blocks.over_rows(rows.shape[0], partial(_check_rows, rows))
+        if not all(finite for finite, _ in checks):
             raise ValueError("factor rows must be finite")
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(np.abs(norms - 1.0) > _ROW_NORM_TOL):
+        if not all(unit for _, unit in checks):
             raise ValueError("factor rows must have unit norm (within 1e-12)")
         object.__setattr__(self, "rows", rows)
 
@@ -56,6 +57,13 @@ class CorrelationFactor:
     def tag(self):
         """Short content hash used as a provenance tag for draws."""
         return hashlib.sha1(self.rows.tobytes()).hexdigest()[:12]
+
+
+def _check_rows(rows, lo, hi):
+    """(all finite, all of unit norm) for rows lo:hi."""
+    r = rows[lo:hi]
+    norms = np.linalg.norm(r, axis=1)
+    return bool(np.all(np.isfinite(r))), not np.any(np.abs(norms - 1.0) > _ROW_NORM_TOL)
 
 
 def factor_from_rows(rows):

@@ -32,6 +32,12 @@ mirrored (covmap._map_symmetric).  Per block, the gradient runs the clip,
 f_j' and the product with A in the order of the full evaluation, so it
 needs no n x n temporary besides its output.  Every value equals the full
 elementwise evaluation bit for bit.
+
+The elementwise layer runs on every CPU the process may use (see blocks):
+the row blocks of the maps and gradients, and of the row-normalized step
+with its factor's finiteness and norm checks, are tasks that write disjoint
+rows and column strips, so every array is bit-identical whatever the worker
+count.  The O(n^3) products use the BLAS library's own threads.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, build_table,
-                     f_arm, weighted_discrete_map)
+from . import blocks
+from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, _zero_diagonal,
+                     build_table, f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -161,12 +168,12 @@ def objective(problem: DesignProblem, factor: CorrelationFactor):
     return _objective(problem, _terms(problem, _gram(factor.rows)))
 
 
-def _deriv_offdiag(cmap, g):
-    """f'(g) with inputs clipped just inside (-1, 1) and the diagonal zeroed,
-    for a row block g = gram[lo:hi, lo:] (its diagonal starts at column 0)."""
-    d = np.clip(g, -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
+def _deriv_offdiag(cmap, g, b):
+    """f'(g[b]) with inputs clipped just inside (-1, 1) and the gram's
+    diagonal zeroed, for a block b of _map_symmetric."""
+    d = np.clip(g[b], -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
     cmap.deriv(d, out=d)
-    np.fill_diagonal(d, 0.0)
+    _zero_diagonal(d, b)
     return d
 
 
@@ -182,16 +189,18 @@ def _offdiag_gram(X):
 def _grad_nuc(problem, g, A):
     """sum_j w_j^2 A o f_j'(g) at the gram g, with A = X X^T (zero diagonal).
 
-    Evaluated once per unordered pair (see _map_symmetric): per row block,
-    the clip, f_j' and the product run in the order of the full evaluation,
-    with block-sized temporaries only.
+    Evaluated once per unordered pair (see _map_symmetric): per block, the
+    clip, f_j' and the product (w_j^2 A) f_j' run in the order of the full
+    evaluation, with two block-sized temporaries only.
     """
     grad = np.zeros_like(g)
 
     def block(b):
         gb = grad[b]
         for w, cmap in zip(problem.weights, problem.maps):
-            gb += (w * w) * A[b] * _deriv_offdiag(cmap, g[b])
+            t = np.multiply(A[b], w * w)
+            t *= _deriv_offdiag(cmap, g, b)
+            gb += t
 
     return _map_symmetric(block, grad)
 
@@ -215,8 +224,10 @@ def _grad_op(problem, g, terms):
         gb = grad[blk]
         for w, cmap, b in zip(problem.weights, problem.maps, leading):
             Aj = np.outer(b[rows], b[cols])
-            np.fill_diagonal(Aj, 0.0)
-            gb += (w * w) * Aj * _deriv_offdiag(cmap, g[blk])
+            _zero_diagonal(Aj, blk)
+            Aj *= w * w
+            Aj *= _deriv_offdiag(cmap, g, blk)
+            gb += Aj
 
     return _map_symmetric(block, grad), tie
 
@@ -241,18 +252,29 @@ def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
 
 def _step(rows, GV, eta):
     """Row-normalized rows - eta * GV, with GV = G V and eta >= 0; a row that
-    collapses keeps its previous value, with a warning."""
+    collapses keeps its previous value, with a warning.  Each row block is
+    stepped, measured and divided in one task (see blocks)."""
     if eta < 0:
         raise ValueError("step size must be nonnegative")
-    new = rows - eta * GV
-    norms = np.linalg.norm(new, axis=1)
-    dead = norms < _ZERO_ROW
-    if np.any(dead):
-        warnings.warn(f"pgd_step: rows {np.flatnonzero(dead).tolist()} collapsed; "
+    new = np.empty(rows.shape)
+
+    def block(lo, hi):
+        nb = new[lo:hi]
+        np.multiply(eta, GV[lo:hi], out=nb)
+        np.subtract(rows[lo:hi], nb, out=nb)
+        norms = np.linalg.norm(nb, axis=1)
+        dead = np.flatnonzero(norms < _ZERO_ROW)
+        if dead.size:
+            nb[dead] = rows[lo:hi][dead]
+            norms[dead] = 1.0
+        nb /= norms[:, None]
+        return (dead + lo).tolist()
+
+    dead = sum(blocks.over_rows(new.shape[0], block), [])
+    if dead:
+        # warned here, in the calling thread, not in a worker
+        warnings.warn(f"pgd_step: rows {dead} collapsed; "
                       "keeping previous values", RuntimeWarning)
-        new[dead] = rows[dead]
-        norms[dead] = 1.0
-    new /= norms[:, None]
     return CorrelationFactor(new)
 
 
@@ -320,13 +342,16 @@ def cap_rank(factor: CorrelationFactor, k) -> CorrelationFactor:
 
 def default_eta0(problem: DesignProblem):
     """0.1 / (1 + max offdiag |X X^T| * max |f'| over the table grid)."""
-    A = np.abs(problem.X @ problem.X.T)
-    np.fill_diagonal(A, 0.0)
+    return _eta0(problem, _offdiag_gram(problem.X))
+
+
+def _eta0(problem, A):
+    """default_eta0 from A = X X^T with a zero diagonal (_offdiag_gram)."""
     dmax = 0.0
     for w, cmap in zip(problem.weights, problem.maps):
         tab = cmap if cmap.table is not None else build_table(cmap)
         dmax += w * w * float(np.max(np.abs(tab.table.d_values)))
-    return 0.1 / (1.0 + float(A.max()) * dmax)
+    return 0.1 / (1.0 + float(max(A.max(), -A.min())) * dmax)
 
 
 def _tabulated(problem: DesignProblem):
@@ -356,14 +381,15 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         raise OptimizationError("objective non-finite at the initial design",
                                 OptimizerTrace(initial_objective=np.nan))
     work = _tabulated(problem)
+    A = _offdiag_gram(problem.X) if problem.norm == "nuc" or step_policy is None else None
     if step_policy is None:
-        step_policy = Backtracking(eta0=default_eta0(work))
+        step_policy = Backtracking(eta0=_eta0(work, A))
     if problem.norm == "nuc":
-        A = _offdiag_gram(problem.X)
-
         def gradient(g, terms):
             return _grad_nuc(work, g, A)
     else:
+        A = None   # the step size was its only use
+
         def gradient(g, terms):
             return _grad_op(work, g, terms)[0]
     factor = init

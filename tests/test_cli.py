@@ -152,6 +152,18 @@ class TestSampleCommand:
         np.savetxt(fpath, np.array([[1.0, 1.5], [1.5, 1.0]]), delimiter=",")
         assert main(["sample", "--factor", str(fpath), "--draws", "2"]) == 2
 
+    def test_one_row_off_unit_norm_is_input_error(self, tmp_path, capsys):
+        # the row is 2e-9 off in squared norm: inside the elliptope check's
+        # 1e-8 diagonal tolerance, outside the factor's 1e-12 row check
+        rows = identity_factor(3).rows.copy()
+        rows[1, 1] = 1.0 + 1e-9
+        fpath, out = tmp_path / "factor.csv", tmp_path / "d.csv"
+        elliptope.save_matrix(fpath, rows)
+        code = main(["sample", "--factor", str(fpath), "--draws", "2", "--out", str(out)])
+        assert code == 2
+        assert "unit norm" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [1, 2, 800])
     @pytest.mark.parametrize("K,rescale", [(None, None), (3, None), (None, (-2.0, 5.0)),
                                            (5, (0.0, 250.0))])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import gaussdesign.rng as grng
+from gaussdesign import blocks
 from gaussdesign.covmap import discretize, f_arm, f_cross, quantile_thresholds
 from gaussdesign.elliptope import (CorrelationFactor, block_factor, factor_from_rows,
                                    identity_factor)
@@ -278,6 +279,13 @@ def test_aronow_samii_peak_memory():
         tracemalloc.stop()
     assert rep.well_defined
     assert peak < 3 * 8 * n * n
+
+
+def test_aronow_samii_peak_memory_on_four_workers(monkeypatch):
+    # the exact kernel's chunk is split across the workers, so memory in
+    # flight does not grow with their number
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 4)
+    test_aronow_samii_peak_memory()
 
 
 class TestOlsFit:

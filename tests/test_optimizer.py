@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdesign.covmap import CovarianceMap, build_table, f_arm, weighted_discrete_map
+from gaussdesign.covmap import (CovarianceMap, _is_identity, build_table, f_arm,
+                                weighted_discrete_map)
 from gaussdesign.elliptope import factor_from_rows, identity_factor, validate
 from gaussdesign.optimizer import (Backtracking, DesignProblem, FixedStep,
                                    OptimizationError, TraceRow, default_eta0,
@@ -475,3 +476,37 @@ def test_pgd_gauss_matches_reference_loop(case):
         assert trace.rows[-1].eta == 0.0 and trace.rows[-1].halvings == 2
     if case == "gradient stop":
         assert trace.rows == []
+
+
+def _reference_eta0(problem):
+    """The step size from its own X X^T and |X X^T| temporaries."""
+    A = np.abs(problem.X @ problem.X.T)
+    np.fill_diagonal(A, 0.0)
+    dmax = 0.0
+    for w, cmap in zip(problem.weights, problem.maps):
+        tab = cmap if cmap.table is not None else build_table(cmap)
+        dmax += w * w * float(np.max(np.abs(tab.table.d_values)))
+    return 0.1 / (1.0 + float(A.max()) * dmax)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 6),
+       norm=st.sampled_from(["nuc", "op"]), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_default_eta0_equals_the_abs_gram_formula(seed, n, d, norm, scale):
+    prob, _ = _random_problem(seed % 1000, d=d, norm=norm, n=n)
+    X = scale * np.random.default_rng(seed).standard_normal((n, d))
+    X[0] = -X[1] * 3.0   # the largest |offdiag| is negative
+    prob = DesignProblem(X=X, maps=prob.maps, weights=prob.weights, norm=norm)
+    assert default_eta0(prob).hex() == _reference_eta0(prob).hex()
+
+
+@pytest.mark.parametrize("rows,want", [
+    (np.eye(5), True),
+    (np.eye(0), True),
+    (np.eye(4)[:, :3], False),
+    (np.diag([1.0, 1.0, 2.0]), False),
+    (np.eye(3) + np.eye(3, k=1) * 1e-300, False),
+    (np.eye(3)[::-1], False),
+])
+def test_is_identity(rows, want):
+    assert bool(_is_identity(rows)) is want

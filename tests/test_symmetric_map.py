@@ -3,19 +3,22 @@ once per unordered pair that equal the full elementwise evaluation bit for
 bit (apply_map, the optimizer's term matrices and both gradients)."""
 
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdesign import covmap
+from gaussdesign import blocks, covmap
 from gaussdesign.covmap import (_ROW_BLOCK, _eval_symmetric, _gram, _map_symmetric,
                                 apply_map, build_table, f_arm, f_cross,
                                 weighted_discrete_map)
-from gaussdesign.elliptope import CorrelationFactor, factor_from_rows
-from gaussdesign.optimizer import (DesignProblem, _grad_nuc, _grad_op, _offdiag_gram,
-                                   _terms, gradient_nuclear, gradient_operator)
+from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
+from gaussdesign.optimizer import (DesignProblem, FixedStep, _grad_nuc, _grad_op,
+                                   _offdiag_gram, _step, _terms, gradient_nuclear,
+                                   gradient_operator, pgd_gauss)
 
 B = _ROW_BLOCK
 SIZES = (1, 2, B - 1, B, B + 1, 2 * B + 3)
@@ -250,3 +253,74 @@ def test_nuclear_gradient_allocates_no_second_square_array():
     # the output plus block-sized temporaries; any n x n temporary would
     # add another `square`
     assert square <= peak < 1.5 * square
+
+
+def test_nuclear_gradient_memory_on_four_workers(monkeypatch):
+    # each block is split into column pieces across the workers, so memory
+    # in flight does not grow with their number
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 4)
+    test_nuclear_gradient_allocates_no_second_square_array()
+
+
+# -- worker counts -----------------------------------------------------------------
+
+@contextmanager
+def _workers(count):
+    """Run the row-block layer on ``count`` workers (blocks._cpu_count)."""
+    saved = blocks._cpu_count
+    blocks._cpu_count = lambda: count
+    try:
+        yield
+    finally:
+        blocks._cpu_count = saved
+
+
+def _reference_step(rows, GV, eta):
+    """The whole-array step: row-normalized rows - eta * GV, a collapsed row
+    kept with its previous value."""
+    new = rows - eta * GV
+    norms = np.linalg.norm(new, axis=1)
+    dead = norms < 1e-14
+    new[dead] = rows[dead]
+    norms[dead] = 1.0
+    return new / norms[:, None], np.flatnonzero(dead).tolist()
+
+
+def _kernel_outputs(n, seed):
+    """Bytes of every row-block kernel at size n (and the warning texts)."""
+    rows = _rows(n, seed)
+    out = [apply_map(cmap, CorrelationFactor(rows)).tobytes() for cmap in MAPS.values()]
+    GV = np.random.default_rng(seed).standard_normal(rows.shape)
+    GV[n // 2] = rows[n // 2]   # this row collapses at eta = 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stepped = _step(rows, GV, 1.0).rows
+    want, dead = _reference_step(rows, GV, 1.0)
+    assert _same(stepped, want)
+    assert [str(w.message) for w in caught] == [
+        f"pgd_step: rows {dead} collapsed; keeping previous values"]
+    out.append(stepped.tobytes())
+    if n < 2:
+        return out
+    nuc, op = _problems(n)
+    g = _gram(rows)
+    for problem in (nuc, op):
+        out += [M.tobytes() for M in _terms(problem, g)]
+    out.append(_grad_nuc(nuc, g, _offdiag_gram(nuc.X)).tobytes())
+    out.append(_grad_op(op, g, _terms(op, g))[0].tobytes())
+    for problem in (nuc, op):
+        for init in (identity_factor(n), CorrelationFactor(rows)):
+            for policy in (None, FixedStep(0.05)):
+                fac, trace = pgd_gauss(problem, init, 2, policy)
+                out += [fac.rows.tobytes(), trace.objectives.tobytes()]
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from((1, B - 1, B, B + 1, 2 * B + 3)), workers=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernels_are_bit_identical_on_any_worker_count(n, workers, seed):
+    with _workers(1):
+        want = _kernel_outputs(n, seed)
+    with _workers(workers):
+        assert _kernel_outputs(n, seed) == want
