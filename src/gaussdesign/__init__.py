@@ -4,8 +4,8 @@ the correlation elliptope, Horvitz-Thompson estimation, design-based
 inference, and Monte Carlo benchmarks."""
 
 from .covmap import (ArmQuantiles, CovarianceMap, apply_map, build_table,
-                     discretize, f_arm, f_arm_prime, f_cross,
-                     quantile_thresholds, r_ij, weighted_discrete_map)
+                     discretize, f_arm, f_cross, quantile_thresholds, r_ij,
+                     weighted_discrete_map)
 from .elliptope import (CorrelationFactor, GaussianDraws, block_factor,
                         factor_from_rows, identity_factor, sample, validate)
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,

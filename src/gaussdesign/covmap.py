@@ -30,14 +30,16 @@ maximum 1.8e-16 over K <= 16 and |rho| up to 1 - 1e-15, largest at the
 not depend on the chunk size.
 
 Maps can be tabulated for the O(n^2) elementwise evaluations inside the
-design optimizer: a Chebyshev grid with the monotone cubic (PCHIP)
-coefficients of scipy's ``PchipInterpolator``, computed here op for op in
-numpy.  A table query is one closed-form kernel, run on fixed-size chunks of
-points: the cell index comes from the grid formula (uniform in arccos) with
-one +-1 correction against the stored grid, the cubic is evaluated from the
-coefficient arrays in scipy's order, and points outside the grid go to the
-direct evaluator.  Its output equals ``PPoly`` evaluation bit for bit.  The
-table's measured interpolation error is stored on the tabulated map.
+design optimizer (``build_table``): one cubic Hermite table on a grid
+uniform in theta = arccos(rho), whose nodes hold f and the analytic slope
+-f'(rho) sin(theta).  In theta the maps are smooth up to the grid's edges,
+where f' diverges in rho.  One kernel, run on fixed-size chunks of points,
+serves f and f': the cell index is (theta - theta_0) / h rounded down, and
+the cell's cubic gives f and, over -sin(theta), f'.  Points outside the
+grid go to the direct evaluator.  ``build_table`` measures the table's error
+at the grid midpoints against the direct evaluator and asserts it: at most
+1e-5 of max |f| for f and of max |f'| for f' (measured worst over every f_k
+and f_{k,k+1}, K = 2..64: 1.3e-6 for f and 7.2e-7 for f', both at K = 64).
 """
 
 from __future__ import annotations
@@ -59,85 +61,53 @@ DEFAULT_EDGE_MARGIN = 1e-6
 # overhead contends for one lock, so smaller chunks scale worse.
 _CHUNK = 8192
 _TABLE_CHUNK = 1 << 16
+# build_table's bound on the table error, relative to the largest |f| (|f'|)
+_TABLE_RTOL = 1e-5
 _ROW_BLOCK = blocks.ROW_BLOCK   # rows per block of a symmetric map (_map_symmetric)
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_T = 0.5 * (1.0 + _GL_X)   # nodes mapped to [0, 1]
 
 
-def _edge_slope(h0, h1, m0, m1):
-    """Moler's one-sided three-point end slope, shape-preserving."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3. * np.abs(m0):
-        return 3. * m0
-    return d
-
-
-def _pchip_coefficients(x, y):
-    """Cubic coefficients (4, len(x) - 1) of scipy's PchipInterpolator(x, y).
-
-    Fritsch-Butland harmonic-mean slopes (zero where the secant slopes change
-    sign or vanish), Moler's end slopes, then the cubic Hermite coefficients,
-    highest power first, each cell's cubic in s = x - x[cell].  Every
-    operation follows scipy's own, so the coefficients are bit-identical.
-    """
-    if not np.all(np.isfinite(y)):
-        raise ValueError("table values must be finite")
-    hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
-    smk = np.sign(mk)
-    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-    dk = np.zeros_like(y)
-    dk[1:-1][~condition] = 1.0 / whmean[~condition]
-    dk[0] = _edge_slope(hk[0], hk[1], mk[0], mk[1])
-    dk[-1] = _edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
-
-
 class Table:
-    """Values of a map ``fn`` and its derivative ``dfn`` on a Chebyshev grid
-    of ``grid_size`` points over [-1 + edge_margin, 1 - edge_margin], with
-    their PCHIP cubic coefficients per grid cell.
+    """A map's cubic Hermite interpolant on DEFAULT_TABLE_SIZE nodes uniform
+    in theta = arccos(rho) over [-1 + DEFAULT_EDGE_MARGIN, 1 - DEFAULT_EDGE_MARGIN].
 
-    The grid is dense near the endpoints, where f' blows up; the grid point
-    nearest 0 is moved to exactly 0, so f(0) = 0 stays exact.  ``cells``
-    inverts this construction, so both live here.
+    Each cell's cubic in s = theta - theta_c matches f and the analytic
+    slope -f'(rho) sin(theta) at its two nodes; it gives f, and its
+    derivative over -sin(theta) gives f'.  ``grid`` holds the nodes as
+    ascending rho, its ends the table's edges, and ``f_values``/``d_values``
+    f and f' there.  The middle node is exactly rho = 0 (theta = pi/2), so
+    f(0) = 0 stays exact.
     """
 
-    def __init__(self, fn, dfn, grid_size, edge_margin):
-        j = np.arange(grid_size)
-        grid = np.sort((1.0 - edge_margin) * np.cos(np.pi * j / (grid_size - 1)))
-        grid[np.argmin(np.abs(grid))] = 0.0
-        self.grid = grid
-        self.f_values = fn(grid)
-        self.d_values = dfn(grid)
-        self.f_coef = _pchip_coefficients(grid, self.f_values)
-        self.d_coef = _pchip_coefficients(grid, self.d_values)
+    def __init__(self, fn, dfn):
+        edge = 1.0 - DEFAULT_EDGE_MARGIN
+        theta = np.linspace(np.arccos(edge), np.arccos(-edge), DEFAULT_TABLE_SIZE)
+        rho = np.cos(theta)
+        rho[0], rho[-1] = edge, -edge
+        mid = DEFAULT_TABLE_SIZE // 2
+        theta[mid], rho[mid] = np.pi / 2, 0.0
+        self.grid = rho[::-1].copy()
+        self.f_values = fn(self.grid)
+        self.d_values = dfn(self.grid)
+        if not (np.all(np.isfinite(self.f_values)) and np.all(np.isfinite(self.d_values))):
+            raise ValueError("table values must be finite")
+        y = self.f_values[::-1]
+        slope = -self.d_values[::-1] * np.sqrt((1.0 - rho) * (1.0 + rho))
+        h = np.diff(theta)
+        m = np.diff(y) / h
+        # coefficients of s^3, s^2, s, 1 on each cell [theta_c, theta_c+1]
+        self.coef = np.stack(((slope[:-1] + slope[1:] - 2.0 * m) / (h * h),
+                              (3.0 * m - 2.0 * slope[:-1] - slope[1:]) / h,
+                              slope[:-1], y[:-1]))
+        self.theta = theta
+        self._inv_h = (theta.size - 1) / (theta[-1] - theta[0])
 
-    def cells(self, x):
-        """Cell index c with grid[c] <= x < grid[c + 1] for x in the grid
-        (the last cell is closed): the grid formula of ``__init__`` inverted
-        (uniform in arccos), then one +-1 correction for rounding and for
-        the grid point moved to 0."""
-        g = self.grid
-        last = g.size - 2
-        c = (np.arccos(-x / g[-1]) * ((g.size - 1) / np.pi)).astype(np.intp)
-        np.minimum(c, last, out=c)
-        c -= x < np.take(g, c)
-        c += x >= np.take(g, c + 1)
-        return np.minimum(c, last, out=c)
-
-    def evaluate(self, coef, direct, a, out=None):
-        """Piecewise cubic ``coef`` at every point of ``a``, written to
-        ``out`` (a new array when None); points outside the grid (and NaN)
-        take ``direct``.  The points go in blocks of about
+    def evaluate(self, a, direct, deriv, out=None):
+        """The interpolant (f' when ``deriv``) at every point of ``a``,
+        written to ``out`` (a new array when None); points outside the grid
+        (and NaN) take ``direct``.  The points go in blocks of about
         ``blocks.budget(_TABLE_CHUNK)``: whole rows of the last axis, or
         pieces of a longer row, so a strided 2-D ``a`` or ``out`` (a row
         block of a larger array) is read and written in place.  Each block's
@@ -156,7 +126,8 @@ class Table:
         step = max(1, chunk // width)
         piece = min(width, chunk)
         lo_edge, hi_edge = self.grid[0], self.grid[-1]
-        a3, a2, a1, a0 = coef   # coefficients of s^3, s^2, s, 1
+        last = self.theta.size - 2
+        a3, a2, a1, a0 = self.coef
         for i in range(0, pts.shape[0], step):
             for j in range(0, width, piece):
                 x = pts[i:i + step, j:j + piece]
@@ -166,14 +137,27 @@ class Table:
                 # integer cast of NaN warns); their output comes from
                 # ``direct`` below
                 xi = x if allin else np.where(inside, x, 0.0)
-                c = self.cells(xi)
-                s = xi - np.take(self.grid, c)
-                sp = s * s
-                # scipy's evaluate_poly1 order: a0 + a1 s + a2 s^2 + a3 (s^2 s)
-                o = np.take(a0, c) + np.take(a1, c) * s
-                o += np.take(a2, c) * sp
-                sp *= s
-                o += np.take(a3, c) * sp
+                th = np.arccos(xi)
+                t = th - self.theta[0]
+                t *= self._inv_h
+                c = t.astype(np.intp)
+                np.minimum(c, last, out=c)
+                s = th - np.take(self.theta, c)
+                o = np.take(a3, c)
+                if deriv:
+                    # -(d/ds of the cubic) / sin(theta), as d(rho) = -sin(theta) d(theta)
+                    o *= -1.5 * s
+                    o -= np.take(a2, c)
+                    o *= 2.0 * s
+                    o -= np.take(a1, c)
+                    o /= np.sqrt((1.0 - xi) * (1.0 + xi))
+                else:
+                    o *= s
+                    o += np.take(a2, c)
+                    o *= s
+                    o += np.take(a1, c)
+                    o *= s
+                    o += np.take(a0, c)
                 if not allin:
                     o[~inside] = direct(x[~inside])
                 dst[i:i + step, j:j + piece] = o
@@ -183,10 +167,11 @@ class Table:
 class CovarianceMap:
     """Elementwise transform f on [-1, 1] with derivative f' on (-1, 1).
 
-    ``eval``/``deriv`` accept scalars or arrays.  When a table is attached,
-    queries inside the grid use interpolation and queries outside (including
-    exactly +-1) fall back to the direct evaluator; ``table_f_error`` and
-    ``table_d_error`` then hold the table's measured maximum error.
+    ``eval``/``deriv`` accept scalars or arrays.  When a table is attached
+    (``build_table``), queries inside the grid use its interpolant and
+    queries outside (including exactly +-1) fall back to the direct
+    evaluator; ``table_f_error`` and ``table_d_error`` then hold the table's
+    measured maximum error.
     """
 
     def __init__(self, fn, dfn, label, tail_l2=0.0, truncation=None):
@@ -205,20 +190,18 @@ class CovarianceMap:
         a = np.asarray(rho, dtype=float)
         if np.any(np.abs(a) > 1.0):
             raise ValueError(f"{self.label}: correlation outside [-1, 1]")
-        coef = None if self.table is None else self.table.f_coef
-        return self._apply(self._fn, coef, a, out)
+        return self._apply(self._fn, False, a, out)
 
     def deriv(self, rho, out=None):
         """f' at ``rho``, written to ``out`` as in ``eval``."""
         a = np.asarray(rho, dtype=float)
         if np.any(np.abs(a) >= 1.0):
             raise ValueError(f"{self.label}: derivative requested at |rho| >= 1")
-        coef = None if self.table is None else self.table.d_coef
-        return self._apply(self._dfn, coef, a, out)
+        return self._apply(self._dfn, True, a, out)
 
-    def _apply(self, direct, coef, a, out):
+    def _apply(self, direct, deriv, a, out):
         if self.table is not None:
-            out = self.table.evaluate(coef, direct, a, out)
+            out = self.table.evaluate(a, direct, deriv, out)
         elif out is None:
             out = direct(a)
         else:
@@ -365,21 +348,23 @@ def r_ij(rho, qi, qj):
     return out if out.ndim else float(out)
 
 
+def _density_sum(rho, terms):
+    """sum_t coef_t p_rho(h_t, k_t), the derivative of _rectangle_sum."""
+    a = np.asarray(rho, dtype=float)
+    acc = np.zeros_like(a)
+    for coef, h, k in terms:
+        acc += coef * binormal_density(a, h, k)
+    return acc
+
+
 class _RectangleComboMap(CovarianceMap):
     """Signed combination of r_ij terms sharing one threshold set."""
 
     def __init__(self, quantiles, terms, label):
         self.quantiles = quantiles
         self.terms = terms  # tuple of (coef, qi, qj)
-
-        def dfn(a):
-            a = np.asarray(a, dtype=float)
-            acc = np.zeros_like(a)
-            for coef, qi, qj in terms:
-                acc += coef * binormal_density(a, qi, qj)
-            return acc
-
-        super().__init__(lambda a: _rectangle_sum(a, terms), dfn, label)
+        super().__init__(partial(_rectangle_sum, terms=terms),
+                         partial(_density_sum, terms=terms), label)
 
 
 def _cell_terms(k, l):
@@ -420,14 +405,6 @@ def f_cross(K, k, l):
 def f_arm(K, k):
     """Single-arm covariance map f_k for arm k of K."""
     return f_cross(K, k, k)
-
-
-def f_arm_prime(K, k, rho):
-    """Derivative of f_k; undefined at |rho| >= 1 where it diverges."""
-    a = np.asarray(rho, dtype=float)
-    if np.any(np.abs(a) >= 1.0):
-        raise ValueError("f_k' diverges at the endpoints +-1")
-    return f_arm(K, k).deriv(rho)
 
 
 def weighted_discrete_map(w, K):
@@ -529,26 +506,27 @@ def _gram(rows):
     return g
 
 
-def build_table(cmap: CovarianceMap, grid_size=DEFAULT_TABLE_SIZE,
-                edge_margin=DEFAULT_EDGE_MARGIN):
-    """Attach a Chebyshev-grid tabulation; returns a new map, original untouched.
+def build_table(cmap: CovarianceMap):
+    """Attach a Table (the cubic Hermite interpolant in theta = arccos rho);
+    returns a new map, original untouched.
 
-    The grid covers [-1 + edge_margin, 1 - edge_margin] with Chebyshev
-    spacing (dense near the endpoints where f' blows up); evaluation inside
-    uses monotone cubic (PCHIP) interpolation.  The maximum |table - direct|
-    error over the grid midpoints is stored as ``table_f_error`` (for f) and
-    ``table_d_error`` (for f').  Both scale with the map (with w^2 for
-    weighted_discrete_map) and grow as the grid coarsens, so no fixed bound
-    is asserted here; at the default grid the f error of a unit-weight f_k is
-    about 3e-6, from the outermost cells.
+    The maximum |table - direct| error over the grid midpoints is stored as
+    ``table_f_error`` (for f) and ``table_d_error`` (for f'), and each must
+    be at most _TABLE_RTOL times the largest |f| (|f'|) over the grid
+    nodes, or a ValueError names the map.  The bound is relative, so it
+    holds for any weights of weighted_discrete_map.
     """
-    if grid_size < 64:
-        raise ValueError("table grid must have at least 64 points")
     tabulated = CovarianceMap(cmap._fn, cmap._dfn, cmap.label,
                               tail_l2=cmap.tail_l2, truncation=cmap.truncation)
-    tabulated.table = Table(cmap._fn, cmap._dfn, grid_size, edge_margin)
-    grid = tabulated.table.grid
-    mid = 0.5 * (grid[1:] + grid[:-1])
+    table = tabulated.table = Table(cmap._fn, cmap._dfn)
+    mid = 0.5 * (table.grid[1:] + table.grid[:-1])
     tabulated.table_f_error = float(np.max(np.abs(tabulated.eval(mid) - cmap._fn(mid))))
     tabulated.table_d_error = float(np.max(np.abs(tabulated.deriv(mid) - cmap._dfn(mid))))
+    f_bound = _TABLE_RTOL * float(np.max(np.abs(table.f_values)))
+    d_bound = _TABLE_RTOL * float(np.max(np.abs(table.d_values)))
+    if not (tabulated.table_f_error <= f_bound and tabulated.table_d_error <= d_bound):
+        raise ValueError(
+            f"{cmap.label}: table error f {tabulated.table_f_error:.3g} (bound {f_bound:.3g}),"
+            f" f' {tabulated.table_d_error:.3g} (bound {d_bound:.3g}); the map is not"
+            " smooth enough in arccos(rho) to tabulate")
     return tabulated

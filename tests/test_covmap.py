@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 import gaussdesign.rng as grng
-from gaussdesign.covmap import (apply_map, binormal_density, build_table,
-                                discretize, f_arm, f_arm_prime, f_cross,
+import gaussdesign.covmap as covmap
+from gaussdesign.covmap import (CovarianceMap, apply_map, binormal_density,
+                                build_table, discretize, f_arm, f_cross,
                                 quantile_thresholds, r_ij,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import factor_from_rows, identity_factor
@@ -120,26 +121,26 @@ class TestFArm:
 class TestFArmPrime:
     def test_binary_at_zero(self):
         # bivariate density oracle: p_0(0, 0) = 1/(2 pi)
-        assert f_arm_prime(2, 1, 0.0) == pytest.approx(1.0 / (2 * np.pi), abs=1e-14)
+        assert f_arm(2, 1).deriv(0.0) == pytest.approx(1.0 / (2 * np.pi), abs=1e-14)
 
     def test_three_arm_at_zero(self):
         q1 = ndtri(1.0 / 3.0)
         phi = np.exp(-0.5 * q1**2) / np.sqrt(2 * np.pi)
         assert phi**2 == pytest.approx(0.1322047961439418, abs=1e-12)
-        assert f_arm_prime(3, 1, 0.0) == pytest.approx(phi**2, abs=1e-12)
+        assert f_arm(3, 1).deriv(0.0) == pytest.approx(phi**2, abs=1e-12)
 
     @pytest.mark.parametrize("K,k", [(2, 1), (3, 1), (3, 2), (4, 3)])
     def test_matches_finite_difference(self, K, k):
         h = 1e-6
         m = f_arm(K, k)
         fd = (m.eval(0.3 + h) - m.eval(0.3 - h)) / (2 * h)
-        assert f_arm_prime(K, k, 0.3) == pytest.approx(fd, abs=1e-6)
+        assert f_arm(K, k).deriv(0.3) == pytest.approx(fd, abs=1e-6)
 
     def test_divergence_guard(self):
         with pytest.raises(ValueError):
-            f_arm_prime(3, 1, 1.0)
+            f_arm(3, 1).deriv(1.0)
         with pytest.raises(ValueError):
-            f_arm_prime(3, 1, -1.0)
+            f_arm(3, 1).deriv(-1.0)
 
 
 class TestFCross:
@@ -267,13 +268,8 @@ class TestBuildTable:
         tab = build_table(f_arm(3, 2))
         assert abs(tab.eval(0.0)) < 1e-12
 
-    def test_grid_size_guard(self):
-        with pytest.raises(ValueError):
-            build_table(f_arm(2, 1), grid_size=10)
-
     def test_sixteen_arm_tables_build_without_warning(self):
-        # f_1, f_2, f_15 and f_16 of K = 16 are about 1e-300 near -1, where
-        # the harmonic-mean slope overflows to inf and the slope becomes 0
+        # f_1, f_2, f_15 and f_16 of K = 16 are about 1e-300 near -1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(1, 17):
@@ -298,18 +294,66 @@ class TestTableError:
         mid = 0.5 * (grid[1:] + grid[:-1])
         assert np.max(np.abs(tab.eval(mid) - m.eval(mid))) == tab.table_f_error
 
-    def test_coarse_table_reports_larger_error(self):
-        fine = build_table(f_arm(3, 1))
-        coarse = build_table(f_arm(3, 1), grid_size=500)
-        assert coarse.table_f_error > 10 * fine.table_f_error
-
     def test_error_scales_with_weights(self):
         # f = sum_k w_k^2 f_k: ten times the contrast is 100 times the map
         # and its table error, and tabulating it must still succeed
         unit = build_table(weighted_discrete_map(np.array([1.0, -1.0, 0.0]), 3))
         big = build_table(weighted_discrete_map(np.array([10.0, -10.0, 0.0]), 3))
         assert big.table_f_error == pytest.approx(100 * unit.table_f_error, rel=1e-9)
-        assert big.table_f_error > 1e-5
+
+
+def _bound_points():
+    """8 10^5 uniform points in [-1, 1] and 10^5 each log-spaced toward
+    +-(1 - the edge margin), inside the grid: 10^6 in all."""
+    near = 1.0 - np.logspace(np.log10(covmap.DEFAULT_EDGE_MARGIN), -0.5, 100_000)
+    return np.concatenate([np.random.default_rng(12).uniform(-1.0, 1.0, 800_000),
+                           near, -near])
+
+
+def _assert_table_bound(cmap, x):
+    """f and f' of the table within the asserted bound of the direct
+    evaluator (the exact Genz kernel for the discrete maps) at every x."""
+    tab = build_table(cmap)
+    inner = x[np.abs(x) < 1.0]
+    f_err = np.max(np.abs(tab.eval(x) - cmap.eval(x)))
+    d_err = np.max(np.abs(tab.deriv(inner) - cmap.deriv(inner)))
+    assert f_err <= 1e-5 * np.max(np.abs(tab.table.f_values)), cmap.label
+    assert d_err <= 1e-5 * np.max(np.abs(tab.table.d_values)), cmap.label
+
+
+def _weighted_middle(K, k):
+    w = np.zeros(K)
+    w[[0, k - 1, K - 1]] = 1.0, -2.0, 0.5
+    return weighted_discrete_map(w, K)
+
+
+# maps of K arms around the middle arm k = (K + 1) // 2
+_BOUND_MAPS = {"f_k": f_arm, "f_k,k+1": lambda K, k: f_cross(K, k, k + 1),
+               "weighted": _weighted_middle}
+
+
+class TestTableBound:
+    @pytest.mark.parametrize("kind", sorted(_BOUND_MAPS))
+    @pytest.mark.parametrize("K", [2, 3, 8, 16])
+    def test_bound_against_exact_kernel(self, K, kind):
+        _assert_table_bound(_BOUND_MAPS[kind](K, (K + 1) // 2), _bound_points())
+
+    def test_bound_on_a_hermite_series_map(self):
+        from gaussdesign.hermite import hermite_coeffs, series_cov_map
+
+        cmap = series_cov_map(hermite_coeffs(lambda t: np.tanh(t) + 0.3 * t * t, 20), "series")
+        _assert_table_bound(cmap, _bound_points())
+
+    def test_every_k64_arm_and_neighbour_map_builds(self):
+        for k in range(1, 65):
+            build_table(f_arm(64, k))
+            if k < 64:
+                build_table(f_cross(64, k, k + 1))
+
+    def test_kinked_map_is_rejected(self):
+        # |rho| has a kink at rho = 0; cubics through it miss the bound
+        with pytest.raises(ValueError, match="kink"):
+            build_table(CovarianceMap(np.abs, np.sign, "kink"))
 
 
 def _reference_r(mp, rho, h, k):
@@ -400,25 +444,6 @@ class TestGenzKernel:
         assert peak - out.nbytes < 64 * 2 ** 20
 
 
-def _pchip_reference(tab, values):
-    from scipy.interpolate import PchipInterpolator
-    return PchipInterpolator(tab.table.grid, values, extrapolate=False)
-
-
-def _reference_eval(tab, direct, values, x):
-    """The PPoly path: PchipInterpolator inside the grid, direct outside."""
-    x = np.asarray(x, dtype=float)
-    g = tab.table.grid
-    inside = (x >= g[0]) & (x <= g[-1])
-    out = np.empty_like(x)
-    out[inside] = _pchip_reference(tab, values)(x[inside])
-    out[~inside] = direct(x[~inside])
-    return out
-
-
-# f_16(K=16) falls to ~1e-300 near -1, where the harmonic mean of two secant
-# slopes overflows to inf (slope 0) with a RuntimeWarning, in scipy and in
-# the copy alike.
 _TABLED = {
     "f_1(K=2)": lambda: f_arm(2, 1),
     "f_2(K=3)": lambda: f_arm(3, 2),
@@ -429,75 +454,46 @@ _TABLED = {
 
 
 class TestTableCoefficients:
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("label", sorted(_TABLED))
-    def test_equal_to_scipy_pchip(self, label):
-        tab = build_table(_TABLED[label]())
-        assert np.array_equal(tab.table.f_coef, _pchip_reference(tab, tab.table.f_values).c)
-        assert np.array_equal(tab.table.d_coef, _pchip_reference(tab, tab.table.d_values).c)
-
-    def test_equal_to_scipy_pchip_on_shaped_data(self):
-        # sign changes, flat runs and both end-slope corrections (the
-        # one-sided slope zeroed, and capped at 3 m0)
-        from scipy.interpolate import PchipInterpolator
-        from gaussdesign.covmap import _pchip_coefficients
-
-        gen = np.random.default_rng(9)
-        uneven = np.cumsum(gen.uniform(0.1, 2.0, 40))
-        even = np.arange(40.0)
-        walk = np.round(np.cumsum(gen.standard_normal(40)), 1)
-        for x in (uneven, even):
-            for y in (walk, np.r_[0.0, 1.0, 10.0, walk[3:]], np.r_[0.0, 1.0, -5.0, walk[3:]],
-                      np.r_[walk[:-3], 2.0, 1.0, 1.0], np.r_[walk[:-3], -5.0, 1.0, 0.0]):
-                assert np.array_equal(_pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+    def test_grid_nodes_return_node_values(self, label):
+        # the cubics interpolate the stored values and slopes; a node's
+        # arccos lands on it up to rounding, exactly at the upper edge and 0
+        m = build_table(_TABLED[label]())
+        tab = m.table
+        g = tab.grid
+        f, d = m.eval(g), m.deriv(g)
+        assert np.max(np.abs(f - tab.f_values)) <= 1e-12 * np.max(np.abs(tab.f_values))
+        assert np.max(np.abs(d - tab.d_values)) <= 1e-12 * np.max(np.abs(tab.d_values))
+        assert f[-1] == tab.f_values[-1]
+        assert f[g == 0.0].tolist() == [0.0]
 
     def test_non_finite_values_rejected(self):
-        from gaussdesign.covmap import CovarianceMap
         bad = CovarianceMap(lambda a: np.full_like(a, np.nan), lambda a: np.zeros_like(a), "bad")
         with pytest.raises(ValueError, match="finite"):
             build_table(bad)
 
 
 class TestTableKernel:
-    @pytest.mark.parametrize("grid_size", [64, 65, 100, 777, 2000, 2001])
-    def test_cells_match_search(self, grid_size):
-        tab = build_table(f_arm(3, 1), grid_size=grid_size).table
-        g = tab.grid
-        x = np.concatenate([g, 0.5 * (g[1:] + g[:-1]), np.nextafter(g, 2.0),
-                            np.nextafter(g, -2.0),
-                            np.random.default_rng(grid_size).uniform(g[0], g[-1], 20_000)])
-        x = x[(x >= g[0]) & (x <= g[-1])]
-        expected = np.minimum(np.searchsorted(g, x, side="right") - 1, g.size - 2)
-        assert np.array_equal(tab.cells(x), expected)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-    @pytest.mark.parametrize("label", sorted(_TABLED))
-    def test_grid_points_and_midpoints_equal_ppoly(self, label):
-        m = _TABLED[label]()
-        tab = build_table(m)
-        g = tab.table.grid
-        x = np.concatenate([g, 0.5 * (g[1:] + g[:-1]), [g[-1]]])
-        assert np.array_equal(tab.eval(x), _reference_eval(tab, m._fn, tab.table.f_values, x))
-        assert np.array_equal(tab.deriv(x), _reference_eval(tab, m._dfn, tab.table.d_values, x))
-
-    def test_random_points_equal_ppoly_across_chunks(self):
-        m = weighted_discrete_map(np.array([1.0, 2.0, 0.5, -1.0]), 4)
-        tab = build_table(m)
+    def test_random_points_equal_across_chunks(self, monkeypatch):
+        tab = build_table(weighted_discrete_map(np.array([1.0, 2.0, 0.5, -1.0]), 4))
         x = np.random.default_rng(11).uniform(-1.0, 1.0, 3 * 2 ** 15 + 17)
         x[::1000] = 1.0
         x[1::1000] = -1.0
-        x = np.clip(x, -1.0, 1.0)
-        assert np.array_equal(tab.eval(x), _reference_eval(tab, m._fn, tab.table.f_values, x))
         inner = x[np.abs(x) < 1.0]
-        assert np.array_equal(tab.deriv(inner),
-                              _reference_eval(tab, m._dfn, tab.table.d_values, inner))
+        f, d = tab.eval(x), tab.deriv(inner)
+        monkeypatch.setattr(covmap, "_TABLE_CHUNK", 7)
+        assert np.array_equal(tab.eval(x), f)
+        assert np.array_equal(tab.deriv(inner), d)
+        assert np.array_equal(f[:300], [tab.eval(xi) for xi in x[:300]])
 
     def test_last_grid_point_uses_last_cell(self):
+        # grid[0] = cos(theta_end) is clipped into the last cell in theta
         m = f_arm(3, 3)
         tab = build_table(m)
         g = tab.table.grid
-        assert tab.table.cells(np.array([g[-1]]))[0] == g.size - 2
-        assert tab.eval(g[-1]) == float(_pchip_reference(tab, tab.table.f_values)(g[-1]))
+        assert tab.eval(g[0]) == pytest.approx(tab.table.f_values[0], rel=1e-12)
+        assert tab.deriv(g[0]) == pytest.approx(tab.table.d_values[0], rel=1e-12)
+        assert tab.eval(g[-1]) == tab.table.f_values[-1]
 
     def test_outside_grid_takes_direct_evaluator(self):
         m = f_cross(3, 1, 2)
