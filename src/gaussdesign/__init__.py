@@ -24,8 +24,7 @@ from .optimizer import (Backtracking, DesignProblem, FixedStep,
                         gradient_operator, objective, pgd_gauss, pgd_step)
 from .simbench import (BenchmarkReport, CompleteRandomization, GaussianDesign,
                        Rerandomization, Scenario, gen_continuous,
-                       gen_factorial, gen_three_arm, load_scenario,
-                       mc_coverage, mc_estimates, mc_mse, run_scenario,
-                       save_scenario)
+                       gen_factorial, gen_three_arm, mc_coverage,
+                       mc_estimates, mc_mse, run_scenario)
 
 __version__ = "0.1.0"

@@ -103,8 +103,6 @@ def cmd_optimize(args):
             print("warning: covariate rows far from unit norm; "
                   "pass --normalize-rows to enforce the unit-norm convention",
                   file=sys.stderr)
-    if args.norm not in ("nuc", "op"):
-        raise UsageError(f"--norm must be one of nuc, op (got {args.norm!r})")
     if args.arms is not None:
         K = args.arms
         w = np.full(K, 1.0 / K) if args.contrast is None else \
@@ -250,24 +248,21 @@ def cmd_ci(args):
         tau = ht_arm(records, spec.k, spec.K)
         interval = normal_ci(tau, report.point, records.n, args.alpha)
         point = tau
-    elif args.method == "randomization":
-        if spec.kind == "continuous":
-            model = ContinuousModelSpec(
-                regressors=_model_regressors(args.model or "1,x,t"),
-                weight=spec.weight)
-            interval = randomization_ci_continuous(
-                records, factor, model, args.replicates, args.alpha, args.seed)
-            point = ht_continuous(records, spec.weight)
-        else:
-            w = spec.arm_weights
-            try:
-                interval = randomization_ci_discrete(
-                    records, factor, spec.K, w, args.replicates, args.alpha, args.seed)
-            except ValueError as exc:
-                raise ComputeError(str(exc)) from exc
-            point = ht_contrast(records, w, spec.K)
+    elif spec.kind == "continuous":
+        model = ContinuousModelSpec(
+            regressors=_model_regressors(args.model or "1,x,t"),
+            weight=spec.weight)
+        interval = randomization_ci_continuous(
+            records, factor, model, args.replicates, args.alpha, args.seed)
+        point = ht_continuous(records, spec.weight)
     else:
-        raise UsageError(f"--method must be normal or randomization (got {args.method!r})")
+        w = spec.arm_weights
+        try:
+            interval = randomization_ci_discrete(
+                records, factor, spec.K, w, args.replicates, args.alpha, args.seed)
+        except ValueError as exc:
+            raise ComputeError(str(exc)) from exc
+        point = ht_contrast(records, w, spec.K)
     header = "method,estimand,point,lower,upper,alpha,B,well_defined"
     row = (f"{interval.method},{spec.label},{_fmt(point)},{_fmt(interval.lower)},"
            f"{_fmt(interval.upper)},{interval.alpha},"
@@ -339,7 +334,7 @@ def build_parser():
     p.add_argument("--weight", help="continuous weight spec, e.g. first_derivative:0,1")
     p.add_argument("--y0-slope", type=float, default=0.0)
     p.add_argument("--y0-intercept", type=float, default=1.0)
-    p.add_argument("--norm", default="nuc")
+    p.add_argument("--norm", choices=("nuc", "op"), default="nuc")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--step-size", type=float, help="fixed step (default: backtracking)")
     p.add_argument("--normalize-rows", action="store_true")
@@ -367,7 +362,7 @@ def build_parser():
     p = sub.add_parser("ci", help="design-based confidence intervals")
     p.add_argument("--records", required=True)
     p.add_argument("--factor", required=True)
-    p.add_argument("--method", default="normal")
+    p.add_argument("--method", choices=("normal", "randomization"), default="normal")
     p.add_argument("--estimand", required=True)
     p.add_argument("--arms", type=int)
     p.add_argument("--weight")

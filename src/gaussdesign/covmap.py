@@ -77,11 +77,12 @@ class Table:
     slope -f'(rho) sin(theta) at its two nodes; it gives f, and its
     derivative over -sin(theta) gives f'.  ``grid`` holds the nodes as
     ascending rho, its ends the table's edges, and ``f_values``/``d_values``
-    f and f' there.  The middle node is exactly rho = 0 (theta = pi/2), so
-    f(0) = 0 stays exact.
+    f and f' there, which must be finite (a ValueError names the map
+    ``label`` otherwise).  The middle node is exactly rho = 0
+    (theta = pi/2), so f(0) = 0 stays exact.
     """
 
-    def __init__(self, fn, dfn):
+    def __init__(self, fn, dfn, label):
         edge = 1.0 - DEFAULT_EDGE_MARGIN
         theta = np.linspace(np.arccos(edge), np.arccos(-edge), DEFAULT_TABLE_SIZE)
         rho = np.cos(theta)
@@ -92,7 +93,7 @@ class Table:
         self.f_values = fn(self.grid)
         self.d_values = dfn(self.grid)
         if not (np.all(np.isfinite(self.f_values)) and np.all(np.isfinite(self.d_values))):
-            raise ValueError("table values must be finite")
+            raise ValueError(f"{label}: table values must be finite")
         y = self.f_values[::-1]
         slope = -self.d_values[::-1] * np.sqrt((1.0 - rho) * (1.0 + rho))
         h = np.diff(theta)
@@ -360,8 +361,7 @@ def _density_sum(rho, terms):
 class _RectangleComboMap(CovarianceMap):
     """Signed combination of r_ij terms sharing one threshold set."""
 
-    def __init__(self, quantiles, terms, label):
-        self.quantiles = quantiles
+    def __init__(self, terms, label):
         self.terms = terms  # tuple of (coef, qi, qj)
         super().__init__(partial(_rectangle_sum, terms=terms),
                          partial(_density_sum, terms=terms), label)
@@ -399,7 +399,7 @@ def f_cross(K, k, l):
     if not (1 <= k <= K and 1 <= l <= K):
         raise ValueError(f"arm index out of range for K = {K}")
     label = f"f_{k}" if k == l else f"f_{k},{l}"
-    return _RectangleComboMap(q, _combine(q, _cell_terms(k, l)), f"{label}(K={K})")
+    return _RectangleComboMap(_combine(q, _cell_terms(k, l)), f"{label}(K={K})")
 
 
 def f_arm(K, k):
@@ -417,7 +417,7 @@ def weighted_discrete_map(w, K):
     q = quantile_thresholds(K)
     terms = _combine(q, [(w[k - 1] ** 2 * coef, i, j)
                          for k in range(1, K + 1) for coef, i, j in _cell_terms(k, k)])
-    return _RectangleComboMap(q, terms, f"sum_k w_k^2 f_k(K={K})")
+    return _RectangleComboMap(terms, f"sum_k w_k^2 f_k(K={K})")
 
 
 def apply_map(cmap: CovarianceMap, factor):
@@ -510,15 +510,16 @@ def build_table(cmap: CovarianceMap):
     """Attach a Table (the cubic Hermite interpolant in theta = arccos rho);
     returns a new map, original untouched.
 
-    The maximum |table - direct| error over the grid midpoints is stored as
-    ``table_f_error`` (for f) and ``table_d_error`` (for f'), and each must
-    be at most _TABLE_RTOL times the largest |f| (|f'|) over the grid
-    nodes, or a ValueError names the map.  The bound is relative, so it
+    f and f' must be finite at every grid node, or a ValueError names the
+    map.  The maximum |table - direct| error over the grid midpoints is
+    stored as ``table_f_error`` (for f) and ``table_d_error`` (for f'), and
+    each must be at most _TABLE_RTOL times the largest |f| (|f'|) over the
+    grid nodes, or a ValueError names the map.  The bound is relative, so it
     holds for any weights of weighted_discrete_map.
     """
     tabulated = CovarianceMap(cmap._fn, cmap._dfn, cmap.label,
                               tail_l2=cmap.tail_l2, truncation=cmap.truncation)
-    table = tabulated.table = Table(cmap._fn, cmap._dfn)
+    table = tabulated.table = Table(cmap._fn, cmap._dfn, cmap.label)
     mid = 0.5 * (table.grid[1:] + table.grid[:-1])
     tabulated.table_f_error = float(np.max(np.abs(tabulated.eval(mid) - cmap._fn(mid))))
     tabulated.table_d_error = float(np.max(np.abs(tabulated.deriv(mid) - cmap._dfn(mid))))

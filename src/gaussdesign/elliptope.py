@@ -169,10 +169,3 @@ def save_factor(path, factor: CorrelationFactor):
 def load_factor(path) -> CorrelationFactor:
     return CorrelationFactor(load_matrix(path))
 
-
-def save_draws(path, draws: GaussianDraws):
-    save_matrix(path, draws.draws)
-
-
-def load_draws(path):
-    return load_matrix(path)

@@ -37,7 +37,6 @@ class WeightFn:
     l: float = None
     mu: float = None
     sigma: float = None
-    fn: object = None
 
     @classmethod
     def interval(cls, r, l):
@@ -57,10 +56,6 @@ class WeightFn:
             raise ValueError("sigma must be positive")
         return cls(tag="second_derivative", mu=float(mu), sigma=float(sigma))
 
-    @classmethod
-    def custom(cls, fn):
-        return cls(tag="custom", fn=fn)
-
     def __call__(self, t):
         return weight_eval(self, t)
 
@@ -77,8 +72,6 @@ def weight_eval(weight: WeightFn, t):
         return (t - weight.mu) / weight.sigma ** 2
     if weight.tag == "second_derivative":
         return ((t - weight.mu) ** 2 / weight.sigma ** 2 - 1.0) / weight.sigma ** 2
-    if weight.tag == "custom":
-        return np.asarray(weight.fn(t), dtype=float)
     raise ValueError(f"unknown weight tag {weight.tag!r}")
 
 
@@ -265,7 +258,19 @@ def ht_continuous(records: ExperimentRecords, weight: WeightFn):
         if bad.size:
             raise FloatingPointError(
                 f"interval weight underflows phi(T) at unit {int(bad[0]) + 1}")
-    return float(np.mean(records.Y * weight_eval(weight, records.T)))
+    return float(_ht_weight(records.T, records.Y, weight))
+
+
+def _ht_arm_weights(arms, Y, w, K):
+    """(K/n) sum_i w_{D_i} Y_i over the last axis of arms D and outcomes Y
+    (shape (..., n)): sum_k w_k tau_hat_k of every row at once."""
+    return K / arms.shape[-1] * np.sum(w[arms - 1] * Y, axis=-1)
+
+
+def _ht_weight(T, Y, weight):
+    """(1/n) sum_i Y_i w(T_i) over the last axis of treatments T and
+    outcomes Y (shape (..., n))."""
+    return np.mean(Y * weight_eval(weight, T), axis=-1)
 
 
 def rescale_treatment(t, a, b):

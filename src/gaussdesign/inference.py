@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from .covmap import (_eval_symmetric, _gram, apply_map, discretize, f_arm, f_cross,
                      quantile_thresholds)
 from .elliptope import CorrelationFactor, sample
-from .estimators import ExperimentRecords, WeightFn, weight_eval
+from .estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
 
 _JOINT_GUARD = 1e-8
 _MIN_REPLICATES = 100
@@ -251,7 +251,7 @@ def randomization_ci_discrete(records: ExperimentRecords, factor: CorrelationFac
     arms_b = discretize(draws, quantile_thresholds(K))
     imputed = fitted[np.arange(n)[None, :], arms_b - 1]
     Yb = np.where(arms_b == arms_obs[None, :], records.Y[None, :], imputed)
-    estimates = K / n * np.sum(w[arms_b - 1] * Yb, axis=1)
+    estimates = _ht_arm_weights(arms_b, Yb, w, K)
     return _empirical_interval(estimates, alpha, B)
 
 
@@ -296,5 +296,5 @@ def randomization_ci_continuous(records: ExperimentRecords, factor: CorrelationF
         fitted = (basis @ coef).reshape(reps, n)
         tb = draws[lo:lo + chunk]
         yb = np.where(tb == records.T[None, :], records.Y[None, :], fitted)
-        estimates[lo:lo + reps] = np.mean(yb * weight_eval(model_spec.weight, tb), axis=1)
+        estimates[lo:lo + reps] = _ht_weight(tb, yb, model_spec.weight)
     return _empirical_interval(estimates, alpha, B)

@@ -80,7 +80,6 @@ class DesignProblem:
     maps: tuple
     weights: np.ndarray
     norm: str
-    row_normalized: bool = False
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -94,10 +93,6 @@ class DesignProblem:
         w = np.asarray(self.weights, dtype=float)
         if len(maps) != w.size:
             raise ValueError("one weight per covariance map required")
-        if self.row_normalized:
-            norms = np.linalg.norm(X, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-10):
-                raise ValueError("row_normalized set but rows of X are not unit norm")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "weights", w)
@@ -111,8 +106,7 @@ class DesignProblem:
         return self.X.shape[1]
 
 
-def design_problem(X, cmap=None, norm="nuc", maps=None, weights=None,
-                   row_normalized=False):
+def design_problem(X, cmap=None, norm="nuc", maps=None, weights=None):
     """Convenience constructor for single-map or weighted multi-map problems."""
     if cmap is not None:
         maps, weights = (cmap,), np.ones(1)
@@ -121,7 +115,7 @@ def design_problem(X, cmap=None, norm="nuc", maps=None, weights=None,
     elif weights is None:
         weights = np.ones(len(maps))
     return DesignProblem(X=X, maps=tuple(maps), weights=np.asarray(weights, float),
-                         norm=norm, row_normalized=row_normalized)
+                         norm=norm)
 
 
 def discrete_problem(X, w, norm="nuc"):
@@ -357,7 +351,7 @@ def _eta0(problem, A):
 def _tabulated(problem: DesignProblem):
     maps = tuple(m if m.table is not None else build_table(m) for m in problem.maps)
     return DesignProblem(X=problem.X, maps=maps, weights=problem.weights,
-                         norm=problem.norm, row_normalized=problem.row_normalized)
+                         norm=problem.norm)
 
 
 def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
@@ -372,15 +366,26 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     Each factor's gram is formed once: the objective of every map and, for
     the accepted factor, the next gradient's f' read it.  G V is formed once
     per iteration and every trial step is rows - eta * G V.
+
+    The start is evaluated once, on the tabulated maps, and that value is
+    ``trace.initial_objective``.  A map that is non-finite at the table's
+    nodes fails in ``build_table`` with ValueError.  A start whose tabulated
+    objective is non-finite (say, of a map that is NaN at rho = +-1, where
+    the gram's diagonal goes to the direct evaluator) raises
+    OptimizationError carrying the trace.  A map that is non-finite only
+    between the points the table samples is not rejected at the start; a
+    non-finite trial objective raises OptimizationError at its iteration.
     """
     if iters < 0:
         raise ValueError("iteration count must be nonnegative")
     _check_size(problem, init)
-    g = _gram(init.rows)
-    if not np.isfinite(_objective(problem, _terms(problem, g))):
-        raise OptimizationError("objective non-finite at the initial design",
-                                OptimizerTrace(initial_objective=np.nan))
     work = _tabulated(problem)
+    g = _gram(init.rows)
+    terms = _terms(work, g)
+    obj = _objective(work, terms)
+    trace = OptimizerTrace(initial_objective=obj)
+    if not np.isfinite(obj):
+        raise OptimizationError("objective non-finite at the initial design", trace)
     A = _offdiag_gram(problem.X) if problem.norm == "nuc" or step_policy is None else None
     if step_policy is None:
         step_policy = Backtracking(eta0=_eta0(work, A))
@@ -393,9 +398,6 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         def gradient(g, terms):
             return _grad_op(work, g, terms)[0]
     factor = init
-    terms = _terms(work, g)
-    obj = _objective(work, terms)
-    trace = OptimizerTrace(initial_objective=obj)
     eta_prev = None
     for t in range(1, int(iters) + 1):
         grad = gradient(g, terms)

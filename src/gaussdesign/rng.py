@@ -96,11 +96,6 @@ def normals(seed, streams, n):
     return z[:, :n]
 
 
-def permutations(seed, streams, n):
-    """Row b holds an independent uniform permutation of range(n)."""
-    return np.argsort(uniforms(seed, streams, n), axis=1)
-
-
 def derive_seed(seed, *tags):
     """Fold integer tags into a seed, giving independent named substreams."""
     s = int(seed) & 0xFFFFFFFFFFFFFFFF

@@ -39,7 +39,7 @@ three check ``n`` before anything is drawn.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -48,7 +48,7 @@ from . import rng
 from .covmap import apply_map, discretize, f_arm, quantile_thresholds
 from .elliptope import CorrelationFactor, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
-                         true_estimand, weight_eval)
+                         _ht_arm_weights, _ht_weight, true_estimand)
 from .inference import randomization_ci_discrete
 from .optimizer import discrete_problem, pgd_gauss
 
@@ -73,7 +73,6 @@ class Scenario:
     response_slope: np.ndarray = None           # s_i, continuous case
     response_power: int = None                  # Y_i(t) = c_i + s_i t^power
     estimands: tuple = ()
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self):
@@ -123,8 +122,7 @@ def gen_three_arm(variant, seed) -> Scenario:
     estimands = (EstimandSpec.contrast(np.full(K, 1.0 / K), K, label="equal_weight"),)
     estimands += tuple(EstimandSpec.arm(k, K) for k in range(1, K + 1))
     return Scenario(name=f"three_arm_{variant}", seed=int(seed), X=X, K=K,
-                    potential_outcomes=Y, estimands=estimands,
-                    params={"variant": variant})
+                    potential_outcomes=Y, estimands=estimands)
 
 
 def gen_factorial(seed) -> Scenario:
@@ -185,8 +183,7 @@ def gen_continuous(kind, n, seed, b=1.0) -> Scenario:
     return Scenario(name=f"continuous_{kind}", seed=int(seed),
                     X=np.column_stack([Xc, U]),
                     response_intercept=intercept, response_slope=slope,
-                    response_power=power, estimands=estimands,
-                    params={"kind": kind, "b": float(b)})
+                    response_power=power, estimands=estimands)
 
 
 def _cr_batch(n, K, seed, streams):
@@ -372,19 +369,6 @@ def _mse(est, truth):
     return float(np.mean((est - truth) ** 2))
 
 
-def _estimates_discrete(scenario, arms_matrix, estimand):
-    """Vectorized HT estimates from a (B, n) arm matrix."""
-    K = scenario.K
-    Y = scenario.observed_outcomes(arms_matrix)
-    w = estimand.arm_weights
-    return K / scenario.n * np.sum(w[arms_matrix - 1] * Y, axis=1)
-
-
-def _estimates_continuous(scenario, t_matrix, estimand):
-    Y = scenario.response_at(t_matrix)
-    return np.mean(Y * weight_eval(estimand.weight, t_matrix), axis=1)
-
-
 def mc_estimates(scenario, design, estimand, B, seed):
     """Estimates tau_hat over B replicates (counter substreams 0..B-1).
 
@@ -400,9 +384,10 @@ def mc_estimates(scenario, design, estimand, B, seed):
         arms, latent = design.draw(seed, np.arange(lo, hi), scenario.K)
         for row, spec in zip(out, specs):
             if spec.kind == "continuous":
-                row[lo:hi] = _estimates_continuous(scenario, latent, spec)
+                row[lo:hi] = _ht_weight(latent, scenario.response_at(latent), spec.weight)
             else:
-                row[lo:hi] = _estimates_discrete(scenario, arms, spec)
+                row[lo:hi] = _ht_arm_weights(arms, scenario.observed_outcomes(arms),
+                                             spec.arm_weights, scenario.K)
     return out if isinstance(estimand, tuple) else out[0]
 
 
@@ -516,47 +501,6 @@ _GENERATORS = {
     "three_arm_uniform": lambda seed: gen_three_arm("uniform", seed),
     "factorial": gen_factorial,
 }
-
-
-def save_scenario(prefix, scenario: Scenario):
-    """Dump a scenario as CSV data plus a key = value sidecar.
-
-    ``{prefix}_covariates.csv`` holds X, ``{prefix}_outcomes.csv`` the
-    potential-outcome table (discrete scenarios), and ``{prefix}.meta`` the
-    generator name, seed, and parameters needed to regenerate it.
-    """
-    np.savetxt(f"{prefix}_covariates.csv", scenario.X, delimiter=",", fmt="%.17g")
-    if scenario.potential_outcomes is not None:
-        np.savetxt(f"{prefix}_outcomes.csv", scenario.potential_outcomes,
-                   delimiter=",", fmt="%.17g")
-    with open(f"{prefix}.meta", "w") as fh:
-        fh.write(f"name = {scenario.name}\nseed = {scenario.seed}\n")
-        for key, value in scenario.params.items():
-            fh.write(f"{key} = {value}\n")
-
-
-def load_scenario(prefix) -> Scenario:
-    """Regenerate a dumped scenario from its sidecar (bit-identical)."""
-    meta = {}
-    with open(f"{prefix}.meta") as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = line.split("=", 1)
-                meta[key.strip()] = value.strip()
-    name, seed = meta["name"], int(meta["seed"])
-    if name.startswith("three_arm_"):
-        scenario = gen_three_arm(meta["variant"], seed)
-    elif name == "factorial":
-        scenario = gen_factorial(seed)
-    elif name.startswith("continuous_"):
-        n = np.loadtxt(f"{prefix}_covariates.csv", delimiter=",", ndmin=2).shape[0]
-        scenario = gen_continuous(meta["kind"], n, seed, b=float(meta.get("b", 1.0)))
-    else:
-        raise ValueError(f"unknown scenario name {name!r} in sidecar")
-    dumped = np.loadtxt(f"{prefix}_covariates.csv", delimiter=",", ndmin=2)
-    if dumped.shape != scenario.X.shape or not np.array_equal(dumped, scenario.X):
-        raise ValueError("dumped covariates do not match the regenerated scenario")
-    return scenario
 
 
 def _build_designs(names, scenario, seed, iters, norm):

@@ -3,9 +3,8 @@ import pytest
 
 from gaussdesign.elliptope import (CorrelationFactor, block_factor,
                                    factor_from_rows, identity_factor,
-                                   load_draws, load_factor, load_matrix,
-                                   sample, save_draws, save_factor,
-                                   save_matrix, validate)
+                                   load_factor, load_matrix, sample,
+                                   save_factor, save_matrix, validate)
 
 
 class TestIdentityFactor:
@@ -142,8 +141,3 @@ def test_csv_round_trips(tmp_path):
     mpath = tmp_path / "sigma.csv"
     save_matrix(mpath, fac.to_matrix())
     assert np.array_equal(load_matrix(mpath), fac.to_matrix())
-
-    draws = sample(fac, 5, 7)
-    dpath = tmp_path / "draws.csv"
-    save_draws(dpath, draws)
-    assert np.array_equal(load_draws(dpath), draws.draws)

@@ -1,9 +1,13 @@
-"""Static checks on the source tree: no unused imports.
+"""Static checks on the source tree: no unused imports, and no public name
+without a caller or a stated reason.
 
 An import is unused when the module never loads the bound name (a bare
 ``Name`` or the base of an attribute chain) and does not list it in
 ``__all__``.  Package ``__init__.py`` files are skipped: their imports are
-the public re-exports.  Only the standard library's ``ast`` is used.
+the public re-exports.  A public top-level function or class of the package
+is called when the package or the benchmark loads its name, as a bare
+``Name`` or an attribute; tests do not count.  Only the standard library's
+``ast`` is used.
 """
 
 import ast
@@ -12,8 +16,39 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([p for p in (ROOT / "src" / "gaussdesign").glob("*.py")
-                if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "gaussdesign").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+FILES = sorted(MODULES + list((ROOT / "tests").glob("*.py")))
+CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+# Public names that nothing in the package or the benchmark calls, each kept
+# on purpose.  The README lists the same names and reasons.
+KEPT = {
+    "r_ij": "the single-indicator covariance that every map combines; the "
+            "tests' closed-form oracle for the quadrature kernel",
+    "factor_from_rows": "builds a design from any user matrix by normalizing "
+                        "its rows; the tests' way to make random factors",
+    "block_factor": "the block-equicorrelation designs of the acceptance suite "
+                    "(matched pairs)",
+    "validate": "checks that a user's Sigma lies on the elliptope; the tests' "
+                "PSD oracle",
+    "records_to_csv": "writes the record files that estimate and ci read",
+    "mehler_series": "the Hermite-series covariance of two transforms, the "
+                     "reference for continuous_cov_maps",
+    "normalized_hermite": "the normalized Hermite polynomials behind the "
+                          "continuous maps, for user-side checks",
+    "true_variance": "acceptance suite: the exact design variance of an arm "
+                     "estimator",
+    "cap_rank": "the planned rank-k start of Burer-Monteiro PGD",
+    "default_eta0": "the documented default first step of backtracking; the "
+                    "tests' check of the formula",
+    "gradient_nuclear": "acceptance suite: the nuclear-norm gradient",
+    "gradient_operator": "acceptance suite: the operator-norm gradient",
+    "pgd_step": "acceptance suite: one PGD step (I - eta G) V, renormalized",
+    "mc_mse": "acceptance suite: Monte Carlo MSE of a design",
+    "gen_continuous": "acceptance suite: the continuous-treatment scenarios, "
+                      "which simulate does not register yet",
+}
 
 
 def unused_imports(source):
@@ -54,3 +89,40 @@ def test_checker_flags_an_unused_import():
 def test_checker_counts_attribute_bases_and_exports():
     source = "import os.path\nfrom x import y\n__all__ = ['y']\nos.path.join('a')\n"
     assert unused_imports(source) == []
+
+
+def uncalled_names(modules, callers):
+    """Public top-level def/class names of the ``modules`` sources that no
+    ``callers`` source loads, as a bare ``Name`` or an attribute."""
+    defined = set()
+    for source in modules:
+        defined.update(node.name for node in ast.parse(source).body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef))
+                       and not node.name.startswith("_"))
+    loaded = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return defined - loaded
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    uncalled = uncalled_names([p.read_text() for p in MODULES],
+                              [p.read_text() for p in CALLERS])
+    assert not uncalled - KEPT.keys(), (
+        "public names with no caller in the package or the benchmark; call, "
+        f"delete or keep each in KEPT with a reason: {sorted(uncalled - KEPT.keys())}")
+    assert not KEPT.keys() - uncalled, (
+        f"KEPT names that now have a caller or are gone: {sorted(KEPT.keys() - uncalled)}")
+
+
+def test_checker_flags_an_uncalled_public_name():
+    module = ("def used():\n    pass\n\n\ndef unused():\n    pass\n\n\n"
+              "def _private():\n    pass\n\n\nclass Thing:\n    def method(self):\n"
+              "        pass\n\n\nclass Assigned:\n    pass\n")
+    caller = "import m\nm.used()\nThing().method()\nm.Assigned = None\n"
+    assert uncalled_names([module], [caller]) == {"unused", "Assigned"}

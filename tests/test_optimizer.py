@@ -241,14 +241,51 @@ class TestPgdGauss:
         _, trace = pgd_gauss(prob, identity_factor(3), 10)
         assert trace.rows == []
 
-    def test_nonfinite_objective_raises_with_trace(self):
+    def test_nonfinite_map_fails_in_build_table(self):
         bad = CovarianceMap(lambda a: np.full_like(a, np.nan),
                             lambda a: np.zeros_like(a), "bad")
         prob = DesignProblem(X=np.ones((2, 1)), maps=(bad,), weights=np.ones(1),
                              norm="nuc")
-        with pytest.raises(OptimizationError) as info:
+        with pytest.raises(ValueError, match="^bad: table values must be finite"):
+            pgd_gauss(prob, identity_factor(2), 1, FixedStep(0.1))
+
+    def test_nonfinite_start_objective_raises_with_trace(self):
+        # finite at every table node, NaN at rho = +-1: the identity start's
+        # diagonal goes to the direct evaluator
+        base = f_arm(2, 1)
+        ends = CovarianceMap(lambda a: np.where(np.abs(a) == 1.0, np.nan, base._fn(a)),
+                             base._dfn, "nan at +-1")
+        prob = DesignProblem(X=np.ones((2, 1)), maps=(ends,), weights=np.ones(1),
+                             norm="nuc")
+        with pytest.raises(OptimizationError, match="initial design") as info:
             pgd_gauss(prob, identity_factor(2), 1, FixedStep(0.1))
         assert info.value.trace is not None
+        assert np.isnan(info.value.trace.initial_objective)
+
+    @pytest.mark.parametrize("norm", ["nuc", "op"])
+    def test_untabulated_map_sees_only_table_points_and_the_diagonal(self, norm):
+        # From a non-identity start the map's own evaluator gets build_table's
+        # nodes and midpoints once each; every other point it gets lies
+        # outside the table's grid (the gram's unit diagonal), so no gram is
+        # evaluated on the exact path.
+        base = f_arm(3, 2)
+        seen = []
+
+        def fn(a):
+            seen.append(np.array(a, dtype=float).ravel())
+            return base._fn(a)
+
+        counted = CovarianceMap(fn, base._dfn, "counted")
+        prob, fac = _random_problem(21, norm=norm, n=40)
+        prob = DesignProblem(X=prob.X, maps=(counted,), weights=np.ones(1), norm=norm)
+        _, trace = pgd_gauss(prob, fac, 2)
+        assert trace.rows
+        grid = build_table(base).table.grid
+        table_points = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])])
+        pts = np.concatenate(seen)
+        inside = (pts >= grid[0]) & (pts <= grid[-1])
+        assert np.array_equal(np.sort(pts[inside]), np.sort(table_points))
+        assert np.all(pts[~inside] == 1.0)
 
     def test_trace_csv(self, tmp_path):
         prob, _ = _random_problem(10)

@@ -503,20 +503,6 @@ def test_scenario_responses_shape():
     assert sc.response_at(t).shape == (4, 12)
 
 
-def test_scenario_dump_load_round_trip(tmp_path):
-    from gaussdesign.simbench import load_scenario, save_scenario
-    for sc in (gen_three_arm("single_feature", 3), gen_factorial(4),
-               gen_continuous("cubic_monotone", 18, 5, b=0.5)):
-        prefix = str(tmp_path / sc.name)
-        save_scenario(prefix, sc)
-        back = load_scenario(prefix)
-        assert np.array_equal(back.X, sc.X)
-        if sc.potential_outcomes is not None:
-            assert np.array_equal(back.potential_outcomes, sc.potential_outcomes)
-        else:
-            assert np.array_equal(back.response_slope, sc.response_slope)
-
-
 def test_benchmark_row_invariants():
     from gaussdesign.simbench import BenchmarkRow
     with pytest.raises(ValueError):
