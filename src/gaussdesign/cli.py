@@ -3,7 +3,8 @@
 Subcommands: optimize, sample, estimate, ci, simulate, covmap-table.
 All file I/O is CSV; ``simulate`` also reads a line-oriented ``key = value``
 config ('#' starts a comment, unknown keys are rejected).  Exit codes:
-0 success, 2 usage/input error, 3 computation error.
+0 success, 2 usage/input error, 3 computation error (running out of memory
+included).
 """
 
 from __future__ import annotations
@@ -122,10 +123,11 @@ def cmd_optimize(args):
                                 weights=np.ones(2), norm=args.norm)
     else:
         raise UsageError("specify --arms K or --continuous")
-    init = identity_factor(X.shape[0])
     policy = FixedStep(args.step_size) if args.step_size is not None else None
     try:
-        factor, trace = pgd_gauss(problem, init, args.iters, policy)
+        # the identity start is not named here, so it is freed once PGD
+        # steps off it
+        factor, trace = pgd_gauss(problem, identity_factor(X.shape[0]), args.iters, policy)
     except OptimizationError as exc:
         raise ComputeError(f"optimization failed: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
@@ -411,6 +413,9 @@ def main(argv=None):
         return EXIT_USAGE
     except (ComputeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_COMPUTE
 
 

@@ -21,17 +21,28 @@ clamped to [-1, 1], unit diagonal) is formed once, and the objective of
 every map reads it; the accepted trial hands its gram and term matrices
 X^T f_j X on to the next gradient, so f' and (for the operator norm) the
 leading eigenvectors cost no second product.  G V is formed once per
-iteration and each trial step eta is rows - eta * G V.  A = X X^T is formed
-once per run.  The identity start (every caller's) has gram I and G V = G,
-so it needs no product at all.
+iteration and each trial step eta is rows - eta * G V.  The identity start
+(every caller's) has gram I and G V = G, so it needs no product at all.
+
+Memory: at full rank every array below is n x n.  A trial keeps its step
+size, gram and term matrices and drops its rows once the gram is formed;
+the accepted trial's rows are stepped again from (V, G V, eta) by the same
+kernel, so they are the same bytes, at one O(n^2) step more per iteration.
+A = X X^T is never held whole: the nuclear gradient forms each block's tile
+from X (_offdiag_tile), and so does the default first step.  An iteration
+thus holds at most five n x n arrays (V, G V, two trial grams and one map of
+a gram), and the caller's start one more while the caller holds it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram,
-A and the outer products b b^T are exactly symmetric, so f_j(gram) and the
-gradient are too: maps are evaluated on the upper triangle in row blocks and
-mirrored (covmap._map_symmetric).  Per block, the gradient runs the clip,
-f_j' and the product with A in the order of the full evaluation, so it
-needs no n x n temporary besides its output.  Every value equals the full
-elementwise evaluation bit for bit.
+A and the outer products b b^T are symmetric, so f_j(gram) and the gradient
+are too: maps are evaluated on the upper triangle in row blocks and mirrored
+(covmap._map_symmetric).  Per block, the gradient runs the clip, f_j' and
+the product with A in the order of the full evaluation, so it needs no
+n x n temporary besides its output, and every value equals the full
+elementwise evaluation with that A bit for bit.  A's tiles are products on a
+fixed grid (_offdiag_tile); where the BLAS rounds the whole product X X^T
+differently from its tiles (some n > 128, d >= 2), A, and so the design,
+can differ from one formed from the whole product in the last bits.
 
 The elementwise layer runs on every CPU the process may use (see blocks):
 the row blocks of the maps and gradients, and of the row-normalized step
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +68,7 @@ _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
 _ZERO_ROW = 1e-14
 _GRAD_TOL = 1e-10
 _ACCEPT_SLACK = 1e-12
+_A_COLS = 4 * blocks.ROW_BLOCK   # columns per product of A = X X^T (_offdiag_tile)
 
 
 class OptimizationError(RuntimeError):
@@ -171,28 +184,45 @@ def _deriv_offdiag(cmap, g, b):
     return d
 
 
-def _offdiag_gram(X):
-    """X X^T with the diagonal zeroed: A of the nuclear-norm gradient.
-    Formed on C-contiguous X, so it is exactly symmetric (see _gram)."""
-    X = np.ascontiguousarray(X)
-    A = X @ X.T
-    np.fill_diagonal(A, 0.0)
+def _offdiag_tile(X, b):
+    """The block b (see _map_symmetric) of A = X X^T, its entries on the
+    square's diagonal zeroed, for C-contiguous X.
+
+    A is formed in products X[rows] X[c:c + _A_COLS]^T on a fixed grid of
+    columns that starts at the block's diagonal, c = rows.start + k _A_COLS,
+    and each is cut to b's columns.  So A's bits do not depend on how a
+    block is cut into pieces (the worker count), and memory in flight is one
+    product per worker.
+    """
+    rows, cols = b
+    A = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+    first = rows.start + (cols.start - rows.start) // _A_COLS * _A_COLS
+    for c in range(first, cols.stop, _A_COLS):
+        lo, hi = max(c, cols.start), min(c + _A_COLS, cols.stop)
+        A[:, lo - cols.start:hi - cols.start] = (X[rows] @ X[c:c + _A_COLS].T)[:, lo - c:hi - c]
+    _zero_diagonal(A, b)
     return A
 
 
-def _grad_nuc(problem, g, A):
+def _grad_nuc(problem, g):
     """sum_j w_j^2 A o f_j'(g) at the gram g, with A = X X^T (zero diagonal).
 
-    Evaluated once per unordered pair (see _map_symmetric): per block, the
-    clip, f_j' and the product (w_j^2 A) f_j' run in the order of the full
-    evaluation, with two block-sized temporaries only.
+    Evaluated once per unordered pair (see _map_symmetric): per block, A's
+    tile is formed from X (see _offdiag_tile), and the clip, f_j' and the
+    product (w_j^2 A) f_j' run in the order of the full evaluation, with two
+    block-sized temporaries besides the tile: no n x n array is formed
+    besides the output.
     """
+    X = np.ascontiguousarray(problem.X)
     grad = np.zeros_like(g)
+    last = len(problem.maps) - 1
 
     def block(b):
         gb = grad[b]
-        for w, cmap in zip(problem.weights, problem.maps):
-            t = np.multiply(A[b], w * w)
+        A = _offdiag_tile(X, b)
+        for j, (w, cmap) in enumerate(zip(problem.weights, problem.maps)):
+            # the last map scales A in place: no later map reads it
+            t = np.multiply(A, w * w, out=A if j == last else None)
             t *= _deriv_offdiag(cmap, g, b)
             gb += t
 
@@ -228,7 +258,7 @@ def _grad_op(problem, g, terms):
 
 def gradient_nuclear(problem: DesignProblem, factor: CorrelationFactor):
     """(X X^T - diag) o f'(V V^T); diagonal entries exactly zero."""
-    return _grad_nuc(problem, _gram(factor.rows), _offdiag_gram(problem.X))
+    return _grad_nuc(problem, _gram(factor.rows))
 
 
 @dataclass(frozen=True)
@@ -244,10 +274,11 @@ def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
     return OperatorGradient(matrix=grad, is_subgradient=tie)
 
 
-def _step(rows, GV, eta):
-    """Row-normalized rows - eta * GV, with GV = G V and eta >= 0; a row that
-    collapses keeps its previous value, with a warning.  Each row block is
-    stepped, measured and divided in one task (see blocks)."""
+def _step_rows(rows, GV, eta):
+    """(factor, collapsed): the row-normalized rows - eta * GV, with GV = G V
+    and eta >= 0, and the list of rows that collapsed, which keep their
+    previous value.  Each row block is stepped, measured and divided in one
+    task (see blocks)."""
     if eta < 0:
         raise ValueError("step size must be nonnegative")
     new = np.empty(rows.shape)
@@ -265,11 +296,17 @@ def _step(rows, GV, eta):
         return (dead + lo).tolist()
 
     dead = sum(blocks.over_rows(new.shape[0], block), [])
+    return CorrelationFactor(new), dead
+
+
+def _step(rows, GV, eta):
+    """_step_rows's factor, with a warning, issued in the calling thread,
+    when a row collapsed."""
+    factor, dead = _step_rows(rows, GV, eta)
     if dead:
-        # warned here, in the calling thread, not in a worker
         warnings.warn(f"pgd_step: rows {dead} collapsed; "
                       "keeping previous values", RuntimeWarning)
-    return CorrelationFactor(new)
+    return factor
 
 
 def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
@@ -335,17 +372,21 @@ def cap_rank(factor: CorrelationFactor, k) -> CorrelationFactor:
 
 
 def default_eta0(problem: DesignProblem):
-    """0.1 / (1 + max offdiag |X X^T| * max |f'| over the table grid)."""
-    return _eta0(problem, _offdiag_gram(problem.X))
+    """0.1 / (1 + max offdiag |X X^T| * max |f'| over the table grid).
 
-
-def _eta0(problem, A):
-    """default_eta0 from A = X X^T with a zero diagonal (_offdiag_gram)."""
+    X X^T is symmetric: its largest |entry| is taken over the row blocks of
+    its upper triangle, one tile (see _offdiag_tile) at a time."""
+    X = np.ascontiguousarray(problem.X)
+    n = X.shape[0]
+    amax = 0.0   # the zeroed diagonal
+    for lo in range(0, n, blocks.ROW_BLOCK):
+        A = _offdiag_tile(X, (slice(lo, min(lo + blocks.ROW_BLOCK, n)), slice(lo, n)))
+        amax = max(amax, float(A.max()), -float(A.min()))
     dmax = 0.0
     for w, cmap in zip(problem.weights, problem.maps):
         tab = cmap if cmap.table is not None else build_table(cmap)
         dmax += w * w * float(np.max(np.abs(tab.table.d_values)))
-    return 0.1 / (1.0 + float(max(A.max(), -A.min())) * dmax)
+    return 0.1 / (1.0 + amax * dmax)
 
 
 def _tabulated(problem: DesignProblem):
@@ -365,7 +406,13 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
 
     Each factor's gram is formed once: the objective of every map and, for
     the accepted factor, the next gradient's f' read it.  G V is formed once
-    per iteration and every trial step is rows - eta * G V.
+    per iteration and every trial step is rows - eta * G V.  A trial keeps
+    its step size, gram and term matrices only; its rows are dropped once
+    its gram is formed, and the accepted trial's rows are stepped again from
+    (V, G V, eta), the same bytes.  So at full rank an iteration holds at
+    most five n x n arrays: V, G V, two trial grams and one map of a gram.
+    ``init`` is not held past the first accepted step; a caller that does
+    not hold it either frees it there.
 
     The start is evaluated once, on the tabulated maps, and that value is
     ``trace.initial_objective``.  A map that is non-finite at the table's
@@ -386,18 +433,16 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     trace = OptimizerTrace(initial_objective=obj)
     if not np.isfinite(obj):
         raise OptimizationError("objective non-finite at the initial design", trace)
-    A = _offdiag_gram(problem.X) if problem.norm == "nuc" or step_policy is None else None
     if step_policy is None:
-        step_policy = Backtracking(eta0=_eta0(work, A))
+        step_policy = Backtracking(eta0=default_eta0(work))
     if problem.norm == "nuc":
         def gradient(g, terms):
-            return _grad_nuc(work, g, A)
+            return _grad_nuc(work, g)
     else:
-        A = None   # the step size was its only use
-
         def gradient(g, terms):
             return _grad_op(work, g, terms)[0]
     factor = init
+    del init   # so a start the caller does not hold is freed after iteration 1
     eta_prev = None
     for t in range(1, int(iters) + 1):
         grad = gradient(g, terms)
@@ -408,36 +453,45 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         # G V; the identity factor's is G itself
         GV = grad if _is_identity(factor.rows) else grad @ factor.rows
         del grad
-
-        def try_eta(eta):
-            cand = _step(factor.rows, GV, eta)
-            cand_g = _gram(cand.rows)
-            cand_terms = _terms(work, cand_g)
-            cand_obj = _objective(work, cand_terms)
-            if not np.isfinite(cand_obj):
-                raise OptimizationError(f"objective non-finite at iteration {t}", trace)
-            return (cand, cand_g, cand_terms), cand_obj
-
+        try_eta = partial(_trial, work, factor.rows, GV, t, trace)
         if isinstance(step_policy, FixedStep):
-            (factor, g, terms), obj = try_eta(step_policy.eta)
-            trace.rows.append(TraceRow(t, obj, step_policy.eta, gnorm, 0))
-            continue
-        base = step_policy.eta0 if eta_prev is None else eta_prev
-        cand, obj, eta_prev, halvings = _backtrack(step_policy, base, obj, try_eta)
-        trace.rows.append(TraceRow(t, obj, eta_prev, gnorm, halvings))
+            eta, halvings = step_policy.eta, 0
+            cand, obj = try_eta(eta)
+        else:
+            base = step_policy.eta0 if eta_prev is None else eta_prev
+            cand, obj, eta, halvings = _backtrack(step_policy, base, obj, try_eta)
+            eta_prev = eta
+        trace.rows.append(TraceRow(t, obj, eta, gnorm, halvings))
         if cand is None:
             # No descent step within the halving budget: the gradient is
             # stale at this point, so further iterations cannot help.
             break
-        factor, g, terms = cand
-        del cand  # the gram is freed once the next gradient is formed
+        g, terms = cand
+        del cand
+        # the accepted trial's rows, stepped again; the trial warned of any
+        # collapsed row
+        factor = _step_rows(factor.rows, GV, eta)[0]
+        del GV, try_eta
     return factor, trace
+
+
+def _trial(work, rows, GV, t, trace, eta):
+    """((gram, terms), objective) of the step eta from rows (see _step); the
+    stepped rows are dropped once their gram is formed."""
+    g = _gram(_step(rows, GV, eta).rows)
+    terms = _terms(work, g)
+    obj = _objective(work, terms)
+    if not np.isfinite(obj):
+        raise OptimizationError(f"objective non-finite at iteration {t}", trace)
+    return (g, terms), obj
 
 
 def _backtrack(policy, base, obj, try_eta):
     """Line search from step ``base``; returns (candidate, objective, eta,
-    halvings), with candidate None, the objective unchanged and eta 0 when no
-    step within the halving budget is acceptable."""
+    halvings), the candidate being what ``try_eta`` gave for that eta, or
+    None, with the objective unchanged and eta 0, when no step within the
+    halving budget is acceptable.  A rejected candidate is dropped before
+    the next trial."""
     # Probe the grown step against the held step and keep the better
     # acceptable one; pure growth with non-increase acceptance drifts the
     # step into a zone of vanishing progress near the f' barrier.
@@ -455,5 +509,6 @@ def _backtrack(policy, base, obj, try_eta):
         cand, cand_obj = try_eta(eta)
         if cand_obj <= obj + _ACCEPT_SLACK:
             return cand, cand_obj, eta, halvings
+        del cand
         eta *= policy.shrink
     return None, obj, 0.0, halvings

@@ -114,6 +114,18 @@ class TestOptimizeCommand:
         assert code == 3
         assert "overflow in step" in capsys.readouterr().err
 
+    def test_out_of_memory_is_compute_error(self, covariates, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array with shape "
+                              "(40000, 40000) and data type float64")
+
+        monkeypatch.setattr("gaussdesign.cli.pgd_gauss", fail)
+        code = main(["optimize", "--covariates", str(covariates), "--arms", "3"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate 11.9 GiB" in err
+        assert "Traceback" not in err
+
     def test_continuous_objective(self, covariates, tmp_path):
         out = tmp_path / "cont"
         code = main(["optimize", "--covariates", str(covariates), "--continuous",

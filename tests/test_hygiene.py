@@ -40,8 +40,6 @@ KEPT = {
     "true_variance": "acceptance suite: the exact design variance of an arm "
                      "estimator",
     "cap_rank": "the planned rank-k start of Burer-Monteiro PGD",
-    "default_eta0": "the documented default first step of backtracking; the "
-                    "tests' check of the formula",
     "gradient_nuclear": "acceptance suite: the nuclear-norm gradient",
     "gradient_operator": "acceptance suite: the operator-norm gradient",
     "pgd_step": "acceptance suite: one PGD step (I - eta G) V, renormalized",

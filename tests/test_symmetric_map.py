@@ -5,6 +5,7 @@ bit (apply_map, the optimizer's term matrices and both gradients)."""
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from gaussdesign.covmap import (_ROW_BLOCK, _eval_symmetric, _gram, _map_symmetr
                                 apply_map, build_table, f_arm, f_cross,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
-from gaussdesign.optimizer import (DesignProblem, FixedStep, _grad_nuc, _grad_op,
-                                   _offdiag_gram, _step, _terms, gradient_nuclear,
+from gaussdesign.optimizer import (_A_COLS, DesignProblem, FixedStep, _grad_nuc, _grad_op,
+                                   _step, _terms, default_eta0, gradient_nuclear,
                                    gradient_operator, pgd_gauss)
 
 B = _ROW_BLOCK
@@ -207,7 +208,7 @@ def test_terms_and_gradients_equal_full_evaluation(n, exact):
     for problem in (nuc, op):
         for got, want in zip(_terms(problem, g), _full_terms(problem, g)):
             assert _same(got, want)
-    grad = _grad_nuc(nuc, g, _offdiag_gram(nuc.X))
+    grad = _grad_nuc(nuc, g)
     assert _same(grad, _full_grad_nuc(nuc, g))
     assert _same(gradient_nuclear(nuc, CorrelationFactor(rows)), grad)
     grad, _ = _grad_op(op, g, _terms(op, g))
@@ -222,7 +223,7 @@ def test_gradients_propagate_nan_as_full_evaluation():
     g[5, B + 3] = g[B + 3, 5] = np.nan
     want = _full_grad_nuc(nuc, g)
     assert np.isnan(want[5, B + 3])
-    assert _same(_grad_nuc(nuc, g, _offdiag_gram(nuc.X)), want)
+    assert _same(_grad_nuc(nuc, g), want)
     terms = _full_terms(op, _gram(_rows(n)))
     got, _ = _grad_op(op, g, terms)
     want = np.zeros_like(g)
@@ -240,12 +241,11 @@ def test_nuclear_gradient_allocates_no_second_square_array():
     problem = DesignProblem(X=X, maps=(build_table(weighted_discrete_map(np.full(3, 1 / 3), 3)),),
                             weights=np.ones(1), norm="nuc")
     g = _gram(factor_from_rows(np.random.default_rng(4).standard_normal((n, 30))).rows)
-    A = _offdiag_gram(X)
     square = n * n * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grad = _grad_nuc(problem, g, A)
+        grad = _grad_nuc(problem, g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -273,6 +273,49 @@ def _workers(count):
         yield
     finally:
         blocks._cpu_count = saved
+
+
+def _grid_gram(X):
+    """A = X X^T with a zero diagonal, each row block of its upper triangle
+    formed in the products X[rows] X[c:c + _A_COLS]^T from the block's
+    diagonal on (the grid of _offdiag_tile), and mirrored."""
+    n = X.shape[0]
+    A = np.zeros((n, n))
+    for lo in range(0, n, B):
+        for c in range(lo, n, _A_COLS):
+            A[lo:lo + B, c:c + _A_COLS] = X[lo:lo + B] @ X[c:c + _A_COLS].T
+    A = np.triu(A) + np.triu(A, 1).T
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((1, B - 1, B, B + 1, 2 * B + 3)), d=st.sampled_from((1, 2, 5, 20)),
+       order=st.sampled_from("CF"), workers=st.sampled_from((1, 4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_nuclear_gradient_and_first_step_equal_the_dense_gram_formulas(n, d, order, workers,
+                                                                      seed):
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    maps, weights = (MAPS["table f_2"], MAPS["table cross"]), np.array([0.7, -1.3])
+    # DesignProblem needs n >= 2; the kernels read X, maps and weights only
+    problem = SimpleNamespace(X=np.asfortranarray(X) if order == "F" else X, maps=maps,
+                              weights=weights)
+    g = _gram(_rows(n, seed % 1000))
+    A = _grid_gram(X)
+    if n <= B:   # one product, the whole X X^T
+        whole = X @ X.T
+        np.fill_diagonal(whole, 0.0)
+        assert _same(A, whole)
+    want = np.zeros_like(g)
+    for w, cmap in zip(weights, maps):
+        want += (w * w) * A * _full_deriv(cmap, g)
+    dmax = sum(w * w * float(np.max(np.abs(m.table.d_values))) for w, m in zip(weights, maps))
+    with _workers(workers):
+        grad = _grad_nuc(problem, g)
+        eta0 = default_eta0(problem)
+    assert _same(grad, want)
+    assert np.array_equal(grad, grad.T)
+    assert eta0.hex() == (0.1 / (1.0 + float(np.max(np.abs(A))) * dmax)).hex()
 
 
 def _reference_step(rows, GV, eta):
@@ -306,7 +349,7 @@ def _kernel_outputs(n, seed):
     g = _gram(rows)
     for problem in (nuc, op):
         out += [M.tobytes() for M in _terms(problem, g)]
-    out.append(_grad_nuc(nuc, g, _offdiag_gram(nuc.X)).tobytes())
+    out.append(_grad_nuc(nuc, g).tobytes())
     out.append(_grad_op(op, g, _terms(op, g))[0].tobytes())
     for problem in (nuc, op):
         for init in (identity_factor(n), CorrelationFactor(rows)):
