@@ -12,8 +12,8 @@ from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                          ht_arm, ht_contrast, ht_continuous,
                          rescale_treatment, true_estimand, weight_eval)
 from .hermite import (ContinuousCovMaps, HermiteExpansion, ThresholdIndicator,
-                      continuous_cov_maps, hermite_coeffs, hermite_poly,
-                      mehler_series, normalized_hermite)
+                      continuous_cov_maps, hermite_coeffs, mehler_series,
+                      normalized_hermite)
 from .inference import (ContinuousModelSpec, IntervalReport, VarianceReport,
                         aronow_samii_bound, normal_ci, ols_fit,
                         randomization_ci_continuous, randomization_ci_discrete,

@@ -13,8 +13,8 @@ f_{Y0,w} for the scaled response Y0 * w.
 
 Coefficients are computed by Gauss-Hermite quadrature mapped to the
 standard-normal weight, except for threshold indicators, which use the
-closed form a_m = -phi(q) He_{m-1}(q) / sqrt(m!) (quadrature converges
-poorly on discontinuities).
+closed form a_m = -phi(q) He_{m-1}(q) / sqrt(m!) = -phi(q) h_{m-1}(q) / sqrt(m)
+(quadrature converges poorly on discontinuities).
 """
 
 from __future__ import annotations
@@ -39,17 +39,6 @@ def _check_degree(m):
     if m > MAX_DEGREE:
         raise ValueError(f"Hermite degree {m} above stability ceiling {MAX_DEGREE}")
     return m
-
-
-def hermite_poly(m, x):
-    """He_m(x) via the recurrence He_{m+1} = x He_m - m He_{m-1}."""
-    m = _check_degree(m)
-    if m == 0:
-        return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-    prev, cur = np.ones_like(np.asarray(x, dtype=float)), np.asarray(x, dtype=float)
-    for j in range(1, m):
-        prev, cur = cur, x * cur - j * prev
-    return cur if np.ndim(x) else float(cur)
 
 
 def normalized_hermite(m, x):
@@ -117,10 +106,9 @@ def hermite_coeffs(g, M, nodes=DEFAULT_NODES):
         phi_q = np.exp(-0.5 * q * q) / np.sqrt(2.0 * np.pi)
         coeffs = np.empty(M + 1)
         coeffs[0] = ndtr(q)
-        fact = 1.0
-        for m in range(1, M + 1):
-            fact *= m
-            coeffs[m] = -phi_q * hermite_poly(m - 1, q) / np.sqrt(fact)
+        # normalized, so no m! that overflows past m = 170
+        h = _normalized_table(M, np.array([q]))[:M, 0]   # h_0..h_{M-1}
+        coeffs[1:] = -phi_q * h / np.sqrt(np.arange(1, M + 1))
         return HermiteExpansion(coeffs, M, float(np.sum(coeffs ** 2)))
 
     if nodes < 2 * (M + 1):

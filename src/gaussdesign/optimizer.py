@@ -1,20 +1,23 @@
 """Projected gradient descent on the correlation elliptope (PGD-Gauss).
 
-Minimizes sum_k w_k^2 ||X^T f_k(Sigma) X||_norm over Sigma = V V^T with
+Minimizes sum_j w_j^2 ||X^T f_j(Sigma) X||_norm over Sigma = V V^T with
 unit-norm rows of V.  One iteration is
 
     V <- row_normalize( (I - eta * G) V ),
-    G  = (A - diag(A)) o f'(V V^T),
+    G  = sum_j w_j^2 (B_j B_j^T - diag) o f_j'(V V^T),
 
-where A = X X^T for the nuclear norm and A = X u1 u1^T X^T (u1 the leading
-eigenvector of X^T f(Sigma) X) for the operator norm.  Diagonal gradient
-entries are fixed at zero: the diagonal of Sigma never moves, and f' blows
-up at +-1, so the 0 * f'(+-1) = 0 convention applies.
+where B_j = X for the nuclear norm and B_j = X u_j (u_j the leading
+eigenvector of X^T f_j(Sigma) X) for the operator norm; one kernel
+(_gradient) serves both.  Diagonal gradient entries are fixed at zero: the
+diagonal of Sigma never moves, and f' blows up at +-1, so the
+0 * f'(+-1) = 0 convention applies.
 
-The default step policy is backtracking line search that accepts the first
-step not increasing the objective (within 1e-12); accepted steps warm-start
-the next trial step at twice the last accepted size, since the conservative
-base step alone makes progress impractically slow on scaled covariates.
+A step policy picks eta: its ``search(last, obj, try_eta)`` runs the trials
+of one iteration and returns (candidate, objective, eta, halvings).
+FixedStep tries its one step.  Backtracking, the default, is a line search
+that accepts the first step not increasing the objective (within 1e-12); it
+starts at twice the last accepted step, since the conservative base step
+alone makes progress impractically slow on scaled covariates.
 
 The O(n^3) work of an iteration is done once.  Each factor's gram (V V^T
 clamped to [-1, 1], unit diagonal) is formed once, and the objective of
@@ -27,22 +30,26 @@ iteration and each trial step eta is rows - eta * G V.  The identity start
 Memory: at full rank every array below is n x n.  A trial keeps its step
 size, gram and term matrices and drops its rows once the gram is formed;
 the accepted trial's rows are stepped again from (V, G V, eta) by the same
-kernel, so they are the same bytes, at one O(n^2) step more per iteration.
-A = X X^T is never held whole: the nuclear gradient forms each block's tile
-from X (_offdiag_tile), and so does the default first step.  An iteration
-thus holds at most five n x n arrays (V, G V, two trial grams and one map of
-a gram), and the caller's start one more while the caller holds it.
+kernel, so they are the same bytes, at one O(n^2) step more per iteration;
+the trial checked them (CorrelationFactor), so they are not checked again.
+B_j B_j^T is never held whole: the gradient forms each block's tile from
+B_j (_offdiag_tile), and the default first step does so from X.  An
+iteration thus holds at most five n x n arrays (V, G V, two trial grams and
+one map of a gram), and the caller's start one more while the caller holds
+it.
 
-The O(n^2) elementwise work is done once per unordered pair.  The gram,
-A and the outer products b b^T are symmetric, so f_j(gram) and the gradient
-are too: maps are evaluated on the upper triangle in row blocks and mirrored
+The O(n^2) elementwise work is done once per unordered pair.  The gram and
+B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
+evaluated on the upper triangle in row blocks and mirrored
 (covmap._map_symmetric).  Per block, the gradient runs the clip, f_j' and
-the product with A in the order of the full evaluation, so it needs no
-n x n temporary besides its output, and every value equals the full
-elementwise evaluation with that A bit for bit.  A's tiles are products on a
-fixed grid (_offdiag_tile); where the BLAS rounds the whole product X X^T
-differently from its tiles (some n > 128, d >= 2), A, and so the design,
-can differ from one formed from the whole product in the last bits.
+the product with B_j B_j^T in the order of the full evaluation, so it needs
+no n x n temporary besides its output, and every value equals the full
+elementwise evaluation with those tiles bit for bit.  The tiles are products
+on a fixed grid (_offdiag_tile); a one-column B_j gives the outer product
+b_j b_j^T exactly, but where the BLAS rounds the whole product X X^T
+differently from its tiles (some n > 128, d >= 2), the nuclear gradient, and
+so the design, can differ from one formed from the whole product in the
+last bits.
 
 The elementwise layer runs on every CPU the process may use (see blocks):
 the row blocks of the maps and gradients, and of the row-normalized step
@@ -68,6 +75,8 @@ _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
 _ZERO_ROW = 1e-14
 _GRAD_TOL = 1e-10
 _ACCEPT_SLACK = 1e-12
+_GROW = 2.0     # Backtracking's first trial, relative to the last accepted step
+_SHRINK = 0.5   # Backtracking's halving factor
 _A_COLS = 4 * blocks.ROW_BLOCK   # columns per product of A = X X^T (_offdiag_tile)
 
 
@@ -119,16 +128,9 @@ class DesignProblem:
         return self.X.shape[1]
 
 
-def design_problem(X, cmap=None, norm="nuc", maps=None, weights=None):
-    """Convenience constructor for single-map or weighted multi-map problems."""
-    if cmap is not None:
-        maps, weights = (cmap,), np.ones(1)
-    elif maps is None:
-        raise ValueError("provide a single map or a list of maps")
-    elif weights is None:
-        weights = np.ones(len(maps))
-    return DesignProblem(X=X, maps=tuple(maps), weights=np.asarray(weights, float),
-                         norm=norm)
+def design_problem(X, cmap, norm="nuc"):
+    """The problem of the one map ``cmap`` at unit weight."""
+    return DesignProblem(X=X, maps=(cmap,), weights=np.ones(1), norm=norm)
 
 
 def discrete_problem(X, w, norm="nuc"):
@@ -175,18 +177,10 @@ def objective(problem: DesignProblem, factor: CorrelationFactor):
     return _objective(problem, _terms(problem, _gram(factor.rows)))
 
 
-def _deriv_offdiag(cmap, g, b):
-    """f'(g[b]) with inputs clipped just inside (-1, 1) and the gram's
-    diagonal zeroed, for a block b of _map_symmetric."""
-    d = np.clip(g[b], -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
-    cmap.deriv(d, out=d)
-    _zero_diagonal(d, b)
-    return d
-
-
 def _offdiag_tile(X, b):
     """The block b (see _map_symmetric) of A = X X^T, its entries on the
-    square's diagonal zeroed, for C-contiguous X.
+    square's diagonal zeroed, for C-contiguous X: the covariates, or one
+    column b_j[:, None], whose products are the outer product's exactly.
 
     A is formed in products X[rows] X[c:c + _A_COLS]^T on a fixed grid of
     columns that starts at the block's diagonal, c = rows.start + k _A_COLS,
@@ -204,36 +198,9 @@ def _offdiag_tile(X, b):
     return A
 
 
-def _grad_nuc(problem, g):
-    """sum_j w_j^2 A o f_j'(g) at the gram g, with A = X X^T (zero diagonal).
-
-    Evaluated once per unordered pair (see _map_symmetric): per block, A's
-    tile is formed from X (see _offdiag_tile), and the clip, f_j' and the
-    product (w_j^2 A) f_j' run in the order of the full evaluation, with two
-    block-sized temporaries besides the tile: no n x n array is formed
-    besides the output.
-    """
-    X = np.ascontiguousarray(problem.X)
-    grad = np.zeros_like(g)
-    last = len(problem.maps) - 1
-
-    def block(b):
-        gb = grad[b]
-        A = _offdiag_tile(X, b)
-        for j, (w, cmap) in enumerate(zip(problem.weights, problem.maps)):
-            # the last map scales A in place: no later map reads it
-            t = np.multiply(A, w * w, out=A if j == last else None)
-            t *= _deriv_offdiag(cmap, g, b)
-            gb += t
-
-    return _map_symmetric(block, grad)
-
-
-def _grad_op(problem, g, terms):
-    """sum_j w_j^2 A_j o f_j'(g) at the gram g, A_j = b b^T (zero diagonal)
-    with b = X u1 and u1 the leading eigenvector of the term matrix M_j;
-    returns (gradient, tie), tie flagging an eigenvalue tie.  Evaluated
-    once per unordered pair, as _grad_nuc, each block of A_j formed from b."""
+def _leading(problem, terms):
+    """(X u_j for each term matrix M_j, u_j its leading eigenvector; tie),
+    tie flagging an eigenvalue tie of some M_j."""
     tie = False
     leading = []
     for M in terms:
@@ -241,24 +208,45 @@ def _grad_op(problem, g, terms):
         if lam.size >= 2 and lam[-1] - lam[-2] < 1e-10:
             tie = True
         leading.append(problem.X @ U[:, -1])
+    return leading, tie
+
+
+def _gradient(problem, g, leading=None):
+    """sum_j w_j^2 (B_j B_j^T - diag) o f_j'(g) at the gram g.
+
+    B_j = X for the nuclear norm (``leading`` None), and B_j = b_j[:, None]
+    with b_j = leading[j] (see _leading) for the operator norm.  Evaluated
+    once per unordered pair (see _map_symmetric): per block, each tile of
+    B_j B_j^T is formed from B_j (see _offdiag_tile), one tile shared by all
+    maps when B_j = X, and the clip, f_j' and the product (w_j^2 tile) f_j'
+    run in the order of the full evaluation, with block-sized temporaries
+    only: no n x n array is formed besides the output.
+    """
+    X = np.ascontiguousarray(problem.X)
     grad = np.zeros_like(g)
+    last = len(problem.maps) - 1
 
-    def block(blk):
-        rows, cols = blk
-        gb = grad[blk]
-        for w, cmap, b in zip(problem.weights, problem.maps, leading):
-            Aj = np.outer(b[rows], b[cols])
-            _zero_diagonal(Aj, blk)
-            Aj *= w * w
-            Aj *= _deriv_offdiag(cmap, g, blk)
-            gb += Aj
+    def block(b):
+        gb = grad[b]
+        shared = _offdiag_tile(X, b) if leading is None else None
+        for j, (w, cmap) in enumerate(zip(problem.weights, problem.maps)):
+            if shared is None:
+                t = _offdiag_tile(leading[j][:, None], b)
+                t *= w * w
+            else:   # the last map scales the shared tile in place: no later map reads it
+                t = np.multiply(shared, w * w, out=shared if j == last else None)
+            d = np.clip(g[b], -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
+            cmap.deriv(d, out=d)
+            _zero_diagonal(d, b)
+            t *= d
+            gb += t
 
-    return _map_symmetric(block, grad), tie
+    return _map_symmetric(block, grad)
 
 
 def gradient_nuclear(problem: DesignProblem, factor: CorrelationFactor):
     """(X X^T - diag) o f'(V V^T); diagonal entries exactly zero."""
-    return _grad_nuc(problem, _gram(factor.rows))
+    return _gradient(problem, _gram(factor.rows))
 
 
 @dataclass(frozen=True)
@@ -270,12 +258,13 @@ class OperatorGradient:
 def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
     """Per-map leading-eigenvector gradients, weighted; flags eigenvalue ties."""
     g = _gram(factor.rows)
-    grad, tie = _grad_op(problem, g, _terms(problem, g))
+    leading, tie = _leading(problem, _terms(problem, g))
+    grad = _gradient(problem, g, leading)
     return OperatorGradient(matrix=grad, is_subgradient=tie)
 
 
 def _step_rows(rows, GV, eta):
-    """(factor, collapsed): the row-normalized rows - eta * GV, with GV = G V
+    """(rows, collapsed): the row-normalized rows - eta * GV, with GV = G V
     and eta >= 0, and the list of rows that collapsed, which keep their
     previous value.  Each row block is stepped, measured and divided in one
     task (see blocks)."""
@@ -296,13 +285,14 @@ def _step_rows(rows, GV, eta):
         return (dead + lo).tolist()
 
     dead = sum(blocks.over_rows(new.shape[0], block), [])
-    return CorrelationFactor(new), dead
+    return new, dead
 
 
 def _step(rows, GV, eta):
-    """_step_rows's factor, with a warning, issued in the calling thread,
-    when a row collapsed."""
-    factor, dead = _step_rows(rows, GV, eta)
+    """_step_rows's rows as a (checked) factor, with a warning, issued in the
+    calling thread, when a row collapsed."""
+    new, dead = _step_rows(rows, GV, eta)
+    factor = CorrelationFactor(new)
     if dead:
         warnings.warn(f"pgd_step: rows {dead} collapsed; "
                       "keeping previous values", RuntimeWarning)
@@ -316,15 +306,51 @@ def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
 
 @dataclass(frozen=True)
 class FixedStep:
+    """Every iteration takes the step ``eta``."""
+
     eta: float
+
+    def search(self, last, obj, try_eta):
+        """(candidate, objective, eta, 0) of the one trial of step eta."""
+        cand, cand_obj = try_eta(self.eta)
+        return cand, cand_obj, self.eta, 0
 
 
 @dataclass(frozen=True)
 class Backtracking:
+    """Line search from the last accepted step (``eta0`` at first)."""
+
     eta0: float
-    shrink: float = 0.5
     max_halvings: int = 30
-    grow: float = 2.0
+
+    def search(self, last, obj, try_eta):
+        """Line search from step ``last`` (``eta0`` when None) at the
+        objective ``obj``; returns (candidate, objective, eta, halvings), the
+        candidate being what ``try_eta`` gave for that eta, or None, with the
+        objective unchanged and eta 0, when no step within the halving budget
+        is acceptable.  A rejected candidate is dropped before the next
+        trial."""
+        base = self.eta0 if last is None else last
+        # Probe the grown step against the held step and keep the better
+        # acceptable one; pure growth with non-increase acceptance drifts the
+        # step into a zone of vanishing progress near the f' barrier.
+        grown, grown_obj = try_eta(base * _GROW)
+        held, held_obj = try_eta(base)
+        if grown_obj <= min(held_obj, obj + _ACCEPT_SLACK):
+            return grown, grown_obj, base * _GROW, 0
+        if held_obj <= obj + _ACCEPT_SLACK:
+            return held, held_obj, base, 0
+        del grown, held
+        halvings = 0
+        eta = base * _SHRINK
+        while halvings < self.max_halvings:
+            halvings += 1
+            cand, cand_obj = try_eta(eta)
+            if cand_obj <= obj + _ACCEPT_SLACK:
+                return cand, cand_obj, eta, halvings
+            del cand
+            eta *= _SHRINK
+        return None, obj, 0.0, halvings
 
 
 @dataclass(frozen=True)
@@ -400,17 +426,23 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     """Run PGD-Gauss for ``iters`` iterations; returns (factor, trace).
 
     Maps are tabulated on entry (the objective touches all n^2 entries every
-    iteration).  With the backtracking policy the objective trace is
-    non-increasing; iteration stops early once the gradient norm falls below
-    1e-10 or no acceptable step exists.
+    iteration).  Each iteration forms G = sum_j w_j^2 (B_j B_j^T - diag) o
+    f_j'(V V^T) (see _gradient) and hands the trial ``try_eta`` to
+    ``step_policy.search`` (default Backtracking from default_eta0), which
+    returns the accepted candidate, its objective, eta and the halvings.
+    With the backtracking policy the objective trace is non-increasing;
+    iteration stops early once the gradient norm falls below 1e-10 or no
+    acceptable step exists.
 
     Each factor's gram is formed once: the objective of every map and, for
     the accepted factor, the next gradient's f' read it.  G V is formed once
     per iteration and every trial step is rows - eta * G V.  A trial keeps
     its step size, gram and term matrices only; its rows are dropped once
     its gram is formed, and the accepted trial's rows are stepped again from
-    (V, G V, eta), the same bytes.  So at full rank an iteration holds at
-    most five n x n arrays: V, G V, two trial grams and one map of a gram.
+    (V, G V, eta), the same bytes, which the trial checked: each factor is
+    checked once, and the result is wrapped once on return.  So at full
+    rank an iteration holds at most five n x n arrays: V, G V, two trial
+    grams and one map of a gram.
     ``init`` is not held past the first accepted step; a caller that does
     not hold it either frees it there.
 
@@ -435,32 +467,21 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         raise OptimizationError("objective non-finite at the initial design", trace)
     if step_policy is None:
         step_policy = Backtracking(eta0=default_eta0(work))
-    if problem.norm == "nuc":
-        def gradient(g, terms):
-            return _grad_nuc(work, g)
-    else:
-        def gradient(g, terms):
-            return _grad_op(work, g, terms)[0]
-    factor = init
+    start, rows = init, init.rows
     del init   # so a start the caller does not hold is freed after iteration 1
-    eta_prev = None
+    eta = None
     for t in range(1, int(iters) + 1):
-        grad = gradient(g, terms)
-        del g  # freed before the trial steps form their own grams
+        leading = _leading(work, terms)[0] if work.norm == "op" else None
+        grad = _gradient(work, g, leading)
+        del g, leading  # freed before the trial steps form their own grams
         gnorm = float(np.linalg.norm(grad))
         if gnorm < _GRAD_TOL:
             break
         # G V; the identity factor's is G itself
-        GV = grad if _is_identity(factor.rows) else grad @ factor.rows
+        GV = grad if _is_identity(rows) else grad @ rows
         del grad
-        try_eta = partial(_trial, work, factor.rows, GV, t, trace)
-        if isinstance(step_policy, FixedStep):
-            eta, halvings = step_policy.eta, 0
-            cand, obj = try_eta(eta)
-        else:
-            base = step_policy.eta0 if eta_prev is None else eta_prev
-            cand, obj, eta, halvings = _backtrack(step_policy, base, obj, try_eta)
-            eta_prev = eta
+        try_eta = partial(_trial, work, rows, GV, t, trace)
+        cand, obj, eta, halvings = step_policy.search(eta, obj, try_eta)
         trace.rows.append(TraceRow(t, obj, eta, gnorm, halvings))
         if cand is None:
             # No descent step within the halving budget: the gradient is
@@ -468,47 +489,21 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
             break
         g, terms = cand
         del cand
-        # the accepted trial's rows, stepped again; the trial warned of any
-        # collapsed row
-        factor = _step_rows(factor.rows, GV, eta)[0]
+        # the accepted trial's rows, stepped again; the trial checked them
+        # and warned of any collapsed row
+        rows = _step_rows(rows, GV, eta)[0]
+        start = None
         del GV, try_eta
-    return factor, trace
+    return (start if start is not None else CorrelationFactor(rows)), trace
 
 
 def _trial(work, rows, GV, t, trace, eta):
-    """((gram, terms), objective) of the step eta from rows (see _step); the
-    stepped rows are dropped once their gram is formed."""
+    """((gram, terms), objective) of the step eta from rows (see _step, which
+    checks the stepped rows and warns); they are dropped once their gram is
+    formed."""
     g = _gram(_step(rows, GV, eta).rows)
     terms = _terms(work, g)
     obj = _objective(work, terms)
     if not np.isfinite(obj):
         raise OptimizationError(f"objective non-finite at iteration {t}", trace)
     return (g, terms), obj
-
-
-def _backtrack(policy, base, obj, try_eta):
-    """Line search from step ``base``; returns (candidate, objective, eta,
-    halvings), the candidate being what ``try_eta`` gave for that eta, or
-    None, with the objective unchanged and eta 0, when no step within the
-    halving budget is acceptable.  A rejected candidate is dropped before
-    the next trial."""
-    # Probe the grown step against the held step and keep the better
-    # acceptable one; pure growth with non-increase acceptance drifts the
-    # step into a zone of vanishing progress near the f' barrier.
-    grown, grown_obj = try_eta(base * policy.grow)
-    held, held_obj = try_eta(base)
-    if grown_obj <= min(held_obj, obj + _ACCEPT_SLACK):
-        return grown, grown_obj, base * policy.grow, 0
-    if held_obj <= obj + _ACCEPT_SLACK:
-        return held, held_obj, base, 0
-    del grown, held
-    halvings = 0
-    eta = base * policy.shrink
-    while halvings < policy.max_halvings:
-        halvings += 1
-        cand, cand_obj = try_eta(eta)
-        if cand_obj <= obj + _ACCEPT_SLACK:
-            return cand, cand_obj, eta, halvings
-        del cand
-        eta *= policy.shrink
-    return None, obj, 0.0, halvings

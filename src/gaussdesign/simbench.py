@@ -446,18 +446,18 @@ def _weighted_balance(norms, w):
     return total
 
 
-def balance_objective_nuc(scenario, design, estimand, seed, B_emp=_BALANCE_DRAWS):
+def balance_objective_nuc(scenario, design, estimand, seed):
     """Nuclear-norm covariate balance measure sum_k w_k^2 ||X' Cov_k X||_nuc.
 
     Gaussian designs use the exact analytic maps; assignment designs estimate
-    the indicator covariance matrices from B_emp Monte Carlo draws.
+    the indicator covariance matrices from _BALANCE_DRAWS Monte Carlo draws.
     ``estimand`` is one spec, giving a float, or a tuple of specs, giving a
     tuple of floats that share the per-arm norms (and their draws).
     """
     _check_units(scenario, design)
     X = scenario.X
     norms = [_nuclear_norm(X.T @ C @ X)
-             for C in design.arm_covariances(scenario.K, seed, B_emp)]
+             for C in design.arm_covariances(scenario.K, seed, _BALANCE_DRAWS)]
     if isinstance(estimand, tuple):
         return tuple(_weighted_balance(norms, e.arm_weights) for e in estimand)
     return _weighted_balance(norms, estimand.arm_weights)

@@ -1,32 +1,22 @@
 import numpy as np
 import pytest
+from scipy.special import eval_hermitenorm, gammaln
 
 from gaussdesign.hermite import (ThresholdIndicator, continuous_cov_maps,
-                                 gauss_hermite_nodes, hermite_coeffs, hermite_poly,
-                                 mehler_series, normalized_hermite)
+                                 gauss_hermite_nodes, hermite_coeffs, mehler_series,
+                                 normalized_hermite)
 
 PHI0 = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-class TestHermitePoly:
-    def test_order_zero_is_one(self):
-        assert hermite_poly(0, 7.3) == 1.0
-
-    def test_quadratic(self):
-        assert hermite_poly(2, 2.0) == pytest.approx(3.0, abs=1e-14)  # x^2 - 1
-
-    def test_cubic(self):
-        assert hermite_poly(3, 1.0) == pytest.approx(-2.0, abs=1e-14)  # x^3 - 3x
-
+class TestNormalizedHermite:
     def test_degree_ceiling(self):
-        hermite_poly(200, 0.5)
+        normalized_hermite(200, 0.5)
         with pytest.raises(ValueError):
-            hermite_poly(201, 0.5)
+            normalized_hermite(201, 0.5)
         with pytest.raises(ValueError):
             normalized_hermite(250, 0.0)
 
-
-class TestNormalizedHermite:
     def test_quadratic_at_two(self):
         assert normalized_hermite(2, 2.0) == pytest.approx(3.0 / np.sqrt(2.0), rel=1e-14)
 
@@ -63,6 +53,19 @@ class TestHermiteCoeffs:
     def test_indicator_closed_form(self):
         e = hermite_coeffs(ThresholdIndicator(0.0), 1)
         assert e.coeffs[1] == pytest.approx(-PHI0, abs=1e-15)
+
+    def test_indicator_coefficients_past_m_factorial_overflow(self):
+        # m! overflows a double past m = 170; the coefficients must not
+        q, M = 0.3, 200
+        e = hermite_coeffs(ThresholdIndicator(q), M)
+        assert np.all(e.coeffs[171:] != 0.0)
+        assert e.l2_norm_sq > hermite_coeffs(ThresholdIndicator(q), 170).l2_norm_sq
+        # oracle: scipy's He_m, scaled by 1 / sqrt(m!) in logs
+        phi_q = np.exp(-0.5 * q * q) / np.sqrt(2.0 * np.pi)
+        m = np.arange(1, M + 1)
+        want = -phi_q * eval_hermitenorm(m - 1, q) * np.exp(-0.5 * gammaln(m + 1))
+        assert want[170] == pytest.approx(-0.00526, abs=1e-5)
+        np.testing.assert_allclose(e.coeffs[1:], want, rtol=1e-12, atol=1e-15)
 
     def test_indicator_matches_quadrature_loosely(self):
         closed = hermite_coeffs(ThresholdIndicator(0.3), 8)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussdesign import optimizer
 from gaussdesign.covmap import (CovarianceMap, _is_identity, build_table, f_arm,
                                 weighted_discrete_map)
-from gaussdesign.elliptope import factor_from_rows, identity_factor, validate
+from gaussdesign.elliptope import (CorrelationFactor, factor_from_rows, identity_factor,
+                                   validate)
 from gaussdesign.optimizer import (Backtracking, DesignProblem, FixedStep,
                                    OptimizationError, TraceRow, default_eta0,
                                    design_problem, discrete_problem,
@@ -455,21 +457,21 @@ def _ref_pgd_gauss(problem, init, iters, step_policy=None):
         base = step_policy.eta0 if eta_prev is None else eta_prev
         accepted = None
         halvings = 0
-        grown, grown_obj = try_eta(base * step_policy.grow)
+        grown, grown_obj = try_eta(base * 2.0)
         held, held_obj = try_eta(base)
         if grown_obj <= min(held_obj, obj + 1e-12):
-            accepted = (grown, grown_obj, base * step_policy.grow, 0)
+            accepted = (grown, grown_obj, base * 2.0, 0)
         elif held_obj <= obj + 1e-12:
             accepted = (held, held_obj, base, 0)
         else:
-            eta = base * step_policy.shrink
+            eta = base * 0.5
             while halvings < step_policy.max_halvings:
                 halvings += 1
                 cand, cand_obj = try_eta(eta)
                 if cand_obj <= obj + 1e-12:
                     accepted = (cand, cand_obj, eta, halvings)
                     break
-                eta *= step_policy.shrink
+                eta *= 0.5
         if accepted is None:
             rows.append(TraceRow(t, obj, 0.0, gnorm, halvings))
             break
@@ -514,6 +516,25 @@ def test_pgd_gauss_matches_reference_loop(case):
         assert trace.rows[-1].eta == 0.0 and trace.rows[-1].halvings == 2
     if case == "gradient stop":
         assert trace.rows == []
+
+
+@pytest.mark.parametrize("case", ["nuc", "op, non-identity start", "forced halvings"])
+def test_each_factor_is_checked_once(case, monkeypatch):
+    # Every trial checks its stepped rows once.  The accepted rows are
+    # stepped again without a second check and wrapped once on return.
+    prob, init, iters, policy = _reference_cases()[case]
+    made = []
+
+    class Counted(CorrelationFactor):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(optimizer, "CorrelationFactor", Counted)
+    factor, trace = pgd_gauss(prob, init, iters, policy)
+    assert len(trace.rows) == iters
+    assert len(made) == sum(2 + r.halvings for r in trace.rows) + 1
+    assert factor is made[-1]
 
 
 def _reference_eta0(problem):

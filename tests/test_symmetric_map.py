@@ -17,7 +17,7 @@ from gaussdesign.covmap import (_ROW_BLOCK, _eval_symmetric, _gram, _map_symmetr
                                 apply_map, build_table, f_arm, f_cross,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
-from gaussdesign.optimizer import (_A_COLS, DesignProblem, FixedStep, _grad_nuc, _grad_op,
+from gaussdesign.optimizer import (_A_COLS, DesignProblem, FixedStep, _gradient, _leading,
                                    _step, _terms, default_eta0, gradient_nuclear,
                                    gradient_operator, pgd_gauss)
 
@@ -179,9 +179,22 @@ def _full_deriv(cmap, g):
     return d
 
 
-def _full_grad_nuc(problem, g):
-    A = problem.X @ problem.X.T
+def _grid_gram(X):
+    """A = X X^T with a zero diagonal, each row block of its upper triangle
+    formed in the products X[rows] X[c:c + _A_COLS]^T from the block's
+    diagonal on (the grid of _offdiag_tile), and mirrored."""
+    n = X.shape[0]
+    A = np.zeros((n, n))
+    for lo in range(0, n, B):
+        for c in range(lo, n, _A_COLS):
+            A[lo:lo + B, c:c + _A_COLS] = X[lo:lo + B] @ X[c:c + _A_COLS].T
+    A = np.triu(A) + np.triu(A, 1).T
     np.fill_diagonal(A, 0.0)
+    return A
+
+
+def _full_grad_nuc(problem, g):
+    A = _grid_gram(problem.X)
     grad = np.zeros_like(g)
     for w, cmap in zip(problem.weights, problem.maps):
         grad += (w * w) * A * _full_deriv(cmap, g)
@@ -208,10 +221,10 @@ def test_terms_and_gradients_equal_full_evaluation(n, exact):
     for problem in (nuc, op):
         for got, want in zip(_terms(problem, g), _full_terms(problem, g)):
             assert _same(got, want)
-    grad = _grad_nuc(nuc, g)
+    grad = _gradient(nuc, g)
     assert _same(grad, _full_grad_nuc(nuc, g))
     assert _same(gradient_nuclear(nuc, CorrelationFactor(rows)), grad)
-    grad, _ = _grad_op(op, g, _terms(op, g))
+    grad = _gradient(op, g, _leading(op, _terms(op, g))[0])
     assert _same(grad, _full_grad_op(op, g))
     assert _same(gradient_operator(op, CorrelationFactor(rows)).matrix, grad)
 
@@ -223,9 +236,9 @@ def test_gradients_propagate_nan_as_full_evaluation():
     g[5, B + 3] = g[B + 3, 5] = np.nan
     want = _full_grad_nuc(nuc, g)
     assert np.isnan(want[5, B + 3])
-    assert _same(_grad_nuc(nuc, g), want)
+    assert _same(_gradient(nuc, g), want)
     terms = _full_terms(op, _gram(_rows(n)))
-    got, _ = _grad_op(op, g, terms)
+    got = _gradient(op, g, _leading(op, terms)[0])
     want = np.zeros_like(g)
     for w, cmap, M in zip(op.weights, op.maps, terms):
         b = op.X @ np.linalg.eigh(M)[1][:, -1]
@@ -245,7 +258,7 @@ def test_nuclear_gradient_allocates_no_second_square_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grad = _grad_nuc(problem, g)
+        grad = _gradient(problem, g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -275,20 +288,6 @@ def _workers(count):
         blocks._cpu_count = saved
 
 
-def _grid_gram(X):
-    """A = X X^T with a zero diagonal, each row block of its upper triangle
-    formed in the products X[rows] X[c:c + _A_COLS]^T from the block's
-    diagonal on (the grid of _offdiag_tile), and mirrored."""
-    n = X.shape[0]
-    A = np.zeros((n, n))
-    for lo in range(0, n, B):
-        for c in range(lo, n, _A_COLS):
-            A[lo:lo + B, c:c + _A_COLS] = X[lo:lo + B] @ X[c:c + _A_COLS].T
-    A = np.triu(A) + np.triu(A, 1).T
-    np.fill_diagonal(A, 0.0)
-    return A
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from((1, B - 1, B, B + 1, 2 * B + 3)), d=st.sampled_from((1, 2, 5, 20)),
        order=st.sampled_from("CF"), workers=st.sampled_from((1, 4)),
@@ -311,7 +310,7 @@ def test_nuclear_gradient_and_first_step_equal_the_dense_gram_formulas(n, d, ord
         want += (w * w) * A * _full_deriv(cmap, g)
     dmax = sum(w * w * float(np.max(np.abs(m.table.d_values))) for w, m in zip(weights, maps))
     with _workers(workers):
-        grad = _grad_nuc(problem, g)
+        grad = _gradient(problem, g)
         eta0 = default_eta0(problem)
     assert _same(grad, want)
     assert np.array_equal(grad, grad.T)
@@ -349,8 +348,8 @@ def _kernel_outputs(n, seed):
     g = _gram(rows)
     for problem in (nuc, op):
         out += [M.tobytes() for M in _terms(problem, g)]
-    out.append(_grad_nuc(nuc, g).tobytes())
-    out.append(_grad_op(op, g, _terms(op, g))[0].tobytes())
+    out.append(_gradient(nuc, g).tobytes())
+    out.append(_gradient(op, g, _leading(op, _terms(op, g))[0]).tobytes())
     for problem in (nuc, op):
         for init in (identity_factor(n), CorrelationFactor(rows)):
             for policy in (None, FixedStep(0.05)):
