@@ -23,6 +23,8 @@ from . import blocks, rng
 
 _ROW_NORM_TOL = 1e-12
 _EIG_CLIP = 1e-10
+# Latent values (replicates x units) that one chunk of _draw_chunks holds.
+_DRAW_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,31 @@ class GaussianDraws:
     factor_id: str
 
 
+def _latent(factor: CorrelationFactor, seed, streams):
+    """Latent treatment rows V z, row b from RNG substream streams[b]."""
+    return rng.normals(seed, streams, factor.k) @ factor.rows.T
+
+
 def sample(factor: CorrelationFactor, B, seed) -> GaussianDraws:
     """Draw B latent treatment vectors; replicate b uses RNG substream b."""
     if B < 1:
         raise ValueError("need at least one draw")
-    z = rng.normals(seed, np.arange(int(B)), factor.k)
-    return GaussianDraws(draws=z @ factor.rows.T, seed=int(seed), factor_id=factor.tag)
+    return GaussianDraws(draws=_latent(factor, seed, np.arange(int(B))), seed=int(seed),
+                         factor_id=factor.tag)
+
+
+def _draw_chunks(factor: CorrelationFactor, B, seed):
+    """Yield (lo, hi, latent) over replicates 0..B-1, where latent holds rows
+    lo:hi of ``sample(factor, B, seed).draws`` and at most
+    max(1, _DRAW_POINTS // n) rows, so a consumer that reduces each chunk
+    keeps O(_DRAW_POINTS) values whatever B is.  Rows agree with ``sample``
+    up to the last bit: BLAS may round a row of z V^T differently with the
+    number of rows in one product."""
+    B = int(B)
+    step = max(1, _DRAW_POINTS // factor.n)
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        yield lo, hi, _latent(factor, seed, np.arange(lo, hi))
 
 
 @dataclass(frozen=True)

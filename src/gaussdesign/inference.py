@@ -17,7 +17,10 @@ conservative variance bound is estimated instead (Aronow-Samii), replacing
 
 As a less conservative alternative, randomization-based confidence intervals
 redraw treatments from the design, impute counterfactual outcomes with a
-fitted regression, and take empirical quantiles of the re-estimates.
+fitted regression, and take empirical quantiles of the re-estimates.  The
+redraws are streamed in chunks of about 2^16 latent values (replicates x
+units, see elliptope._draw_chunks), so a CI holds its B estimates and one
+chunk's arrays, never a B x n array.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from scipy.special import ndtri
 
 from .covmap import (_eval_symmetric, _gram, apply_map, discretize, f_arm, f_cross,
                      quantile_thresholds)
-from .elliptope import CorrelationFactor, sample
+from .elliptope import CorrelationFactor, _draw_chunks
 from .estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
 
 _JOINT_GUARD = 1e-8
@@ -247,11 +250,13 @@ def randomization_ci_discrete(records: ExperimentRecords, factor: CorrelationFac
         if not np.any(sel):
             raise ValueError(f"cannot fit imputation model: no unit observed in arm {k}")
         fitted[:, k - 1] = X1 @ ols_fit(X1[sel], records.Y[sel])
-    draws = sample(factor, B, seed).draws
-    arms_b = discretize(draws, quantile_thresholds(K))
-    imputed = fitted[np.arange(n)[None, :], arms_b - 1]
-    Yb = np.where(arms_b == arms_obs[None, :], records.Y[None, :], imputed)
-    estimates = _ht_arm_weights(arms_b, Yb, w, K)
+    thresholds = quantile_thresholds(K)
+    estimates = np.empty(B)
+    for lo, hi, latent in _draw_chunks(factor, B, seed):
+        arms_b = discretize(latent, thresholds)
+        imputed = fitted[np.arange(n)[None, :], arms_b - 1]
+        Yb = np.where(arms_b == arms_obs[None, :], records.Y[None, :], imputed)
+        estimates[lo:hi] = _ht_arm_weights(arms_b, Yb, w, K)
     return _empirical_interval(estimates, alpha, B)
 
 
@@ -285,16 +290,11 @@ def randomization_ci_continuous(records: ExperimentRecords, factor: CorrelationF
     n = records.n
     A_obs = np.asarray(model_spec.regressors(records.X, records.T), dtype=float)
     coef = ols_fit(A_obs, records.Y)
-    draws = sample(factor, B, seed).draws
     estimates = np.empty(B)
-    chunk = max(1, 200_000 // n)
-    for lo in range(0, B, chunk):
-        t_flat = draws[lo:lo + chunk].reshape(-1)
-        reps = t_flat.size // n
-        x_tiled = None if records.X is None else np.tile(records.X, (reps, 1))
-        basis = np.asarray(model_spec.regressors(x_tiled, t_flat), dtype=float)
-        fitted = (basis @ coef).reshape(reps, n)
-        tb = draws[lo:lo + chunk]
+    for lo, hi, tb in _draw_chunks(factor, B, seed):
+        x_tiled = None if records.X is None else np.tile(records.X, (hi - lo, 1))
+        basis = np.asarray(model_spec.regressors(x_tiled, tb.reshape(-1)), dtype=float)
+        fitted = (basis @ coef).reshape(hi - lo, n)
         yb = np.where(tb == records.T[None, :], records.Y[None, :], fitted)
-        estimates[lo:lo + reps] = _ht_weight(tb, yb, model_spec.weight)
+        estimates[lo:hi] = _ht_weight(tb, yb, model_spec.weight)
     return _empirical_interval(estimates, alpha, B)

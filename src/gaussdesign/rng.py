@@ -22,21 +22,31 @@ _M1 = np.uint64(0xCD9E8D57)
 _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S11 = np.uint64(11)
 
 # Largest number of counter blocks evaluated at once; bounds peak memory.
 _SLAB = 1 << 14
 
 
 def _philox_block(c0, c1, c2, c3, k0, k1):
-    """Run the 10 Philox4x32 rounds on uint64 arrays holding 32-bit words."""
+    """Run the 10 Philox4x32 rounds in place on uint64 arrays holding 32-bit
+    words; two product buffers are the only other arrays."""
+    p0 = np.empty_like(c0)
+    p1 = np.empty_like(c2)
     for _ in range(10):
-        p0 = c0 * _M0
-        p1 = c2 * _M1
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _MASK32
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        np.multiply(c0, _M0, out=p0)
+        np.multiply(c2, _M1, out=p1)
+        # (c0, c1, c2, c3) <- (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)):
+        # each word is read before it is overwritten
+        np.right_shift(p1, _S32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, _S32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p0, _MASK32, out=c3)
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
     return c0, c1, c2, c3
@@ -60,10 +70,14 @@ def _words(seed, stream, slot):
     return _philox_block(c0.copy(), c1.copy(), c2.copy(), c3.copy(), k0, k1)
 
 
-def _to_uniform(hi, lo):
-    """Two 32-bit words -> float64 uniform in (0, 1), 53 significant bits."""
-    bits = ((hi << np.uint64(32)) | lo) >> np.uint64(11)
-    return bits.astype(np.float64) * (2.0 ** -53) + 2.0 ** -54
+def _to_uniform(hi, lo, out):
+    """Two 32-bit words -> float64 uniform in (0, 1), 53 significant bits,
+    written to ``out``; ``hi`` is overwritten."""
+    hi <<= _S32
+    hi |= lo
+    hi >>= _S11
+    np.multiply(hi, 2.0 ** -53, out=out)
+    out += 2.0 ** -54
 
 
 def uniforms(seed, streams, n):
@@ -77,8 +91,8 @@ def uniforms(seed, streams, n):
         s = streams[lo_row:hi_row, None]
         j = np.arange(blocks, dtype=np.uint64)[None, :]
         w0, w1, w2, w3 = _words(seed, s, j)
-        out[lo_row:hi_row, 0::2] = _to_uniform(w0, w1)
-        out[lo_row:hi_row, 1::2] = _to_uniform(w2, w3)
+        _to_uniform(w0, w1, out[lo_row:hi_row, 0::2])
+        _to_uniform(w2, w3, out[lo_row:hi_row, 1::2])
     return out[:, :n]
 
 

@@ -25,9 +25,9 @@ Every design (``GaussianDesign``, ``CompleteRandomization(n)``,
   ``latent`` is the (B, n) Gaussian treatment matrix, or None for designs
   that only assign arms; ``arms`` is None when ``K`` is None (a continuous
   scenario), which only Gaussian designs accept;
-* ``arm_covariances(K, seed, B_emp)``, the K per-arm indicator covariance
-  matrices: exact maps for Gaussian designs, B_emp Monte Carlo draws for the
-  others;
+* ``arm_covariances(K, seed)``, the K per-arm indicator covariance
+  matrices: exact maps for Gaussian designs, sample covariances over
+  ``_BALANCE_DRAWS`` (2000) Monte Carlo draws for the others;
 * ``factor``, the correlation factor that the randomization CI resamples,
   or None (such designs get no coverage columns).
 
@@ -46,7 +46,7 @@ from scipy.special import gammaincinv
 
 from . import rng
 from .covmap import apply_map, discretize, f_arm, quantile_thresholds
-from .elliptope import CorrelationFactor, identity_factor
+from .elliptope import CorrelationFactor, _latent, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                          _ht_arm_weights, _ht_weight, true_estimand)
 from .inference import randomization_ci_discrete
@@ -57,7 +57,7 @@ _RERAND_CAP = 100_000
 # Largest replicate stream of Rerandomization: its candidate streams
 # s * _RERAND_CAP + t, t < _RERAND_CAP, must fit in 64 bits.
 _RERAND_MAX_STREAM = (2**64 - _RERAND_CAP) // _RERAND_CAP
-_BALANCE_DRAWS = 2000   # B_emp of the Monte Carlo balance measure
+_BALANCE_DRAWS = 2000   # draws of the Monte Carlo balance measure
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,7 @@ class GaussianDesign:
         return self.factor.n
 
     def latent(self, seed, streams):
-        z = rng.normals(seed, streams, self.factor.k)
-        return z @ self.factor.rows.T
+        return _latent(self.factor, seed, streams)
 
     def arms(self, seed, streams, K):
         return self.draw(seed, streams, K)[0]
@@ -258,7 +257,7 @@ class GaussianDesign:
         arms = None if K is None else discretize(latent, quantile_thresholds(K))
         return arms, latent
 
-    def arm_covariances(self, K, seed, B_emp):
+    def arm_covariances(self, K, seed):
         """Exact f_k(V V^T) for k = 1..K; nothing is drawn."""
         return (apply_map(f_arm(K, k), self.factor) for k in range(1, K + 1))
 
@@ -275,9 +274,10 @@ class _ArmDesign:
                              "continuous estimands need a Gaussian design")
         return self.arms(seed, streams, K), None
 
-    def arm_covariances(self, K, seed, B_emp):
-        """Sample covariances of the arm indicators over streams 0..B_emp-1."""
-        arms = self.arms(seed, np.arange(B_emp), K)
+    def arm_covariances(self, K, seed):
+        """Sample covariances of the arm indicators over streams
+        0.._BALANCE_DRAWS-1."""
+        arms = self.arms(seed, np.arange(_BALANCE_DRAWS), K)
         return (np.cov((arms == k).astype(float), rowvar=False, ddof=1)
                 for k in range(1, K + 1))
 
@@ -382,12 +382,14 @@ def mc_estimates(scenario, design, estimand, B, seed):
     for lo in range(0, B, _CHUNK):
         hi = min(lo + _CHUNK, B)
         arms, latent = design.draw(seed, np.arange(lo, hi), scenario.K)
+        outcomes = None if arms is None else scenario.observed_outcomes(arms)
         for row, spec in zip(out, specs):
             if spec.kind == "continuous":
                 row[lo:hi] = _ht_weight(latent, scenario.response_at(latent), spec.weight)
             else:
-                row[lo:hi] = _ht_arm_weights(arms, scenario.observed_outcomes(arms),
-                                             spec.arm_weights, scenario.K)
+                row[lo:hi] = _ht_arm_weights(arms, outcomes, spec.arm_weights, scenario.K)
+        # free this chunk's (B, n) arrays before the next chunk is drawn
+        del arms, latent, outcomes
     return out if isinstance(estimand, tuple) else out[0]
 
 
@@ -457,7 +459,7 @@ def balance_objective_nuc(scenario, design, estimand, seed):
     _check_units(scenario, design)
     X = scenario.X
     norms = [_nuclear_norm(X.T @ C @ X)
-             for C in design.arm_covariances(scenario.K, seed, _BALANCE_DRAWS)]
+             for C in design.arm_covariances(scenario.K, seed)]
     if isinstance(estimand, tuple):
         return tuple(_weighted_balance(norms, e.arm_weights) for e in estimand)
     return _weighted_balance(norms, estimand.arm_weights)

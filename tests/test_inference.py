@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import gaussdesign.rng as grng
-from gaussdesign import blocks
+from gaussdesign import blocks, elliptope
 from gaussdesign.covmap import discretize, f_arm, f_cross, quantile_thresholds
 from gaussdesign.elliptope import (CorrelationFactor, block_factor, factor_from_rows,
-                                   identity_factor)
-from gaussdesign.estimators import ExperimentRecords, WeightFn
+                                   identity_factor, sample)
+from gaussdesign.estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
 from gaussdesign.inference import (_JOINT_GUARD, ContinuousModelSpec, VarianceReport,
-                                   aronow_samii_bound, normal_ci, ols_fit,
-                                   randomization_ci_continuous,
+                                   _empirical_interval, aronow_samii_bound, normal_ci,
+                                   ols_fit, randomization_ci_continuous,
                                    randomization_ci_discrete, true_variance,
                                    variance_ht_arm)
 
@@ -441,6 +441,140 @@ class TestRandomizationCiContinuous:
                                              grng.derive_seed(55, b))
             hits += ci.contains(truth)
         assert hits / outer >= 0.90
+
+
+def _whole_array_ci_discrete(records, factor, K, w, B, alpha, seed):
+    """randomization_ci_discrete as it was before the replicates were
+    streamed: every B x n array at once."""
+    w = np.asarray(w, dtype=float)
+    arms_obs = records.arms(K)
+    n = records.n
+    X1 = np.column_stack([np.ones(n), records.X])
+    fitted = np.empty((n, K))
+    for k in range(1, K + 1):
+        sel = arms_obs == k
+        fitted[:, k - 1] = X1 @ ols_fit(X1[sel], records.Y[sel])
+    draws = sample(factor, B, seed).draws
+    arms_b = discretize(draws, quantile_thresholds(K))
+    imputed = fitted[np.arange(n)[None, :], arms_b - 1]
+    Yb = np.where(arms_b == arms_obs[None, :], records.Y[None, :], imputed)
+    return _empirical_interval(_ht_arm_weights(arms_b, Yb, w, K), alpha, B)
+
+
+def _whole_array_ci_continuous(records, factor, model_spec, B, alpha, seed):
+    """randomization_ci_continuous as it was before the replicates were
+    streamed: one B x n draw, scored in chunks of 200000 // n rows."""
+    n = records.n
+    coef = ols_fit(np.asarray(model_spec.regressors(records.X, records.T)), records.Y)
+    draws = sample(factor, B, seed).draws
+    estimates = np.empty(B)
+    chunk = max(1, 200_000 // n)
+    for lo in range(0, B, chunk):
+        tb = draws[lo:lo + chunk]
+        reps = tb.shape[0]
+        basis = np.asarray(model_spec.regressors(np.tile(records.X, (reps, 1)),
+                                                 tb.reshape(-1)), dtype=float)
+        fitted = (basis @ coef).reshape(reps, n)
+        yb = np.where(tb == records.T[None, :], records.Y[None, :], fitted)
+        estimates[lo:lo + reps] = _ht_weight(tb, yb, model_spec.weight)
+    return _empirical_interval(estimates, alpha, B)
+
+
+def _streamed_case(n, K, seed, k=7):
+    """A rank-k design whose first draw fills every arm, with records on it.
+    k = 7 at n = 500 is a shape where BLAS rounds some rows of z V^T
+    differently with the number of rows in one product."""
+    gen = np.random.default_rng(seed)
+    factor = factor_from_rows(gen.standard_normal((n, k)))
+    X = gen.standard_normal((n, 2))
+    t = sample(factor, 1, seed).draws[0]
+    arms = discretize(t, quantile_thresholds(K))
+    assert len(np.unique(arms)) == K
+    y = X @ np.array([1.0, -0.5]) + 0.3 * arms + 0.5 * t + 0.1 * gen.standard_normal(n)
+    return factor, ExperimentRecords(Y=y, X=X, T=t, D=arms)
+
+
+class TestStreamedReplicates:
+    """The randomization CIs draw their replicates in chunks of
+    max(1, _DRAW_POINTS // n) rows instead of one B x n array."""
+
+    N = 500
+    CHUNK = elliptope._DRAW_POINTS // N   # 131 rows
+
+    @staticmethod
+    def _contrast(K):
+        w = np.zeros(K)
+        w[0], w[-1] = 1.0, -1.0
+        return w
+
+    def test_chunks_tile_the_replicates(self):
+        factor, _ = _streamed_case(self.N, 3, 0)
+        B = 2 * self.CHUNK + 3
+        chunks = list(elliptope._draw_chunks(factor, B, 4))
+        assert [(lo, hi) for lo, hi, _ in chunks] == [
+            (0, self.CHUNK), (self.CHUNK, 2 * self.CHUNK), (2 * self.CHUNK, B)]
+        whole = sample(factor, B, 4).draws
+        # equal up to the last bit of a BLAS product
+        np.testing.assert_allclose(np.vstack([c for _, _, c in chunks]), whole,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("B", [100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_discrete_equals_whole_array(self, B, K):
+        # arms differ only where a latent value lies within an ulp of a
+        # threshold, so the intervals are equal bit for bit
+        factor, rec = _streamed_case(self.N, K, K)
+        w = self._contrast(K)
+        got = randomization_ci_discrete(rec, factor, K, w, B, 0.05, 11)
+        want = _whole_array_ci_discrete(rec, factor, K, w, B, 0.05, 11)
+        assert (got.lower, got.upper, got.replicates) == (want.lower, want.upper, B)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_discrete_one_replicate_per_chunk(self, monkeypatch, K):
+        # n > _DRAW_POINTS: every chunk holds a single replicate
+        monkeypatch.setattr(elliptope, "_DRAW_POINTS", 64)
+        factor, rec = _streamed_case(100, K, K)
+        w = self._contrast(K)
+        assert len(list(elliptope._draw_chunks(factor, 120, 0))) == 120
+        got = randomization_ci_discrete(rec, factor, K, w, 120, 0.1, 5)
+        want = _whole_array_ci_discrete(rec, factor, K, w, 120, 0.1, 5)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+
+    @pytest.mark.parametrize("B", [100, CHUNK, 2 * CHUNK + 3, 1000])
+    def test_continuous_matches_whole_array(self, B):
+        # A latent value may move by an ulp with the rows in one BLAS
+        # product.  Measured first: over 48 intervals (n in {500, 801}, k in
+        # {7, 20}, seeds 0-5, B in {100, 1000}) no endpoint moved.  1e-12
+        # leaves room for a few ulps carried through the fit and the mean.
+        factor, rec = _streamed_case(self.N, 3, 1)
+        spec = ContinuousModelSpec(
+            lambda X, t: np.column_stack([np.ones(t.size), X, t, t ** 2]),
+            WeightFn.first_derivative())
+        got = randomization_ci_continuous(rec, factor, spec, B, 0.05, 2)
+        want = _whole_array_ci_continuous(rec, factor, spec, B, 0.05, 2)
+        assert got.lower == pytest.approx(want.lower, rel=1e-12, abs=0)
+        assert got.upper == pytest.approx(want.upper, rel=1e-12, abs=0)
+
+    @staticmethod
+    def _traced_peak(B):
+        n, K = 800, 3
+        factor, rec = _streamed_case(n, K, 8, k=20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            randomization_ci_discrete(rec, factor, K, np.array([1.0, -1.0, 0.0]),
+                                      B, 0.05, 3)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_discrete_peak_memory(self):
+        # one chunk is 81 x 800 values, about 0.5 MB per array (measured
+        # peak 3.1 MB); the whole B x n path peaked at 73 MB for B = 2000
+        mb = 1 << 20
+        assert self._traced_peak(2000) < 4 * mb
+        # only the (B,) estimates grow with B
+        assert self._traced_peak(8000) < 4 * mb + 8 * 8000
 
 
 def test_interval_report_validation():
