@@ -34,6 +34,7 @@ import numpy as np
 # 256-row blocks raised the optimizer's peak RSS by 4 MB, 128-row blocks
 # leave it unchanged.
 ROW_BLOCK = 128
+COL_TILE = 4 * ROW_BLOCK   # columns per product of a gram block, on a fixed grid
 
 
 class _WorkerState(threading.local):

@@ -18,12 +18,12 @@ import numpy as np
 from . import elliptope
 from .covmap import (discretize, f_arm, f_cross, quantile_thresholds,
                      weighted_discrete_map)
-from .elliptope import identity_factor, load_factor, save_matrix
+from .elliptope import identity_factor, load_factor
 from .estimators import (EstimandSpec, WeightFn, ht_arm, ht_contrast,
                          ht_continuous, records_from_csv, rescale_treatment,
                          write_rows)
 from .hermite import continuous_cov_maps
-from .inference import (ContinuousModelSpec, normal_ci,
+from .inference import (ContinuousModelSpec, EmptyArmError, normal_ci,
                         randomization_ci_continuous, randomization_ci_discrete,
                         variance_ht_arm)
 from .optimizer import (DesignProblem, FixedStep, OptimizationError,
@@ -132,7 +132,6 @@ def cmd_optimize(args):
         raise ComputeError(f"optimization failed: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     elliptope.save_factor(os.path.join(args.out_dir, "factor.csv"), factor)
-    save_matrix(os.path.join(args.out_dir, "sigma.csv"), factor.to_matrix())
     trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
     final = trace.rows[-1].objective if trace.rows else trace.initial_objective
     print(f"optimize: objective {_fmt(trace.initial_objective)} -> {_fmt(final)} "
@@ -262,7 +261,7 @@ def cmd_ci(args):
         try:
             interval = randomization_ci_discrete(
                 records, factor, spec.K, w, args.replicates, args.alpha, args.seed)
-        except ValueError as exc:
+        except EmptyArmError as exc:
             raise ComputeError(str(exc)) from exc
         point = ht_contrast(records, w, spec.K)
     header = "method,estimand,point,lower,upper,alpha,B,well_defined"

@@ -427,9 +427,44 @@ def apply_map(cmap: CovarianceMap, factor):
     round-off; the diagonal is evaluated at exactly 1 (analytic limit).  The
     gram is exactly symmetric, so f is evaluated once per unordered pair
     {i, j} (see _map_symmetric) and the result equals the full elementwise
-    evaluation bit for bit.
+    evaluation bit for bit.  No pipeline path calls it (see _reduce_symmetric).
     """
     return _eval_symmetric(cmap, _gram(factor.rows))
+
+
+def _reduce_symmetric(rows, block_fn):
+    """[block_fn(b, g_b) for each block b = (rows, cols) of the gram's upper
+    triangle], in block order, on a fixed grid: _ROW_BLOCK rows by
+    blocks.COL_TILE columns from the diagonal on.  g_b is V[rows] V[cols]^T
+    clamped to [-1, 1] and 0 on and below the diagonal, where every
+    covariance map vanishes: callers add the diagonal (exactly 1).  The
+    partials are bit-identical on any worker count; one block per worker is
+    in flight."""
+    rows = np.ascontiguousarray(rows)
+    n = rows.shape[0]
+    tasks = [partial(_reduce_block, rows, block_fn, slice(lo, min(lo + _ROW_BLOCK, n)),
+                     slice(c, min(c + blocks.COL_TILE, n)))
+             for lo in range(0, n, _ROW_BLOCK) for c in range(lo, n, blocks.COL_TILE)]
+    return blocks.run(tasks, blocks.width(len(tasks)))
+
+
+def _reduce_block(rows, block_fn, r, c):
+    g = rows[r] @ rows[c].T
+    np.clip(g, -1.0, 1.0, out=g)
+    if c.start == r.start:
+        g[np.tril_indices(r.stop - r.start)] = 0.0
+    return block_fn((r, c), g)
+
+
+def _map_forms(rows, maps, X):
+    """[X^T f(V V^T) X for f in maps], V = ``rows``, streamed: each block
+    adds X_rows^T f(g_b) X_cols to S, and X^T f X = S + S^T + f(1) X^T X."""
+    def block(b, g):
+        F = np.empty_like(g)
+        return [X[b[0]].T @ m.eval(g, out=F) @ X[b[1]] for m in maps]
+
+    forms = map(sum, zip(*_reduce_symmetric(rows, block)))
+    return [S + S.T + m.eval(1.0) * (X.T @ X) for S, m in zip(forms, maps)]
 
 
 def _eval_symmetric(cmap, g, out=None):

@@ -144,6 +144,8 @@ class ExperimentRecords:
             raise ValueError("outcomes Y contain non-finite values")
         if self.X is not None and not np.all(np.isfinite(self.X)):
             raise ValueError("covariates X contain non-finite values")
+        if self.T is not None and not np.all(np.isfinite(self.T)):
+            raise ValueError("treatments T contain non-finite values")
         for name in ("X", "T", "D"):
             col = getattr(self, name)
             if col is not None and len(col) != Y.size:

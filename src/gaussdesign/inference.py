@@ -15,6 +15,10 @@ conservative variance bound is estimated instead (Aronow-Samii), replacing
 -(1/n) sum_{k!=l} w_k w_l sum_i Y_i(k) Y_i(l) with the observable bound
 (1/2n) sum_{k!=l} |w_k||w_l| sum_i (Y_i(k)^2 + Y_i(l)^2).
 
+Both estimators and the design variance (K^2/n) Y(k)^T f_k(Sigma) Y(k)
+sum the pairs i < j of each block of Sigma's upper triangle
+(covmap._reduce_symmetric) and add the diagonal: no n x n array is formed.
+
 As a less conservative alternative, randomization-based confidence intervals
 redraw treatments from the design, impute counterfactual outcomes with a
 fitted regression, and take empirical quantiles of the re-estimates.  The
@@ -30,13 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .covmap import (_eval_symmetric, _gram, apply_map, discretize, f_arm, f_cross,
+from .covmap import (_map_forms, _reduce_symmetric, discretize, f_arm, f_cross,
                      quantile_thresholds)
 from .elliptope import CorrelationFactor, _draw_chunks
 from .estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
 
 _JOINT_GUARD = 1e-8
 _MIN_REPLICATES = 100
+
+
+class EmptyArmError(ValueError):
+    """An arm holds no observed unit, so its imputation model cannot be fit."""
 
 
 @dataclass(frozen=True)
@@ -79,25 +87,55 @@ def variance_ht_arm(records: ExperimentRecords, factor: CorrelationFactor,
     if unit.size == 0:
         return VarianceReport(point=0.0, well_defined=True,
                               min_joint_prob=np.inf, kind="ht_arm_variance")
-    # Only pairs of arm-k units enter the estimator.
-    F = apply_map(f_arm(K, k), CorrelationFactor(factor.rows[unit]))
-    joint = F + 1.0 / K ** 2
-    min_joint = float(joint.min())
+    # Only pairs of arm-k units enter the estimator: each pair i < j twice,
+    # and the diagonal, where f_k(1) = 1/K - 1/K^2 and the joint is 1/K.
+    y = records.Y[unit]
+    min_joint, pairs = _ipw_pairs(factor.rows[unit], arms[unit], y, K)
+    min_joint = min(min_joint, 1.0 / K)
     if min_joint <= _JOINT_GUARD:
         return VarianceReport(point=None, well_defined=False,
                               min_joint_prob=min_joint, kind="ht_arm_variance")
-    y = records.Y[unit]
-    point = K ** 2 / records.n * float(np.sum(np.outer(y, y) * F / joint))
+    point = K ** 2 / records.n * ((1.0 - 1.0 / K) * float(y @ y) + 2.0 * pairs)
     return VarianceReport(point=point, well_defined=True,
                           min_joint_prob=min_joint, kind="ht_arm_variance")
 
 
+def _ipw_pairs(rows, arms, u, K):
+    """(minimum joint probability, sum_{i<j} u_i u_j C_ij / joint_ij) over
+    units with factor rows ``rows`` and ``arms``, where C_ij =
+    f_{D_i,D_j}(Sigma_ij) and joint = C + 1/K^2; the sum is meaningless when
+    the minimum is at the guard.  Sorted by arm, a block's pairs fall in
+    rectangles of one map each."""
+    order = np.argsort(arms, kind="stable")
+    edges = np.searchsorted(arms[order], np.arange(1, K + 2))
+    maps = {(k, l): f_cross(K, k, l) for k in range(1, K + 1) for l in range(k, K + 1)}
+    u = u[order]
+
+    def block(b, C):
+        rows, cols = b
+        for (k, l), cmap in maps.items():
+            r0, r1 = max(edges[k - 1], rows.start), min(edges[k], rows.stop)
+            c0, c1 = max(edges[l - 1], cols.start), min(edges[l], cols.stop)
+            if r0 < r1 and c0 < c1:
+                cell = C[r0 - rows.start:r1 - rows.start, c0 - cols.start:c1 - cols.start]
+                cmap.eval(cell, out=cell)
+        joint = C + 1.0 / K ** 2
+        if cols.start == rows.start:   # pairs i >= j are not pairs i < j
+            joint[np.tril_indices(rows.stop - rows.start)] = np.inf
+        np.divide(C, joint, out=C, where=joint > _JOINT_GUARD)
+        return float(joint.min()), float(u[rows] @ C @ u[cols])
+
+    parts = _reduce_symmetric(rows[order], block)
+    return min((m for m, _ in parts), default=np.inf), sum(s for _, s in parts)
+
+
 def true_variance(potential_outcomes, factor: CorrelationFactor, k, K):
     """V(Sigma) = (K^2/n) Y(k)^T f_k(Sigma) Y(k) (n * MSE of tau_hat_k)."""
-    table = np.asarray(potential_outcomes, dtype=float)
-    y = table[:, k - 1]
-    F = apply_map(f_arm(K, k), factor)
-    return float(K ** 2 / y.size * y @ F @ y)
+    y = np.asarray(potential_outcomes, dtype=float)[:, k - 1:k]
+    if factor.n != y.shape[0]:
+        raise ValueError("factor size does not match the outcome table")
+    form = _map_forms(factor.rows, [f_arm(K, k)], y)[0]
+    return float(K ** 2 / y.shape[0] * form[0, 0])
 
 
 def normal_ci(tau_hat, var_hat, n, alpha) -> IntervalReport:
@@ -126,87 +164,21 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
     var_ind = (K - 1.0) / K ** 2
     t1 = K ** 2 / n * float(np.sum(w[arms - 1] ** 2 * Y ** 2 * var_ind * K))
 
-    # Cross-unit term: each observed pair (i, j) realizes one (k, l) cell,
-    # visited in (k, l) order.  f_{l,k} equals f_{k,l} bit for bit and sigma
-    # is exactly symmetric, so cell (l, k) is cell (k, l) transposed: one map
-    # evaluation serves both, and the (l, k) sum is kept until its turn.
-    sigma = _gram(factor.rows)
-    members = [np.flatnonzero(arms == k) for k in range(1, K + 1)]
-    mirrored = {}
-    t2 = 0.0
-    min_joint = np.inf
-    for k in range(1, K + 1):
-        for l in range(1, K + 1):
-            if (k, l) in mirrored:
-                cell_min, cell_sum = mirrored.pop((k, l))
-            else:
-                cell = _cross_cell(sigma, Y, members[k - 1], members[l - 1], K, k, l)
-                if cell is None:
-                    continue
-                cell_min, cell_sum, transposed_sum = cell
-                if l > k:
-                    mirrored[(l, k)] = (cell_min, transposed_sum)
-            min_joint = min(min_joint, cell_min)
-            if min_joint <= _JOINT_GUARD:
-                return VarianceReport(point=None, well_defined=False,
-                                      min_joint_prob=min_joint,
-                                      kind="aronow_samii_bound")
-            t2 += w[k - 1] * w[l - 1] * cell_sum
-    t2 *= K ** 2 / n
+    # Cross-unit term: each pair i != j once, twice (f_{l,k} = f_{k,l}).
+    min_joint, pairs = _ipw_pairs(factor.rows, arms, w[arms - 1] * Y, K)
+    if min_joint <= _JOINT_GUARD:
+        return VarianceReport(point=None, well_defined=False,
+                              min_joint_prob=min_joint, kind="aronow_samii_bound")
+    t2 = 2.0 * K ** 2 / n * pairs
 
-    # Bound replacing the inestimable same-unit cross-arm products.
-    t3 = 0.0
+    # Bound replacing the inestimable same-unit cross-arm products; unit i
+    # observes (K/n) Y_i^2 |w_{D_i}| (sum_l |w_l| - |w_{D_i}|) of it.
     absw = np.abs(w)
-    for k in range(1, K + 1):
-        for l in range(1, K + 1):
-            if k == l:
-                continue
-            in_k = (arms == k).astype(float)
-            in_l = (arms == l).astype(float)
-            t3 += absw[k - 1] * absw[l - 1] * float(np.sum(Y ** 2 * (in_k + in_l) * K))
-    t3 /= 2.0 * n
+    a = absw[arms - 1]
+    t3 = K / n * float(np.sum(Y ** 2 * a * (absw.sum() - a)))
 
     return VarianceReport(point=t1 + t2 + t3, well_defined=True,
                           min_joint_prob=min_joint, kind="aronow_samii_bound")
-
-
-def _cross_cell(sigma, Y, rows, cols, K, k, l):
-    """Cell (k, l) of the bound's cross-unit term, C = f_{k,l}(sigma) over
-    the pairs i in ``rows`` (arm k), j in ``cols`` (arm l), i != j.
-
-    Returns the minimum joint probability C + 1/K^2, the sum of
-    Y_i Y_j C / joint in the cell's row-major order, and (for k != l) the
-    same sum in the row-major order of the transposed cell (l, k); the sums
-    are None when the minimum is at the guard, and the whole result is None
-    when the cell holds no pair.  A diagonal cell's map goes through
-    _eval_symmetric.
-    """
-    cmap = f_cross(K, k, l)
-    if k == l:
-        if rows.size < 2:
-            return None
-        C = _off_diagonal(_eval_symmetric(cmap, sigma[np.ix_(rows, rows)]))
-        yy = _off_diagonal(np.outer(Y[rows], Y[rows]))
-    elif rows.size and cols.size:
-        C = cmap.eval(sigma[np.ix_(rows, cols)])
-        yy = np.outer(Y[rows], Y[cols])
-    else:
-        return None
-    joint = C + 1.0 / K ** 2
-    cell_min = float(joint.min())
-    if cell_min <= _JOINT_GUARD:
-        return cell_min, None, None
-    terms = yy * C / joint
-    if k == l:
-        return cell_min, float(np.sum(terms)), None
-    return cell_min, float(np.sum(terms.ravel())), float(np.sum(terms.T.ravel()))
-
-
-def _off_diagonal(a):
-    """The off-diagonal entries of a square array, in row-major order: after
-    the first entry, the diagonal is the last of every m + 1."""
-    m = a.shape[0]
-    return a.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1].ravel()
 
 
 def ols_fit(design_matrix, response):
@@ -248,7 +220,7 @@ def randomization_ci_discrete(records: ExperimentRecords, factor: CorrelationFac
     for k in range(1, K + 1):
         sel = arms_obs == k
         if not np.any(sel):
-            raise ValueError(f"cannot fit imputation model: no unit observed in arm {k}")
+            raise EmptyArmError(f"cannot fit imputation model: no unit observed in arm {k}")
         fitted[:, k - 1] = X1 @ ols_fit(X1[sel], records.Y[sel])
     thresholds = quantile_thresholds(K)
     estimates = np.empty(B)

@@ -77,7 +77,6 @@ _GRAD_TOL = 1e-10
 _ACCEPT_SLACK = 1e-12
 _GROW = 2.0     # Backtracking's first trial, relative to the last accepted step
 _SHRINK = 0.5   # Backtracking's halving factor
-_A_COLS = 4 * blocks.ROW_BLOCK   # columns per product of A = X X^T (_offdiag_tile)
 
 
 class OptimizationError(RuntimeError):
@@ -115,6 +114,8 @@ class DesignProblem:
         w = np.asarray(self.weights, dtype=float)
         if len(maps) != w.size:
             raise ValueError("one weight per covariance map required")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("map weights must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "weights", w)
@@ -182,18 +183,19 @@ def _offdiag_tile(X, b):
     square's diagonal zeroed, for C-contiguous X: the covariates, or one
     column b_j[:, None], whose products are the outer product's exactly.
 
-    A is formed in products X[rows] X[c:c + _A_COLS]^T on a fixed grid of
-    columns that starts at the block's diagonal, c = rows.start + k _A_COLS,
-    and each is cut to b's columns.  So A's bits do not depend on how a
-    block is cut into pieces (the worker count), and memory in flight is one
-    product per worker.
+    A is formed in products X[rows] X[c:c + t]^T, t = blocks.COL_TILE, on a
+    fixed grid of columns that starts at the block's diagonal,
+    c = rows.start + k t, and each is cut to b's columns.  So A's bits do not
+    depend on how a block is cut into pieces (the worker count), and memory
+    in flight is one product per worker.
     """
     rows, cols = b
+    t = blocks.COL_TILE
     A = np.empty((rows.stop - rows.start, cols.stop - cols.start))
-    first = rows.start + (cols.start - rows.start) // _A_COLS * _A_COLS
-    for c in range(first, cols.stop, _A_COLS):
-        lo, hi = max(c, cols.start), min(c + _A_COLS, cols.stop)
-        A[:, lo - cols.start:hi - cols.start] = (X[rows] @ X[c:c + _A_COLS].T)[:, lo - c:hi - c]
+    first = rows.start + (cols.start - rows.start) // t * t
+    for c in range(first, cols.stop, t):
+        lo, hi = max(c, cols.start), min(c + t, cols.stop)
+        A[:, lo - cols.start:hi - cols.start] = (X[rows] @ X[c:c + t].T)[:, lo - c:hi - c]
     _zero_diagonal(A, b)
     return A
 

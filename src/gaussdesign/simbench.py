@@ -25,14 +25,15 @@ Every design (``GaussianDesign``, ``CompleteRandomization(n)``,
   ``latent`` is the (B, n) Gaussian treatment matrix, or None for designs
   that only assign arms; ``arms`` is None when ``K`` is None (a continuous
   scenario), which only Gaussian designs accept;
-* ``arm_covariances(K, seed)``, the K per-arm indicator covariance
-  matrices: exact maps for Gaussian designs, sample covariances over
-  ``_BALANCE_DRAWS`` (2000) Monte Carlo draws for the others;
+* ``arm_terms(X, K, seed)``, the K d x d matrices X^T C_k X, C_k the
+  covariance of arm k's indicators: exact maps for Gaussian designs,
+  sample covariances over ``_BALANCE_DRAWS`` (2000) draws for the others;
+  neither forms an n x n array;
 * ``factor``, the correlation factor that the randomization CI resamples,
   or None (such designs get no coverage columns).
 
 ``mc_estimates`` and ``mc_coverage`` call ``draw``, ``balance_objective_nuc``
-calls ``arm_covariances`` and ``run_scenario`` reads ``factor``; the first
+calls ``arm_terms`` and ``run_scenario`` reads ``factor``; the first
 three check ``n`` before anything is drawn.
 """
 
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import rng
-from .covmap import apply_map, discretize, f_arm, quantile_thresholds
+from .covmap import _map_forms, discretize, f_arm, quantile_thresholds
 from .elliptope import CorrelationFactor, _latent, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                          _ht_arm_weights, _ht_weight, true_estimand)
@@ -257,9 +258,10 @@ class GaussianDesign:
         arms = None if K is None else discretize(latent, quantile_thresholds(K))
         return arms, latent
 
-    def arm_covariances(self, K, seed):
-        """Exact f_k(V V^T) for k = 1..K; nothing is drawn."""
-        return (apply_map(f_arm(K, k), self.factor) for k in range(1, K + 1))
+    def arm_terms(self, X, K, seed):
+        """Exact X^T f_k(V V^T) X for k = 1..K, every map from one stream of
+        the gram's blocks (covmap._map_forms); nothing is drawn."""
+        return _map_forms(self.factor.rows, [f_arm(K, k) for k in range(1, K + 1)], X)
 
 
 class _ArmDesign:
@@ -274,12 +276,14 @@ class _ArmDesign:
                              "continuous estimands need a Gaussian design")
         return self.arms(seed, streams, K), None
 
-    def arm_covariances(self, K, seed):
-        """Sample covariances of the arm indicators over streams
-        0.._BALANCE_DRAWS-1."""
+    def arm_terms(self, X, K, seed):
+        """X^T C_k X for k = 1..K, C_k the sample covariance of arm k's
+        indicators A over streams 0.._BALANCE_DRAWS-1: Z^T Z / (B - 1), Z
+        the centred (B, d) projection A X."""
         arms = self.arms(seed, np.arange(_BALANCE_DRAWS), K)
-        return (np.cov((arms == k).astype(float), rowvar=False, ddof=1)
-                for k in range(1, K + 1))
+        Z = [(arms == k) @ X for k in range(1, K + 1)]
+        Z = [z - z.mean(axis=0) for z in Z]
+        return [z.T @ z / (_BALANCE_DRAWS - 1) for z in Z]
 
 
 class CompleteRandomization(_ArmDesign):
@@ -457,9 +461,7 @@ def balance_objective_nuc(scenario, design, estimand, seed):
     tuple of floats that share the per-arm norms (and their draws).
     """
     _check_units(scenario, design)
-    X = scenario.X
-    norms = [_nuclear_norm(X.T @ C @ X)
-             for C in design.arm_covariances(scenario.K, seed)]
+    norms = [_nuclear_norm(M) for M in design.arm_terms(scenario.X, scenario.K, seed)]
     if isinstance(estimand, tuple):
         return tuple(_weighted_balance(norms, e.arm_weights) for e in estimand)
     return _weighted_balance(norms, estimand.arm_weights)

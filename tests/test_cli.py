@@ -11,8 +11,7 @@ from gaussdesign import elliptope
 from gaussdesign.cli import main, parse_config
 from gaussdesign.covmap import (discretize, f_arm, f_cross, quantile_thresholds,
                                 weighted_discrete_map)
-from gaussdesign.elliptope import (factor_from_rows, identity_factor, load_factor,
-                                   load_matrix, save_factor)
+from gaussdesign.elliptope import factor_from_rows, identity_factor, load_factor, save_factor
 from gaussdesign.estimators import ExperimentRecords, records_to_csv, rescale_treatment
 
 
@@ -49,14 +48,14 @@ class TestParseConfig:
 
 
 class TestOptimizeCommand:
-    def test_writes_three_files_with_monotone_trace(self, covariates, tmp_path, capsys):
+    def test_writes_factor_and_trace_with_monotone_trace(self, covariates, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["optimize", "--covariates", str(covariates), "--arms", "3",
                      "--iters", "30", "--out-dir", str(out)])
         assert code == 0
-        factor = load_factor(out / "factor.csv")
-        sigma = load_matrix(out / "sigma.csv")
-        assert np.allclose(factor.to_matrix(), sigma, atol=1e-12)
+        assert load_factor(out / "factor.csv").n == 18
+        # V V^T is not written: nothing reads it, and it is n^2 values of text
+        assert sorted(p.name for p in out.iterdir()) == ["factor.csv", "trace.csv"]
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iteration,objective,eta,grad_norm,halvings"
         objs = [float(line.split(",")[1]) for line in trace[1:]]
@@ -125,6 +124,15 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert "error: out of memory: Unable to allocate 11.9 GiB" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("norm", ["nuc", "op"])
+    def test_non_finite_contrast_is_usage_error(self, covariates, tmp_path, capsys, norm):
+        out = tmp_path / "out"
+        assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
+                     "--norm", norm, "--contrast", "inf,1,0", "--iters", "2",
+                     "--out-dir", str(out)]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_continuous_objective(self, covariates, tmp_path):
         out = tmp_path / "cont"
@@ -246,6 +254,15 @@ class TestEstimateCommand:
         assert "non-finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", ""])
+    def test_non_finite_treatment_is_input_error(self, tmp_path, capsys, value):
+        # an empty cell of a T column that is not empty throughout reads as nan
+        path = tmp_path / "t.csv"
+        path.write_text(f"unit,T,D,Y\n1,0.5,,1.0\n2,{value},,2.0\n3,-0.2,,0.5\n")
+        assert main(["estimate", "--records", str(path), "--estimand", "continuous"]) == 2
+        assert "treatments T contain non-finite values" in capsys.readouterr().err
+
+
 class TestCiCommand:
     def test_normal_ci(self, records, tmp_path, capsys):
         fpath = tmp_path / "factor.csv"
@@ -332,6 +349,28 @@ class TestCiCommand:
                      "--method", method, "--estimand", estimand, "--arms", "3",
                      "--replicates", "200"]) == 2
         assert "covariates X contain non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--replicates", "50"], ["--alpha", "1.5"]])
+    def test_randomization_usage_error_exits_2(self, records, tmp_path, capsys, option):
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(12))
+        assert main(["ci", "--records", str(records), "--factor", str(fpath),
+                     "--method", "randomization", "--estimand", "contrast:1,-1,0",
+                     "--arms", "3", "--replicates", "200", *option]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_randomization_empty_arm_is_compute_error(self, tmp_path, capsys):
+        gen = np.random.default_rng(3)
+        rpath = tmp_path / "records.csv"
+        records_to_csv(rpath, ExperimentRecords(Y=gen.standard_normal(6),
+                                                X=gen.standard_normal((6, 2)),
+                                                D=np.array([1, 2, 1, 2, 1, 2])))
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(6))
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", "randomization", "--estimand", "contrast:1,-1,0",
+                     "--arms", "3", "--replicates", "200"]) == 3
+        assert "no unit observed in arm 3" in capsys.readouterr().err
 
     def test_continuous_randomization(self, tmp_path, capsys):
         gen = np.random.default_rng(5)

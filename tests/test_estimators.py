@@ -212,6 +212,11 @@ class TestRecordsCsv:
         assert rec.T is None
         assert rec.D.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_treatment_rejected(self, bad):
+        with pytest.raises(ValueError, match="treatments T contain non-finite values"):
+            ExperimentRecords(Y=np.ones(3), T=np.array([0.1, bad, -0.2]))
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("unit,T\n1,0.5\n")

@@ -24,6 +24,7 @@ CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 # Public names that nothing in the package or the benchmark calls, each kept
 # on purpose.  The README lists the same names and reasons.
 KEPT = {
+    "apply_map": "dense f(VV^T); the tests' reference for the streamed reductions",
     "r_ij": "the single-indicator covariance that every map combines; the "
             "tests' closed-form oracle for the quadrature kernel",
     "factor_from_rows": "builds a design from any user matrix by normalizing "

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import gaussdesign.rng as grng
-from gaussdesign import blocks, elliptope
-from gaussdesign.covmap import discretize, f_arm, f_cross, quantile_thresholds
+from gaussdesign import blocks, covmap, elliptope
+from gaussdesign.covmap import apply_map, discretize, f_arm, f_cross, quantile_thresholds
 from gaussdesign.elliptope import (CorrelationFactor, block_factor, factor_from_rows,
                                    identity_factor, sample)
 from gaussdesign.estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
@@ -17,6 +17,7 @@ from gaussdesign.inference import (_JOINT_GUARD, ContinuousModelSpec, VarianceRe
                                    ols_fit, randomization_ci_continuous,
                                    randomization_ci_discrete, true_variance,
                                    variance_ht_arm)
+from gaussdesign.simbench import GaussianDesign
 
 
 def _draw_records(table, factor, K, seed, streams):
@@ -46,7 +47,6 @@ class TestVarianceHtArm:
         truth = true_variance(table, factor, 1, K)
         _, arms, y = _draw_records(table, factor, K, 9, np.arange(B))
         # vectorized copy of the estimator for speed
-        from gaussdesign.covmap import apply_map
         F = apply_map(f_arm(K, 1), factor)
         joint = F + 1.0 / K**2
         M = F / joint
@@ -208,6 +208,15 @@ def _reference_aronow_samii(records, factor, w, K):
                           min_joint_prob=min_joint, kind="aronow_samii_bound")
 
 
+def _dense_min_joint(records, factor, K):
+    """min over i != j of f_{D_i,D_j}(Sigma_ij) + 1/K^2, from the dense maps."""
+    arms = records.arms(K)
+    offdiag = ~np.eye(records.n, dtype=bool)
+    cells = [apply_map(f_cross(K, k, l), factor)[np.outer(arms == k, arms == l) & offdiag]
+             for k in range(1, K + 1) for l in range(1, K + 1)]
+    return min((float(c.min()) + 1.0 / K ** 2 for c in cells if c.size), default=np.inf)
+
+
 def _bound_factor(kind, n, gen):
     """identity; random unit rows; random rows with exact duplicates and
     negations; signed basis rows, whose correlations are exactly -1, 0 or 1
@@ -247,11 +256,24 @@ def test_aronow_samii_matches_reference(K, n, kind, skew, seed):
     got = aronow_samii_bound(rec, factor, w, K)
     want = _reference_aronow_samii(rec, factor, w, K)
     assert got.well_defined == want.well_defined
-    assert got.min_joint_prob == want.min_joint_prob
     if want.point is None:
+        # The reference stops at the first cell at the guard; the streamed
+        # bound reports the minimum over every pair i != j.  Measured first
+        # over 6000 seeded draws of these strategies (3312 at the guard):
+        # equal wherever the dense minimum is positive, and at most 2.4e-9
+        # apart where it is 0 (an inner product within ulps of +-1).
         assert got.point is None
-    else:
-        assert got.point.hex() == want.point.hex()
+        assert got.min_joint_prob == pytest.approx(_dense_min_joint(rec, factor, K),
+                                                   rel=1e-12, abs=5e-9)
+        return
+    # The streamed gram sums each inner product in another order.  Where it
+    # lies within ulps of +-1 (rank-1 factors, repeated rows) the maps'
+    # slope, which diverges there (f(1 - d) - f(1) ~ sqrt(d)), can turn an
+    # ulp into about 1e-8 of f.  Measured first over 6000 seeded draws of
+    # these strategies: worst relative deviation 4.4e-12 for the point and
+    # 2.5e-14 for the minimum joint probability.
+    assert got.point == pytest.approx(want.point, rel=1e-7, abs=0)
+    assert got.min_joint_prob == pytest.approx(want.min_joint_prob, rel=1e-7, abs=0)
 
 
 def test_aronow_samii_guard_reached_through_reference():
@@ -264,7 +286,9 @@ def test_aronow_samii_guard_reached_through_reference():
 
 
 def test_aronow_samii_peak_memory():
-    # sigma is the one n x n array; the cells are (n/K)^2 blocks
+    # Blocks of the gram stream through the cross term; no n x n array.
+    # Measured: 5.5 MB on one worker, 7.6-8.2 MB on four (8 n^2 = 5.1 MB);
+    # the dense sigma and its cells peaked at 10.3-10.7 MB.
     n, K = 800, 3
     gen = np.random.default_rng(8)
     factor = factor_from_rows(gen.standard_normal((n, 20)))
@@ -278,7 +302,7 @@ def test_aronow_samii_peak_memory():
     finally:
         tracemalloc.stop()
     assert rep.well_defined
-    assert peak < 3 * 8 * n * n
+    assert peak < 1.75 * 8 * n * n
 
 
 def test_aronow_samii_peak_memory_on_four_workers(monkeypatch):
@@ -286,6 +310,100 @@ def test_aronow_samii_peak_memory_on_four_workers(monkeypatch):
     # flight does not grow with their number
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 4)
     test_aronow_samii_peak_memory()
+
+
+# -- the streamed reductions against the dense maps ------------------------------
+
+# sizes around a row block and past a column tile of the gram's blocks
+REDUCE_SIZES = (1, 2, covmap._ROW_BLOCK - 1, covmap._ROW_BLOCK, covmap._ROW_BLOCK + 1,
+                blocks.COL_TILE + 1, blocks.COL_TILE + covmap._ROW_BLOCK + 3)
+
+
+def _edge_case(n, k, seed, K=3):
+    """A factor of unit rows in k columns whose rows 0, 1 and 3 are e_1 and
+    row 2 is -e_1 (correlations exactly +-1 in any summation order), the
+    rest random; records with those units in arms 1, 1, 3, 1, so no joint
+    probability is 0; outcome table and covariates."""
+    gen = np.random.default_rng(seed)
+    V = gen.standard_normal((n, k))
+    m = min(n, 4)
+    V[:m] = 0.0
+    V[:m, 0] = [1.0, 1.0, -1.0, 1.0][:m]
+    D = 1 + np.arange(n) % K
+    D[:m] = [1, 1, 3, 1][:m]
+    rec = ExperimentRecords(Y=gen.standard_normal(n), D=D)
+    return factor_from_rows(V), rec, gen.standard_normal((n, K))
+
+
+def _dense_variance_ht_arm(records, factor, k, K):
+    """(point, minimum joint probability) of variance_ht_arm from the dense
+    map of the arm-k rows."""
+    unit = np.flatnonzero(records.arms(K) == k)
+    F = apply_map(f_arm(K, k), CorrelationFactor(factor.rows[unit]))
+    joint = F + 1.0 / K ** 2
+    y = records.Y[unit]
+    return K ** 2 / records.n * float(np.sum(np.outer(y, y) * F / joint)), float(joint.min())
+
+
+@pytest.mark.parametrize("k", [9, 80])
+@pytest.mark.parametrize("n", REDUCE_SIZES)
+def test_consumers_match_dense_maps(n, k):
+    # Measured first over these sizes, k in {9, 80} and seeds 0-2 and n:
+    # worst relative deviation 1.2e-13 (true_variance), 3.3e-14
+    # (variance_ht_arm, its minimum 0) and 8.2e-15 (aronow_samii_bound, its
+    # minimum 6.6e-16).
+    K = 3
+    factor, rec, table = _edge_case(n, k, n)
+    for arm in range(1, K + 1):
+        y = table[:, arm - 1]
+        dense = K ** 2 / n * float(y @ apply_map(f_arm(K, arm), factor) @ y)
+        assert true_variance(table, factor, arm, K) == pytest.approx(dense, rel=1e-12)
+        got = variance_ht_arm(rec, factor, arm, K)
+        assert got.well_defined
+        if np.any(rec.D == arm):
+            point, min_joint = _dense_variance_ht_arm(rec, factor, arm, K)
+            assert got.point == pytest.approx(point, rel=1e-12)
+            assert got.min_joint_prob == pytest.approx(min_joint, rel=1e-12)
+    w = np.array([0.5, -1.0, 2.0])
+    got = aronow_samii_bound(rec, factor, w, K)
+    want = _reference_aronow_samii(rec, factor, w, K)
+    assert got.well_defined and want.well_defined
+    assert got.point == pytest.approx(want.point, rel=1e-12)
+    assert got.min_joint_prob == pytest.approx(want.min_joint_prob, rel=1e-12)
+
+
+def test_true_variance_checks_the_factor_size():
+    with pytest.raises(ValueError, match="factor size"):
+        true_variance(np.ones((3, 2)), identity_factor(4), 1, 2)
+
+
+def test_consumers_allocate_no_square_array(monkeypatch):
+    # The exact kernel's chunk temporaries do not grow with n; a smaller
+    # chunk leaves the reductions' own memory.  Measured on one worker at
+    # n = 1200: at most 0.19 n^2 floats for each consumer; the dense maps
+    # took 0.70 (variance_ht_arm) to 3.2 (the balance terms).
+    monkeypatch.setattr(covmap, "_CHUNK", 1024)
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
+    n, K = 1200, 2
+    gen = np.random.default_rng(8)
+    factor = factor_from_rows(gen.standard_normal((n, 10)))
+    rec = ExperimentRecords(Y=gen.standard_normal(n),
+                            T=factor.rows @ gen.standard_normal(10))
+    X = gen.standard_normal((n, 5))
+    calls = {"true_variance": lambda: true_variance(gen.standard_normal((n, K)), factor, 1, K),
+             "variance_ht_arm": lambda: variance_ht_arm(rec, factor, 1, K),
+             "aronow_samii_bound": lambda: aronow_samii_bound(rec, factor,
+                                                              np.array([1.0, -1.0]), K),
+             "arm_terms": lambda: GaussianDesign(factor).arm_terms(X, K, 0)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4, name
 
 
 class TestOlsFit:

@@ -90,6 +90,13 @@ class TestObjective:
         with pytest.raises(ValueError, match="norm"):
             discrete_problem(prob.X, w, "banana")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        X = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="map weights must be finite"):
+            DesignProblem(X=X, maps=tuple(f_arm(3, k) for k in (1, 2, 3)),
+                          weights=np.array([bad, 1.0, 0.0]), norm="op")
+
 
 class TestGradientNuclear:
     def test_identity_factor_closed_form(self):

@@ -1,6 +1,8 @@
 """The symmetric map kernel: exact gram symmetry, and maps of a gram evaluated
 once per unordered pair that equal the full elementwise evaluation bit for
-bit (apply_map, the optimizer's term matrices and both gradients)."""
+bit (apply_map, the optimizer's term matrices and both gradients); the
+streamed reduction's block grid; and every row-block kernel's outputs,
+bit-identical on any worker count."""
 
 import tracemalloc
 import warnings
@@ -17,11 +19,15 @@ from gaussdesign.covmap import (_ROW_BLOCK, _eval_symmetric, _gram, _map_symmetr
                                 apply_map, build_table, f_arm, f_cross,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
-from gaussdesign.optimizer import (_A_COLS, DesignProblem, FixedStep, _gradient, _leading,
+from gaussdesign.estimators import ExperimentRecords
+from gaussdesign.inference import aronow_samii_bound, true_variance, variance_ht_arm
+from gaussdesign.optimizer import (DesignProblem, FixedStep, _gradient, _leading,
                                    _step, _terms, default_eta0, gradient_nuclear,
                                    gradient_operator, pgd_gauss)
+from gaussdesign.simbench import GaussianDesign
 
 B = _ROW_BLOCK
+T = blocks.COL_TILE
 SIZES = (1, 2, B - 1, B, B + 1, 2 * B + 3)
 
 
@@ -30,10 +36,12 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _rows(n, seed=0):
-    """Unit rows with exact +-1 correlations (a repeated and a negated row)
-    and one pair so close to 1 that it lies outside every table's grid."""
-    V = np.random.default_rng(seed).standard_normal((n, min(n, 7) + 2))
+def _rows(n, seed=0, k=None):
+    """Unit rows (in k columns, by default min(n, 7) + 2) with exact +-1
+    correlations (a repeated and a negated row) and one pair so close to 1
+    that it lies outside every table's grid."""
+    k = min(n, 7) + 2 if k is None else k
+    V = np.random.default_rng(seed).standard_normal((n, k))
     if n >= 4:
         V[:4] = 0.0
         V[0, 0] = V[1, 0] = V[3, 0] = 1.0
@@ -116,6 +124,36 @@ def test_nan_propagates_as_in_full_evaluation(name):
     assert _same(_eval_symmetric(MAPS[name], g), full)
 
 
+@pytest.mark.parametrize("k", [9, 80])
+@pytest.mark.parametrize("n", SIZES + (T + B + 3,))
+def test_reduce_symmetric_covers_each_upper_pair_once(n, k):
+    rows = _rows(n, n, k)
+    seen = np.zeros((n, n), dtype=int)
+    got = np.zeros((n, n))
+
+    def fn(b, g):
+        r, c = b
+        # the fixed grid: row blocks of B rows, column tiles of T from the
+        # block's first row on
+        assert r.start % B == 0 and r.stop == min(r.start + B, n)
+        assert (c.start - r.start) % T == 0 and c.stop == min(c.start + T, n)
+        seen[b] += 1
+        got[b] = g
+        return r.start, c.start
+
+    parts = covmap._reduce_symmetric(rows, fn)
+    assert parts == sorted(parts)   # block order
+    # each pair i <= j once, and the lower half of each diagonal block, as 0
+    i, j = np.indices((n, n))
+    assert np.array_equal(seen, (j >= i) | (j // B == i // B))
+    assert not np.any(np.tril(got))
+    # the upper triangle is the clamped gram, summed in another order
+    upper = np.triu(_gram(rows), 1)
+    np.testing.assert_allclose(got, upper, rtol=0, atol=1e-15)
+    if n >= 4:
+        assert got[0, 1] == 1.0 and got[0, 2] == -1.0
+
+
 def test_map_symmetric_visits_each_upper_block_once():
     n = 2 * B + 3
     seen = np.zeros((n, n), dtype=int)
@@ -181,13 +219,13 @@ def _full_deriv(cmap, g):
 
 def _grid_gram(X):
     """A = X X^T with a zero diagonal, each row block of its upper triangle
-    formed in the products X[rows] X[c:c + _A_COLS]^T from the block's
+    formed in the products X[rows] X[c:c + T]^T from the block's
     diagonal on (the grid of _offdiag_tile), and mirrored."""
     n = X.shape[0]
     A = np.zeros((n, n))
     for lo in range(0, n, B):
-        for c in range(lo, n, _A_COLS):
-            A[lo:lo + B, c:c + _A_COLS] = X[lo:lo + B] @ X[c:c + _A_COLS].T
+        for c in range(lo, n, T):
+            A[lo:lo + B, c:c + T] = X[lo:lo + B] @ X[c:c + T].T
     A = np.triu(A) + np.triu(A, 1).T
     np.fill_diagonal(A, 0.0)
     return A
@@ -355,6 +393,22 @@ def _kernel_outputs(n, seed):
             for policy in (None, FixedStep(0.05)):
                 fac, trace = pgd_gauss(problem, init, 2, policy)
                 out += [fac.rows.tobytes(), trace.objectives.tobytes()]
+    # the streamed reductions, on both products of the gram's blocks
+    gen = np.random.default_rng(seed)
+    K = 3
+    table = gen.standard_normal((n, K))
+    X = gen.standard_normal((n, 4))
+    D = 1 + np.arange(n) % K
+    D[:4] = [1, 1, 3, 1]   # units 0-3 hold the exact +-1 correlations
+    rec = ExperimentRecords(Y=table[:, 0], D=D)
+    for factor in (CorrelationFactor(rows), CorrelationFactor(_rows(n, seed, 80))):
+        for k in range(1, K + 1):
+            out.append(true_variance(table, factor, k, K).hex())
+            rep = variance_ht_arm(rec, factor, k, K)
+            out += [rep.point.hex(), rep.min_joint_prob.hex()]
+        rep = aronow_samii_bound(rec, factor, np.array([0.5, -1.0, 2.0]), K)
+        out += [rep.point.hex(), rep.min_joint_prob.hex()]
+        out += [M.tobytes() for M in GaussianDesign(factor).arm_terms(X, K, 0)]
     return out
 
 
