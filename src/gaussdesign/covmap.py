@@ -44,11 +44,12 @@ and f_{k,k+1}, K = 2..64: 1.3e-6 for f and 7.2e-7 for f', both at K = 64).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import blocks
 
@@ -67,6 +68,28 @@ _ROW_BLOCK = blocks.ROW_BLOCK   # rows per block of a symmetric map (_map_symmet
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_T = 0.5 * (1.0 + _GL_X)   # nodes mapped to [0, 1]
+_STD_NORMAL = NormalDist()
+
+
+def _ndtr(x):
+    """Phi(x) = erfc(-x / sqrt(2)) / 2, the standard normal CDF, from
+    math.erfc: a float for a scalar x, elementwise for an array."""
+    if np.ndim(x):
+        z = np.asarray(x, dtype=float) * -math.sqrt(0.5)
+        erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)
+        return 0.5 * erfc.reshape(z.shape)
+    return 0.5 * math.erfc(x * -math.sqrt(0.5))
+
+
+def _ndtri(p):
+    """Phi^-1(p), the standard normal quantile of a scalar p (Wichura's
+    AS241 through statistics.NormalDist); as scipy.special.ndtri, -inf at 0,
+    inf at 1 and NaN outside [0, 1]."""
+    if 0.0 < p < 1.0:
+        return _STD_NORMAL.inv_cdf(p)
+    if p == 0.0:
+        return -math.inf
+    return math.inf if p == 1.0 else math.nan
 
 
 class Table:
@@ -235,7 +258,7 @@ def quantile_thresholds(K):
     if not 2 <= int(K) <= 64:
         raise ValueError(f"arm count K = {K} outside supported range [2, 64]")
     K = int(K)
-    q = ndtri(np.arange(1, K) / K)
+    q = np.array([_ndtri(i / K) for i in range(1, K)])
     return ArmQuantiles(K=K, thresholds=q)
 
 
@@ -258,7 +281,7 @@ def binormal_density(rho, x, y):
 
 def _r_endpoint(rho_sign, qi, qj):
     """Analytic limit of r_ij at rho = +-1 (co-/antimonotone indicators)."""
-    pi_, pj = ndtr(qi), ndtr(qj)
+    pi_, pj = _ndtr(qi), _ndtr(qj)
     if rho_sign > 0:
         return min(pi_, pj) - pi_ * pj
     return max(0.0, pi_ + pj - 1.0) - pi_ * pj
@@ -291,6 +314,7 @@ def _genz_high(r, terms, sign):
     rs = np.sqrt(1.0 - xs)
     inv_xs = 1.0 / xs
     q = xs / (2.0 * (1.0 + rs) ** 2)
+    node, e, g = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
     acc = np.zeros(r.size)
     for coef, h, k in terms:
         k = sign * k
@@ -300,12 +324,27 @@ def _genz_high(r, terms, sign):
         d = (12.0 - hk) / 16.0
         bvn = a * np.exp(-0.5 * (bs / as_ + hk)) * (
             1.0 - c * (bs - as_) * (1.0 - d * bs / 5.0) / 3.0 + c * d * as_ * as_ / 5.0)
-        if hk > -100.0:  # Genz's guard: the term underflows below this
+        # Genz's guard: the term underflows below hk = -100; at b = 0 it is 0
+        if hk > -100.0 and bs > 0.0:
             b = np.sqrt(bs)
-            bvn -= (np.exp(-0.5 * hk) * np.sqrt(2.0 * np.pi) * ndtr(-b / a) * b
+            bvn -= (np.exp(-0.5 * hk) * np.sqrt(2.0 * np.pi) * _ndtr(-b / a) * b
                     * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
-        node = np.exp(-0.5 * (bs * inv_xs + hk))
-        node *= np.exp(-hk * q) / rs - (1.0 + c * xs * (1.0 + d * xs))
+        # exp(-(bs / xs + hk) / 2) (exp(-hk q) / rs - (1 + c xs (1 + d xs))),
+        # in place in three buffers shared by the terms
+        np.multiply(xs, d, out=g)
+        g += 1.0
+        np.multiply(xs, c, out=node)
+        g *= node
+        g += 1.0
+        np.multiply(q, -hk, out=e)
+        np.exp(e, out=e)
+        e /= rs
+        e -= g
+        np.multiply(inv_xs, bs, out=node)
+        node += hk
+        node *= -0.5
+        np.exp(node, out=node)
+        node *= e
         node *= _GL_W
         bvn += 0.5 * a * node.sum(axis=1)
         acc -= coef * bvn / (2.0 * np.pi)

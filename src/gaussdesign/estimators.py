@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .covmap import discretize, quantile_thresholds
+from .covmap import _ndtri, discretize, quantile_thresholds
 from .hermite import gauss_hermite_nodes
 
 _PHI_FLOOR = 1e-300
 _WRITE_BLOCK = 4096   # rows per format call of write_rows (about 100 KB of text)
-_Z999 = float(ndtri(0.999))
+_Z999 = _ndtri(0.999)
 
 
 def _phi(t):

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, roots_hermitenorm
 
-from .covmap import CovarianceMap
+from .covmap import CovarianceMap, _ndtr
 
 MAX_DEGREE = 200  # stability ceiling of the three-term recurrence
 DEFAULT_TRUNCATION = 50
@@ -61,7 +60,10 @@ def _normalized_table(M, x):
 
 @lru_cache(maxsize=16)
 def gauss_hermite_nodes(n):
-    """Nodes and (normalized) weights so that E_phi[f] ~= sum w f(x)."""
+    """Nodes and (normalized) weights so that E_phi[f] ~= sum w f(x).
+    scipy.special loads on the first call."""
+    from scipy.special import roots_hermitenorm
+
     x, w = roots_hermitenorm(int(n))
     return x, w / np.sqrt(2.0 * np.pi)
 
@@ -105,7 +107,7 @@ def hermite_coeffs(g, M, nodes=DEFAULT_NODES):
         q = float(g.threshold)
         phi_q = np.exp(-0.5 * q * q) / np.sqrt(2.0 * np.pi)
         coeffs = np.empty(M + 1)
-        coeffs[0] = ndtr(q)
+        coeffs[0] = _ndtr(q)
         # normalized, so no m! that overflows past m = 170
         h = _normalized_table(M, np.array([q]))[:M, 0]   # h_0..h_{M-1}
         coeffs[1:] = -phi_q * h / np.sqrt(np.arange(1, M + 1))

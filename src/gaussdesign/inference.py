@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .covmap import (_map_forms, _reduce_symmetric, discretize, f_arm, f_cross,
+from .covmap import (_map_forms, _ndtri, _reduce_symmetric, discretize, f_arm, f_cross,
                      quantile_thresholds)
 from .elliptope import CorrelationFactor, _draw_chunks
 from .estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
@@ -142,7 +141,7 @@ def normal_ci(tau_hat, var_hat, n, alpha) -> IntervalReport:
     """tau_hat +- z_{alpha/2} sqrt(var_hat / n)."""
     if var_hat < 0:
         raise ValueError("variance estimate must be nonnegative")
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _ndtri(1.0 - alpha / 2.0)
     half = z * np.sqrt(var_hat / n)
     return IntervalReport(lower=float(tau_hat - half), upper=float(tau_hat + half),
                           alpha=float(alpha), method="normal")

@@ -43,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from . import rng
 from .covmap import _map_forms, discretize, f_arm, quantile_thresholds
@@ -230,8 +229,10 @@ def rerand_threshold(d, K, p_a):
 
     The chi^2_d quantile is 2 * P^{-1}(d / 2, p), P the regularized lower
     incomplete gamma function; equal to ``scipy.stats.chi2.ppf`` without
-    importing ``scipy.stats``.
+    importing ``scipy.stats``.  scipy.special loads on the first call.
     """
+    from scipy.special import gammaincinv
+
     pairs = K * (K - 1) // 2
     return float(2.0 * gammaincinv(d / 2.0, p_a ** (1.0 / pairs)))
 

@@ -117,6 +117,12 @@ class TestNormalCi:
         with pytest.raises(ValueError):
             normal_ci(0.0, -1.0, 10, 0.05)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0, 3.0, -0.5, np.nan])
+    def test_alpha_outside_unit_interval_names_alpha(self, alpha):
+        # z = Phi^-1(1 - alpha / 2) is +-inf or NaN there, never an error of its own
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            normal_ci(0.0, 1.0, 10, alpha)
+
 
 class TestAronowSamii:
     def test_zero_outcomes(self):

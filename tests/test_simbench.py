@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincinv, roots_hermitenorm
 from scipy.stats import chi2, chisquare
 
 import gaussdesign
@@ -15,7 +17,8 @@ import gaussdesign.rng as grng
 from gaussdesign import simbench
 from gaussdesign.covmap import apply_map, f_arm
 from gaussdesign.elliptope import factor_from_rows, identity_factor
-from gaussdesign.estimators import EstimandSpec, true_estimand
+from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, records_to_csv,
+                                   true_estimand)
 from gaussdesign.inference import IntervalReport
 from gaussdesign.simbench import (CompleteRandomization, GaussianDesign,
                                   Rerandomization, balance_objective_nuc,
@@ -243,15 +246,66 @@ class TestRerandThreshold:
                     expected = float(chi2.ppf(p_a ** (1.0 / pairs), df=d))
                     assert rerand_threshold(d, K, p_a) == expected, (d, K, p_a)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        # no scipy module at all after the import and the optimize, sample,
+        # estimate and ci commands; the two side paths load scipy.special
+        # on their first call and give scipy's values
+        g = np.random.default_rng(0)
+        np.savetxt(tmp_path / "X.csv", g.standard_normal((20, 2)), delimiter=",")
+        records_to_csv(tmp_path / "records.csv", ExperimentRecords(
+            Y=g.standard_normal(20), X=g.standard_normal((20, 2)), D=np.tile([1, 2, 3, 1], 5)))
         src = str(Path(gaussdesign.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        code = ("import sys, gaussdesign; "
-                "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], cwd=tmp_path, env=env,
+                             check=True, capture_output=True, text=True).stdout
+        steps = json.loads(out.strip().splitlines()[-1])
+        assert [s["step"] for s in steps[:-1]] == [
+            "import", "optimize", "sample", "estimate", "ci_normal", "ci_randomization"]
+        for s in steps[:-1]:
+            assert s["code"] == 0 and s["scipy"] == [], s
+        side = steps[-1]
+        assert "scipy.special" in side["scipy"] and "scipy.stats" not in side["scipy"]
+        assert side["threshold"] == float(2.0 * gammaincinv(2.0, 0.1 ** (1.0 / 3.0)))
+        x, w = roots_hermitenorm(20)
+        assert side["nodes"] == x.tolist()
+        assert side["weights"] == (w / np.sqrt(2.0 * np.pi)).tolist()
+
+
+_SCIPY_FREE_RUN = """
+import json, sys
+
+def step(name, code=0):
+    steps.append({"step": name, "code": code,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")})
+
+steps = []
+import gaussdesign
+from gaussdesign.cli import main
+step("import")
+common = ["--records", "records.csv", "--arms", "3"]
+commands = {
+    "optimize": ["optimize", "--covariates", "X.csv", "--arms", "3", "--iters", "3",
+                 "--out-dir", "opt"],
+    "sample": ["sample", "--factor", "opt/factor.csv", "--draws", "2", "--seed", "1",
+               "--discretize", "3", "--out", "draws.csv"],
+    "estimate": ["estimate", *common, "--estimand", "contrast:1,-1,0", "--out", "est.csv"],
+    "ci_normal": ["ci", *common, "--factor", "opt/factor.csv", "--method", "normal",
+                  "--estimand", "arm:1", "--out", "ci_normal.csv"],
+    "ci_randomization": ["ci", *common, "--factor", "opt/factor.csv",
+                         "--method", "randomization", "--estimand", "contrast:1,-1,0",
+                         "--replicates", "100", "--seed", "3", "--out", "ci_rand.csv"],
+}
+for name, argv in commands.items():
+    step(name, main(argv))
+from gaussdesign.hermite import gauss_hermite_nodes
+from gaussdesign.simbench import rerand_threshold
+threshold = rerand_threshold(4, 3, 0.1)
+x, w = gauss_hermite_nodes(20)
+step("side paths")
+steps[-1].update(threshold=threshold, nodes=x.tolist(), weights=w.tolist())
+print(json.dumps(steps))
+"""
 
 
 class TestMcMse:
