@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -25,8 +27,77 @@ from gaussdesign.simbench import (CompleteRandomization, GaussianDesign,
                                   gen_continuous, gen_factorial, gen_three_arm,
                                   mc_coverage, mc_estimates, mc_mse,
                                   rerand_threshold, run_scenario)
-from gaussdesign.simbench import (_build_designs, _cr_batch,
-                                  _pairwise_mahalanobis_max)
+from gaussdesign.simbench import _build_designs, _cr_batch
+
+
+# The previous complete-randomization kernel and rerandomization loop, kept
+# as references: the current ones must give the same assignments bit for bit.
+def _ref_cr_batch(n, K, seed, streams):
+    streams = np.asarray(streams)
+    u = grng.uniforms(seed, streams, K + n)
+    base, rem = divmod(n, K)
+    full = np.empty((streams.size, n), dtype=int)
+    full[:, :K * base] = np.repeat(np.arange(1, K + 1), base)[None, :]
+    if rem:
+        full[:, K * base:] = np.argsort(u[:, :K], axis=1)[:, :rem] + 1
+    unit_order = np.argsort(u[:, K:], axis=1)
+    return np.take_along_axis(full, unit_order, axis=1)
+
+
+def _S_inv(X):
+    return np.linalg.pinv(np.atleast_2d(np.cov(X, rowvar=False, ddof=1)))
+
+
+def _pairwise_mahalanobis_max(X, arms, K, S_inv):
+    """Largest pairwise-arm Mahalanobis distance of covariate means, per row
+    of a (C, n) batch or for one (n,) assignment."""
+    arms = np.asarray(arms)
+    batch = np.atleast_2d(arms)
+    means = np.empty((K, batch.shape[0], X.shape[1]))
+    counts = np.empty((K, batch.shape[0]))
+    for k in range(1, K + 1):
+        ind = (batch == k).astype(float)
+        counts[k - 1] = ind.sum(axis=1)
+        means[k - 1] = (ind @ X) / counts[k - 1][:, None]
+    worst = np.zeros(batch.shape[0])
+    for a in range(K):
+        for b in range(a + 1, K):
+            diff = means[a] - means[b]
+            scale = 1.0 / counts[a] + 1.0 / counts[b]
+            m = np.einsum("cd,de,ce->c", diff, S_inv, diff) / scale
+            worst = np.maximum(worst, m)
+    return worst if arms.ndim == 2 else float(worst[0])
+
+
+def _ref_rerand_arms(X, p_a, seed, streams, K):
+    """The previous Rerandomization.arms, with its chi^2 cutoff from scipy and
+    a copy of every improving candidate."""
+    streams = np.asarray(streams, dtype=np.uint64)
+    cap = simbench._RERAND_CAP
+    n, d = X.shape
+    thr = float(2.0 * gammaincinv(d / 2.0, p_a ** (1.0 / (K * (K - 1) // 2))))
+    S_inv = _S_inv(X)
+    out = np.empty((streams.size, n), dtype=int)
+    best = np.empty_like(out)
+    best_m = np.full(streams.size, np.inf)
+    unresolved = np.arange(streams.size)
+    t = 0
+    while unresolved.size and t < cap:
+        cand = _ref_cr_batch(n, K, seed, streams[unresolved] * np.uint64(cap) + np.uint64(t))
+        m = _pairwise_mahalanobis_max(X, cand, K, S_inv)
+        improved = m < best_m[unresolved]
+        best[unresolved[improved]] = cand[improved]
+        best_m[unresolved[improved]] = m[improved]
+        ok = m < thr
+        out[unresolved[ok]] = cand[ok]
+        unresolved = unresolved[~ok]
+        t += 1
+    if unresolved.size:
+        warnings.warn(f"rerandomization cap exhausted for {unresolved.size} "
+                      "replicate(s); returning best-seen assignments",
+                      RuntimeWarning)
+        out[unresolved] = best[unresolved]
+    return out
 
 
 class TestGenThreeArm:
@@ -130,6 +201,12 @@ class TestDesignCr:
         cr = CompleteRandomization(10)
         assert np.array_equal(cr.arms(7, np.arange(5), 2), cr.arms(7, np.arange(5), 2))
 
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("n", [3, 12, 13, 100])
+    def test_kernel_equals_the_reference(self, n, K):
+        streams = np.arange(300)
+        assert np.array_equal(_cr_batch(n, K, 17, streams), _ref_cr_batch(n, K, 17, streams))
+
 
 class TestDesignRerand:
     def test_full_acceptance_equals_cr(self):
@@ -143,8 +220,8 @@ class TestDesignRerand:
         cr = CompleteRandomization(40)
         a_rr = rr.arms(3, np.arange(400), 2)
         a_cr = cr.arms(3, np.arange(400), 2)
-        m_rr = _pairwise_mahalanobis_max(X, a_rr, 2, rr._S_inv)
-        m_cr = _pairwise_mahalanobis_max(X, a_cr, 2, rr._S_inv)
+        m_rr = _pairwise_mahalanobis_max(X, a_rr, 2, _S_inv(X))
+        m_cr = _pairwise_mahalanobis_max(X, a_cr, 2, _S_inv(X))
         assert m_rr.mean() < m_cr.mean()
 
     def test_determinism(self):
@@ -173,7 +250,7 @@ class TestDesignRerand:
         rr = Rerandomization(X, p_a=0.1)
         arms = rr.arms(2, np.arange(50), 3)
         assert arms.shape == (50, 30)
-        m = _pairwise_mahalanobis_max(X, arms, 3, rr._S_inv)
+        m = _pairwise_mahalanobis_max(X, arms, 3, _S_inv(X))
         assert np.all(m < rerand_threshold(1, 3, 0.1))
         assert np.array_equal(_first(rr, 2, 3), arms[0])
 
@@ -181,8 +258,7 @@ class TestDesignRerand:
         X = np.random.default_rng(5).standard_normal((24, 3))
         a = _first(Rerandomization(X, 0.05), 11, 3)
         assert np.array_equal(a, Rerandomization(X, 0.05).arms(11, np.arange(4), 3)[0])
-        S_inv = np.linalg.pinv(np.cov(X, rowvar=False, ddof=1))
-        assert _pairwise_mahalanobis_max(X, a, 3, S_inv) < rerand_threshold(3, 3, 0.05)
+        assert _pairwise_mahalanobis_max(X, a, 3, _S_inv(X)) < rerand_threshold(3, 3, 0.05)
 
     def test_streams_that_would_wrap_are_rejected(self):
         # s * cap + t wraps modulo 2**64: streams 1 and 1 + 2**59 would
@@ -203,6 +279,58 @@ class TestDesignRerand:
         assert Rerandomization(X, 0.05).arms(3, streams, 3).shape == (1, 12)
         with pytest.raises(ValueError, match="64 bits"):
             Rerandomization(X, 1.0).arms(3, streams + np.uint64(1), 3)
+
+    @pytest.mark.parametrize("p_a", [0.01, 0.05, 1.0])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("n", [12, 13, 100])
+    def test_arms_equal_the_reference_loop(self, n, K, p_a):
+        X = np.random.default_rng(n * K).standard_normal((n, 3))
+        streams = np.arange(40)
+        assert np.array_equal(Rerandomization(X, p_a).arms(5, streams, K),
+                              _ref_rerand_arms(X, p_a, 5, streams, K))
+
+    def test_exhausted_cap_returns_the_earliest_least_distance(self, monkeypatch):
+        # n = 4 units in 2 arms: 25 candidates repeat the 6 assignments, so
+        # least distances tie; nothing passes a cutoff of about 2e-9
+        cap = 25
+        monkeypatch.setattr(simbench, "_RERAND_CAP", cap)
+        X = np.random.default_rng(8).standard_normal((4, 2))
+        streams = np.arange(6, dtype=np.uint64)
+        with pytest.warns(RuntimeWarning) as got:
+            arms = Rerandomization(X, 1e-9).arms(2, streams, 2)
+        with pytest.warns(RuntimeWarning) as want:
+            ref = _ref_rerand_arms(X, 1e-9, 2, streams, 2)
+        assert np.array_equal(arms, ref)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want] == [
+            "rerandomization cap exhausted for 6 replicate(s); returning best-seen assignments"]
+        for s, row in zip(streams, arms):
+            cands = _ref_cr_batch(4, 2, 2, s * np.uint64(cap) + np.arange(cap, dtype=np.uint64))
+            m = _pairwise_mahalanobis_max(X, cands, 2, _S_inv(X))
+            assert np.count_nonzero(m == m.min()) > 1
+            assert np.array_equal(row, cands[np.argmin(m)])
+
+    def test_fewer_units_than_arms_is_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drawn before the unit count was checked")
+
+        monkeypatch.setattr(grng, "uniforms", no_draw)
+        rr = Rerandomization(np.random.default_rng(0).standard_normal((2, 2)))
+        with pytest.raises(ValueError, match=r"n = 2 units into K = 3 arms"):
+            rr.arms(0, np.arange(3), 3)
+
+    def test_one_arm_is_rejected(self):
+        with pytest.raises(ValueError, match=r"K = 1\b"):
+            rerand_threshold(3, 1, 0.1)
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        with pytest.raises(ValueError, match=r"K = 1\b"):
+            Rerandomization(X).arms(0, np.arange(2), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariates_are_rejected(self, bad):
+        X = np.random.default_rng(1).standard_normal((10, 3))
+        X[4, 1] = bad
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            Rerandomization(X)
 
 
 _N = 12
@@ -237,23 +365,53 @@ def test_design_rows_do_not_depend_on_requested_streams(name, seed, streams, K, 
     assert np.array_equal(design.arms(seed, streams[s:s + 1], K), full[s:s + 1])
 
 
+# Largest distance from scipy.stats.chi2.ppf on the grid below, in ulp of
+# the quantile (scipy 1.17: chi2.ppf is itself up to 105 ulp off there).
+_PPF_ULP = 105
+
+# (d, p, chi^2_d quantile at p) rounded from 45-digit bisection on mpmath's
+# regularized incomplete gamma function.
+_EXACT_QUANTILES = (
+    (1, 1e-30, 1.570796326794897e-60), (1, 0.01, 0.00015708785790970197),
+    (1, 0.6, 0.7083263008007937), (1, 0.999999999999, 50.84417133244917),
+    (2, 1e-30, 2e-30), (2, 0.95, 5.99146454710798),
+    (3, 1e-30, 2.4179879310247047e-20), (3, 0.3, 1.4236522430352796),
+    (5, 0.01, 0.5542980767282771), (5, 0.95, 11.070497693516351),
+    (10, 1e-30, 5.2103444317015676e-06), (10, 0.6, 10.473236231395452),
+    (39, 0.01, 21.426163064945914), (39, 0.999999999999, 136.3851052824808),
+    (80, 1e-30, 6.036163191231973), (80, 0.3, 72.91534231387618),
+    (333, 0.01, 275.9194676946521), (333, 0.95, 376.5549566879191),
+)
+
+
 class TestRerandThreshold:
     def test_equals_chi2_ppf(self):
+        # within _PPF_ULP ulp of chi2.ppf; full acceptance gives inf
         for d in range(1, 40):
             for K in range(2, 17):
                 pairs = K * (K - 1) // 2
-                for p_a in (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0):
+                for p_a in (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9):
                     expected = float(chi2.ppf(p_a ** (1.0 / pairs), df=d))
-                    assert rerand_threshold(d, K, p_a) == expected, (d, K, p_a)
+                    got = rerand_threshold(d, K, p_a)
+                    assert abs(got - expected) <= _PPF_ULP * math.ulp(expected), (d, K, p_a)
+                assert rerand_threshold(d, K, 1.0) == math.inf
+
+    @pytest.mark.parametrize("d, p, exact", _EXACT_QUANTILES)
+    def test_within_two_ulp_of_the_exact_quantile(self, d, p, exact):
+        # K = 2 is one pair, so the quantile is taken at p itself
+        assert abs(rerand_threshold(d, 2, p) - exact) <= 2 * math.ulp(exact)
 
     def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
-        # no scipy module at all after the import and the optimize, sample,
-        # estimate and ci commands; the two side paths load scipy.special
-        # on their first call and give scipy's values
+        # no scipy module at all after the import, the optimize, sample,
+        # estimate, ci and simulate (rerandomization included) commands and
+        # the chi^2 cutoff; the Gauss-Hermite nodes load scipy.special on
+        # their first call and give scipy's values
         g = np.random.default_rng(0)
         np.savetxt(tmp_path / "X.csv", g.standard_normal((20, 2)), delimiter=",")
         records_to_csv(tmp_path / "records.csv", ExperimentRecords(
             Y=g.standard_normal(20), X=g.standard_normal((20, 2)), D=np.tile([1, 2, 3, 1], 5)))
+        (tmp_path / "sim.cfg").write_text("generator = factorial\ndesigns = bg,og,cr,rr\n"
+                                          "replicates = 100\niters = 2\n")
         src = str(Path(gaussdesign.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -261,12 +419,15 @@ class TestRerandThreshold:
                              check=True, capture_output=True, text=True).stdout
         steps = json.loads(out.strip().splitlines()[-1])
         assert [s["step"] for s in steps[:-1]] == [
-            "import", "optimize", "sample", "estimate", "ci_normal", "ci_randomization"]
+            "import", "optimize", "sample", "estimate", "ci_normal", "ci_randomization",
+            "simulate", "rerand_threshold"]
         for s in steps[:-1]:
             assert s["code"] == 0 and s["scipy"] == [], s
+        assert {line.split(",")[1] for line in
+                (tmp_path / "sim.csv").read_text().splitlines()[1:]} == {"bg", "og", "cr", "rr"}
+        assert steps[-2]["threshold"] == rerand_threshold(4, 3, 0.1)
         side = steps[-1]
         assert "scipy.special" in side["scipy"] and "scipy.stats" not in side["scipy"]
-        assert side["threshold"] == float(2.0 * gammaincinv(2.0, 0.1 ** (1.0 / 3.0)))
         x, w = roots_hermitenorm(20)
         assert side["nodes"] == x.tolist()
         assert side["weights"] == (w / np.sqrt(2.0 * np.pi)).tolist()
@@ -295,15 +456,18 @@ commands = {
     "ci_randomization": ["ci", *common, "--factor", "opt/factor.csv",
                          "--method", "randomization", "--estimand", "contrast:1,-1,0",
                          "--replicates", "100", "--seed", "3", "--out", "ci_rand.csv"],
+    "simulate": ["simulate", "--config", "sim.cfg", "--out", "sim.csv"],
 }
 for name, argv in commands.items():
     step(name, main(argv))
-from gaussdesign.hermite import gauss_hermite_nodes
 from gaussdesign.simbench import rerand_threshold
 threshold = rerand_threshold(4, 3, 0.1)
+step("rerand_threshold")
+steps[-1].update(threshold=threshold)
+from gaussdesign.hermite import gauss_hermite_nodes
 x, w = gauss_hermite_nodes(20)
-step("side paths")
-steps[-1].update(threshold=threshold, nodes=x.tolist(), weights=w.tolist())
+step("side path")
+steps[-1].update(nodes=x.tolist(), weights=w.tolist())
 print(json.dumps(steps))
 """
 
