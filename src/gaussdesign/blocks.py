@@ -35,6 +35,14 @@ import numpy as np
 # leave it unchanged.
 ROW_BLOCK = 128
 COL_TILE = 4 * ROW_BLOCK   # columns per product of a gram block, on a fixed grid
+# Multiply-adds per BLAS product that OpenBLAS (0.3.31) runs on the calling
+# thread.  A larger product wakes its own threads, which compete with the
+# pool's workers for the CPUs: on 2 vCPUs a (128 x 20) @ (20 x 512) product
+# took 0.23 ms threaded against 0.05 ms on one thread, and a
+# (4096 x 100) @ (100 x 5) rerandomization product 0.3 ms with the second
+# vCPU idle and 8 ms with it busy.  Such products are cut into pieces of at
+# most this size on a fixed grid.
+SERIAL_MACS = 1 << 19
 
 
 class _WorkerState(threading.local):

@@ -12,21 +12,24 @@ with p_r the standard bivariate normal density.  Arm maps f_k and cross-arm
 maps f_{k,l} are signed combinations of r_ij terms; their derivatives are the
 same combinations of p_rho(q_i, q_j).
 
-Every combination is evaluated by one fixed-order kernel, the bivariate
-normal rule of Genz (Statistics and Computing 14:251-260, 2004, after
-Drezner & Wesolowsky 1990), in fixed-size chunks of points:
+Every combination is evaluated by one kernel, the bivariate normal rule of
+Genz (Statistics and Computing 14:251-260, 2004, after Drezner & Wesolowsky
+1990), in fixed-size chunks of points:
 
-- for |rho| < 0.925, 20-point Gauss-Legendre in asin coordinates
-  (r = sin(theta) removes the 1/sqrt(1-r^2) endpoint singularity); the sin
-  nodes are computed once per chunk and shared by all terms of the map;
+- for |rho| < 0.925, Gauss-Legendre in asin coordinates (r = sin(theta)
+  removes the 1/sqrt(1-r^2) endpoint singularity) with Genz's orders: 6
+  nodes for |rho| < 0.3, 12 for |rho| < 0.75 and 20 up to 0.925; the sin
+  nodes are computed once per chunk and rule and shared by all terms of the
+  map;
 - for 0.925 <= |rho| < 1, Genz's asymptotic expansion around the
   co/antimonotone limit, plus a 20-point rule for its remainder;
-- at rho = +-1 exactly, the analytic co/antimonotone limits; at rho = 0
-  exactly, 0.
+- at rho = +-1 exactly, the analytic co/antimonotone limits (computed once
+  per map); at rho = 0 exactly, 0.
 
 Against a 40-digit reference the kernel is within 1e-14 absolute (measured
-maximum 1.8e-16 over K <= 16 and |rho| up to 1 - 1e-15, largest at the
-0.925 branch point).  Each point is computed on its own, so the output does
+maximum 1.5e-16 over K in {2, 3, 8, 16, 64} and |rho| up to 1 - 1e-15,
+with both sides of each rule's limit; largest just below 0.3, where the
+6-point rule ends).  Each point is computed on its own, so the output does
 not depend on the chunk size.
 
 Maps can be tabulated for the O(n^2) elementwise evaluations inside the
@@ -65,9 +68,14 @@ _TABLE_CHUNK = 1 << 16
 # build_table's bound on the table error, relative to the largest |f| (|f'|)
 _TABLE_RTOL = 1e-5
 _ROW_BLOCK = blocks.ROW_BLOCK   # rows per block of a symmetric map (_map_symmetric)
+_MIN_PANEL = 4   # narrowest product panel of a gram block (_panel)
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-_GL_T = 0.5 * (1.0 + _GL_X)   # nodes mapped to [0, 1]
+# Genz's rules below _HIGH_RHO: (|rho| limit, nodes mapped to [0, 1], weights)
+_LOW_RULES = tuple((limit, 0.5 * (1.0 + x), w) for limit, (x, w) in (
+    (0.3, np.polynomial.legendre.leggauss(6)),
+    (0.75, np.polynomial.legendre.leggauss(12)),
+    (_HIGH_RHO, (_GL_X, _GL_W))))
 _STD_NORMAL = NormalDist()
 
 
@@ -258,7 +266,10 @@ def quantile_thresholds(K):
     if not 2 <= int(K) <= 64:
         raise ValueError(f"arm count K = {K} outside supported range [2, 64]")
     K = int(K)
-    q = np.array([_ndtri(i / K) for i in range(1, K)])
+    # q_{K-i} = -q_i exactly, as Phi^-1 is odd about 1/2 (i/K and (K-i)/K
+    # round independently, so computing both sides misses it by an ulp)
+    q = np.array([_ndtri(i / K) if 2 * i <= K else -_ndtri((K - i) / K)
+                  for i in range(1, K)])
     return ArmQuantiles(K=K, thresholds=q)
 
 
@@ -287,21 +298,28 @@ def _r_endpoint(rho_sign, qi, qj):
     return max(0.0, pi_ + pj - 1.0) - pi_ * pj
 
 
-def _genz_low(rho, terms):
-    """sum_t coef_t r(rho; h_t, k_t) for 0 < |rho| < 0.925: 20-point rule on
-    [0, asin(rho)] in theta, with r = sin(theta)."""
+def _genz_low(rho, terms, nodes, weights):
+    """sum_t coef_t r(rho; h_t, k_t) for 0 < |rho| < 0.925: the Gauss-Legendre
+    rule (``nodes`` on [0, 1], ``weights``) on [0, asin(rho)] in theta, with
+    r = sin(theta).  The nodes x points layout adds each point's weighted
+    nodes in node order, one contiguous row at a time, whatever the number
+    of points (a numpy reduction picks its order by shape)."""
     asr = np.arcsin(rho)
-    sn = np.sin(asr[:, None] * _GL_T)
+    sn = np.sin(nodes[:, None] * asr)
     inv = 1.0 / (1.0 - sn * sn)
     e = np.empty_like(sn)
+    w = weights[:, None]
     acc = np.zeros(rho.size)
     for coef, h, k in terms:
         np.multiply(sn, h * k, out=e)
         e -= 0.5 * (h * h + k * k)
         e *= inv
         np.exp(e, out=e)
-        e *= _GL_W
-        acc += coef * e.sum(axis=1)
+        e *= w
+        total = e[0]
+        for row in e[1:]:
+            total += row
+        acc += coef * total
     return acc * asr / (4.0 * np.pi)
 
 
@@ -351,16 +369,22 @@ def _genz_high(r, terms, sign):
     return sign * acc
 
 
-def _rectangle_sum(rho, terms):
-    """sum_t coef_t r(rho; h_t, k_t) over an array rho in [-1, 1].
+def _ends(terms):
+    """{s: sum_t coef_t r(s; h_t, k_t)} at s = 1 and -1, the analytic
+    co/antimonotone limits of a map."""
+    return {s: sum(c * _r_endpoint(s, h, k) for c, h, k in terms) for s in (1.0, -1.0)}
+
+
+def _rectangle_sum(rho, terms, ends):
+    """sum_t coef_t r(rho; h_t, k_t) over an array rho in [-1, 1], with
+    ``ends`` = _ends(terms).
 
     The points are taken _CHUNK at a time, and each point's value depends on
-    that point alone.  NaN propagates (it takes the low branch).
+    that point alone.  NaN propagates (it takes the first low rule).
     """
     a = np.asarray(rho, dtype=float)
     flat = a.reshape(-1)
     out = np.zeros(flat.size)
-    ends = {s: sum(c * _r_endpoint(s, h, k) for c, h, k in terms) for s in (1.0, -1.0)}
     chunk = blocks.budget(_CHUNK)
     for lo in range(0, flat.size, chunk):
         x = flat[lo:lo + chunk]
@@ -368,8 +392,11 @@ def _rectangle_sum(rho, terms):
         ax = np.abs(x)
         high = ax >= _HIGH_RHO
         low = ~high & (x != 0.0)
-        if low.any():
-            o[low] = _genz_low(x[low], terms)
+        for limit, nodes, weights in _LOW_RULES:
+            band = low & ~(ax >= limit)
+            if band.any():
+                o[band] = _genz_low(x[band], terms, nodes, weights)
+                low &= ~band
         if high.any():
             for s in (1.0, -1.0):
                 o[x == s] = ends[s]
@@ -384,7 +411,8 @@ def r_ij(rho, qi, qj):
     a = np.asarray(rho, dtype=float)
     if np.any(np.abs(a) > 1.0):
         raise ValueError("correlation outside [-1, 1]")
-    out = _rectangle_sum(a, ((1.0, float(qi), float(qj)),))
+    terms = ((1.0, float(qi), float(qj)),)
+    out = _rectangle_sum(a, terms, _ends(terms))
     return out if out.ndim else float(out)
 
 
@@ -402,7 +430,7 @@ class _RectangleComboMap(CovarianceMap):
 
     def __init__(self, terms, label):
         self.terms = terms  # tuple of (coef, qi, qj)
-        super().__init__(partial(_rectangle_sum, terms=terms),
+        super().__init__(partial(_rectangle_sum, terms=terms, ends=_ends(terms)),
                          partial(_density_sum, terms=terms), label)
 
 
@@ -477,8 +505,11 @@ def _reduce_symmetric(rows, block_fn):
     blocks.COL_TILE columns from the diagonal on.  g_b is V[rows] V[cols]^T
     clamped to [-1, 1] and 0 on and below the diagonal, where every
     covariance map vanishes: callers add the diagonal (exactly 1).  The
-    partials are bit-identical on any worker count; one block per worker is
-    in flight."""
+    product is formed in column panels of _panel(k) columns from the
+    block's first column, so at rank k <= 1024 each is at most
+    blocks.SERIAL_MACS multiply-adds and OpenBLAS runs it on the calling
+    worker.  The partials are bit-identical on any worker count; one block
+    per worker is in flight."""
     rows = np.ascontiguousarray(rows)
     n = rows.shape[0]
     tasks = [partial(_reduce_block, rows, block_fn, slice(lo, min(lo + _ROW_BLOCK, n)),
@@ -487,8 +518,22 @@ def _reduce_symmetric(rows, block_fn):
     return blocks.run(tasks, blocks.width(len(tasks)))
 
 
+def _panel(k):
+    """Columns per product panel of a gram block of rank k: at most
+    blocks.SERIAL_MACS multiply-adds, so the product stays on the calling
+    worker, but never fewer than _MIN_PANEL columns.  Narrower panels are
+    near matrix-vector products that reread the block's rows per column: at
+    n = k = 1600 on 2 vCPUs the bound took 0.35-0.38 s in 2-column panels,
+    0.19 s in 4-column panels and 0.23-0.24 s in whole threaded blocks."""
+    return max(_MIN_PANEL, blocks.SERIAL_MACS // (_ROW_BLOCK * max(1, k)))
+
+
 def _reduce_block(rows, block_fn, r, c):
-    g = rows[r] @ rows[c].T
+    left, right = rows[r], rows[c]
+    g = np.empty((left.shape[0], right.shape[0]))
+    step = _panel(rows.shape[1])
+    for j in range(0, g.shape[1], step):
+        np.matmul(left, right[j:j + step].T, out=g[:, j:j + step])
     np.clip(g, -1.0, 1.0, out=g)
     if c.start == r.start:
         g[np.tril_indices(r.stop - r.start)] = 0.0

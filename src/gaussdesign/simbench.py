@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import blocks, rng
 from .covmap import _map_forms, _ndtri, discretize, f_arm, quantile_thresholds
 from .elliptope import CorrelationFactor, _latent, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
@@ -59,12 +59,6 @@ _RERAND_CAP = 100_000
 # s * _RERAND_CAP + t, t < _RERAND_CAP, must fit in 64 bits.
 _RERAND_MAX_STREAM = (2**64 - _RERAND_CAP) // _RERAND_CAP
 _BALANCE_DRAWS = 2000   # draws of the Monte Carlo balance measure
-# Rerandomization scores candidates in row blocks of at most this many
-# multiply-adds per indicator product, which OpenBLAS runs on one thread.  On
-# 2 vCPUs a threaded (4096 x 100) @ (100 x 5) product took 0.3 ms with the
-# second vCPU idle and 8 ms with it busy; the same rows in these blocks took
-# 0.14 ms.
-_SCORE_MACS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -403,6 +397,9 @@ class Rerandomization(_ArmDesign):
         self.X = np.asarray(X, dtype=float)
         if not np.all(np.isfinite(self.X)):
             raise ValueError("covariates must be finite")
+        if self.X.shape[0] < 2:
+            raise ValueError(f"rerandomization needs at least 2 units for the covariates'"
+                             f" sample covariance, got n = {self.X.shape[0]}")
         self.p_a = float(p_a)
         self.name = name
         # Whitened covariates Z = (X - mean) L with L L^T = S^+, the
@@ -419,8 +416,10 @@ class Rerandomization(_ArmDesign):
 
     def _max_distance(self, arms, K):
         """Largest pairwise-arm Mahalanobis distance of covariate means,
-        |mean_a Z - mean_b Z|^2 / (1 / n_a + 1 / n_b), per row of ``arms``."""
-        rows = max(1, _SCORE_MACS // (arms.shape[1] * max(1, self._Z.shape[1])))
+        |mean_a Z - mean_b Z|^2 / (1 / n_a + 1 / n_b), per row of ``arms``.
+        The indicator products run in row blocks of at most
+        blocks.SERIAL_MACS multiply-adds, on the calling thread."""
+        rows = max(1, blocks.SERIAL_MACS // (arms.shape[1] * max(1, self._Z.shape[1])))
         sums = np.empty((K, arms.shape[0], self._Z.shape[1]))
         counts = np.empty((K, arms.shape[0]))
         for lo in range(0, arms.shape[0], rows):

@@ -31,6 +31,13 @@ class TestQuantileThresholds:
         assert oracle[2] == pytest.approx(0.6744897501960817, abs=1e-12)
         assert quantile_thresholds(4).thresholds == pytest.approx(oracle, abs=1e-12)
 
+    def test_exactly_antisymmetric(self):
+        # q_{K-i} = -q_i, so mirrored terms cancel exactly (b = 0 in the
+        # asymptotic branch of the rectangle kernel)
+        for K in range(2, 65):
+            q = quantile_thresholds(K).thresholds
+            assert np.array_equal(q, -q[::-1]), K
+
     @pytest.mark.parametrize("K", [1, 0, 65, -3])
     def test_range_errors(self, K):
         with pytest.raises(ValueError):
@@ -125,6 +132,14 @@ class TestRij:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             r_ij(1.0001, 0.0, 0.0)
+
+    def test_negated_thresholds_bit_identical_below_the_asymptotic_branch(self):
+        rhos = np.concatenate([_kernel_rhos(), np.random.default_rng(8).uniform(-1.0, 1.0, 400)])
+        rhos = rhos[np.abs(rhos) < 0.925]
+        for K in (3, 8, 64):
+            q = quantile_thresholds(K).thresholds
+            for h, k in ((q[0], q[0]), (q[0], q[-1]), (q[0], q[1]), (-0.3, 0.8)):
+                assert np.array_equal(r_ij(rhos, -h, -k), r_ij(rhos, h, k)), (K, h, k)
 
 
 class TestFArm:
@@ -422,15 +437,16 @@ def _reference_r(mp, rho, h, k):
 
 
 def _kernel_rhos():
+    # both sides of each rule's limit (6, 12 and 20 nodes, then asymptotic)
     near_one = 1.0 - 10.0 ** -np.arange(1, 16)
-    inside = np.nextafter(0.925, 0.0)
-    fixed = np.concatenate([near_one, [0.925, inside, 0.3, 0.75]])
+    limits = np.array([0.3, 0.75, 0.925])
+    fixed = np.concatenate([near_one, limits, np.nextafter(limits, 0.0)])
     random = np.random.default_rng(7).uniform(-1.0, 1.0, 6)
     return np.concatenate([fixed, -fixed, random])
 
 
 class TestGenzKernel:
-    @pytest.mark.parametrize("K", [2, 3, 8, 16])
+    @pytest.mark.parametrize("K", [2, 3, 8, 16, 64])
     def test_matches_40_digit_reference(self, K):
         mpmath = pytest.importorskip("mpmath")
         q = quantile_thresholds(K).thresholds
@@ -462,14 +478,19 @@ class TestGenzKernel:
     def test_chunk_size_invariance(self, chunk, monkeypatch):
         import gaussdesign.covmap as covmap
 
-        rhos = np.concatenate([[0.0, 1.0, -1.0], _kernel_rhos(),
+        # every rule's band, alone and mixed within a chunk, and NaN
+        bands = np.random.default_rng(2).uniform([0.0, 0.3, 0.75, 0.925], [0.3, 0.75, 0.925, 1.0],
+                                                 (25, 4))
+        rhos = np.concatenate([[0.0, 1.0, -1.0, np.nan], _kernel_rhos(),
+                               bands.T.ravel(), -bands.ravel(), [np.nan],
                                np.random.default_rng(3).uniform(-1.0, 1.0, 500)])
         m = weighted_discrete_map(np.random.default_rng(4).standard_normal(5), 5)
         default = m.eval(rhos)
+        assert np.isnan(default).sum() == 2
         monkeypatch.setattr(covmap, "_CHUNK", chunk)
-        assert np.array_equal(m.eval(rhos), default)
+        assert np.array_equal(m.eval(rhos), default, equal_nan=True)
         assert np.array_equal(r_ij(rhos, -0.2, 0.9),
-                              np.array([r_ij(x, -0.2, 0.9) for x in rhos]))
+                              np.array([r_ij(x, -0.2, 0.9) for x in rhos]), equal_nan=True)
 
     def test_memory_bounded_on_two_million_points(self):
         import tracemalloc

@@ -325,6 +325,14 @@ class TestDesignRerand:
         with pytest.raises(ValueError, match=r"K = 1\b"):
             Rerandomization(X).arms(0, np.arange(2), 1)
 
+    @pytest.mark.parametrize("shape", [(1, 3), (0, 2), (1,)])
+    def test_fewer_than_two_units_are_rejected(self, shape):
+        # np.cov with ddof = 1 would divide by n - 1 <= 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"n = {shape[0]}\b"):
+                Rerandomization(np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_covariates_are_rejected(self, bad):
         X = np.random.default_rng(1).standard_normal((10, 3))

@@ -154,6 +154,41 @@ def test_reduce_symmetric_covers_each_upper_pair_once(n, k):
         assert got[0, 1] == 1.0 and got[0, 2] == -1.0
 
 
+@pytest.mark.parametrize("k", [1, 20, None])
+def test_reduce_symmetric_partials_bit_identical_on_one_and_two_workers(k):
+    # rank 1: every correlation is exactly +-1
+    n = T + B + 3
+    rows = _rows(n, 5, n if k is None else k) if k != 1 else np.sign(
+        np.random.default_rng(5).standard_normal((n, 1)))
+    cmap = f_cross(3, 1, 2)
+
+    def fn(b, g):
+        return g.tobytes(), cmap.eval(g).tobytes()
+
+    with _workers(1):
+        want = covmap._reduce_symmetric(rows, fn)
+    with _workers(2):
+        assert covmap._reduce_symmetric(rows, fn) == want
+
+
+def test_block_products_stay_within_the_serial_budget_at_rank_20(monkeypatch):
+    # a product above blocks.SERIAL_MACS multiply-adds wakes OpenBLAS's
+    # threads inside the block workers
+    n, k = T + B + 3, 20
+    rows = _rows(n, 6, k)
+    macs = []
+    matmul = np.matmul
+
+    def recording(a, b, **kw):
+        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    covmap._reduce_symmetric(rows, lambda b, g: None)
+    monkeypatch.undo()
+    assert macs and max(macs) <= blocks.SERIAL_MACS
+
+
 def test_map_symmetric_visits_each_upper_block_once():
     n = 2 * B + 3
     seen = np.zeros((n, n), dtype=int)
