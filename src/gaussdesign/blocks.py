@@ -1,8 +1,10 @@
-"""Row blocks of an n-row array, run on every CPU the process may use.
+"""Blocks of an n-row array or of its n x n pairs, run on every CPU the
+process may use.
 
-The O(n^2) elementwise layer of the optimizer (maps of a gram, their
-gradients, the row-normalized step and the factor's validation) runs in
-blocks of ``ROW_BLOCK`` rows.  ``run`` calls a list of such block tasks on a
+The O(n^2) elementwise layer of the optimizer runs in blocks: the
+row-normalized step and the factor's validation in blocks of ``ROW_BLOCK``
+rows (``over_rows``), maps of a gram and their gradients in blocks of the
+upper triangle (``over_upper``).  ``run`` calls a list of such block tasks on a
 thread pool with one worker per CPU in the process's affinity mask (numpy
 releases the interpreter lock inside its loops), or inline when there is
 one task, one CPU, or when the caller is itself a pool worker, so there is
@@ -15,10 +17,12 @@ and completion order.  A task runs under its caller's numpy error state
 (which is thread-local); the first exception in task order is raised in
 the caller once every task has finished.
 
-Memory in flight does not grow with the worker count: inside a worker,
-``budget`` divides a kernel's points per chunk by the worker count, and
-``covmap._map_symmetric`` cuts each row block into one column piece per
-worker.
+Pairs of units are walked by ``over_upper`` alone: one fixed grid of
+``ROW_BLOCK`` x ``COL_TILE`` blocks over an n x n upper triangle, the same
+whatever the worker count, serves every map of a gram, its gradient, the
+optimizer's first step and every streamed reduction.  Memory in flight is
+one such block per worker, and inside a worker ``budget`` divides a
+kernel's points per chunk by the worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 # 256-row blocks raised the optimizer's peak RSS by 4 MB, 128-row blocks
 # leave it unchanged.
 ROW_BLOCK = 128
-COL_TILE = 4 * ROW_BLOCK   # columns per product of a gram block, on a fixed grid
+COL_TILE = 4 * ROW_BLOCK   # columns per block of an upper triangle (over_upper)
 # Multiply-adds per BLAS product that OpenBLAS (0.3.31) runs on the calling
 # thread.  A larger product wakes its own threads, which compete with the
 # pool's workers for the CPUs: on 2 vCPUs a (128 x 20) @ (20 x 512) product
@@ -124,4 +128,14 @@ def over_rows(n, fn):
     """[fn(lo, hi) for each block lo:hi of ROW_BLOCK rows out of n], run on
     ``width`` workers."""
     tasks = [partial(fn, lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+    return run(tasks, width(len(tasks)))
+
+
+def over_upper(n, fn):
+    """[fn(b) for each block b = (rows, cols) of an n x n upper triangle], in
+    block order, run on ``width`` workers.  The grid is fixed: row blocks of
+    ROW_BLOCK rows, each cut into COL_TILE columns from its diagonal on
+    (cols.start - rows.start is a multiple of COL_TILE)."""
+    tasks = [partial(fn, (slice(lo, min(lo + ROW_BLOCK, n)), slice(c, min(c + COL_TILE, n))))
+             for lo in range(0, n, ROW_BLOCK) for c in range(lo, n, COL_TILE)]
     return run(tasks, width(len(tasks)))

@@ -67,7 +67,6 @@ _CHUNK = 8192
 _TABLE_CHUNK = 1 << 16
 # build_table's bound on the table error, relative to the largest |f| (|f'|)
 _TABLE_RTOL = 1e-5
-_ROW_BLOCK = blocks.ROW_BLOCK   # rows per block of a symmetric map (_map_symmetric)
 _MIN_PANEL = 4   # narrowest product panel of a gram block (_panel)
 _HIGH_RHO = 0.925   # Genz's switch to the asymptotic branch
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
@@ -501,9 +500,9 @@ def apply_map(cmap: CovarianceMap, factor):
 
 def _reduce_symmetric(rows, block_fn):
     """[block_fn(b, g_b) for each block b = (rows, cols) of the gram's upper
-    triangle], in block order, on a fixed grid: _ROW_BLOCK rows by
-    blocks.COL_TILE columns from the diagonal on.  g_b is V[rows] V[cols]^T
-    clamped to [-1, 1] and 0 on and below the diagonal, where every
+    triangle], in block order, on the fixed grid of blocks.over_upper.  g_b
+    is V[rows] V[cols]^T clamped to [-1, 1] and 0 on and below the diagonal,
+    where every
     covariance map vanishes: callers add the diagonal (exactly 1).  The
     product is formed in column panels of _panel(k) columns from the
     block's first column, so at rank k <= 1024 each is at most
@@ -511,11 +510,7 @@ def _reduce_symmetric(rows, block_fn):
     worker.  The partials are bit-identical on any worker count; one block
     per worker is in flight."""
     rows = np.ascontiguousarray(rows)
-    n = rows.shape[0]
-    tasks = [partial(_reduce_block, rows, block_fn, slice(lo, min(lo + _ROW_BLOCK, n)),
-                     slice(c, min(c + blocks.COL_TILE, n)))
-             for lo in range(0, n, _ROW_BLOCK) for c in range(lo, n, blocks.COL_TILE)]
-    return blocks.run(tasks, blocks.width(len(tasks)))
+    return blocks.over_upper(rows.shape[0], partial(_reduce_block, rows, block_fn))
 
 
 def _panel(k):
@@ -525,10 +520,11 @@ def _panel(k):
     near matrix-vector products that reread the block's rows per column: at
     n = k = 1600 on 2 vCPUs the bound took 0.35-0.38 s in 2-column panels,
     0.19 s in 4-column panels and 0.23-0.24 s in whole threaded blocks."""
-    return max(_MIN_PANEL, blocks.SERIAL_MACS // (_ROW_BLOCK * max(1, k)))
+    return max(_MIN_PANEL, blocks.SERIAL_MACS // (blocks.ROW_BLOCK * max(1, k)))
 
 
-def _reduce_block(rows, block_fn, r, c):
+def _reduce_block(rows, block_fn, b):
+    r, c = b
     left, right = rows[r], rows[c]
     g = np.empty((left.shape[0], right.shape[0]))
     step = _panel(rows.shape[1])
@@ -537,7 +533,7 @@ def _reduce_block(rows, block_fn, r, c):
     np.clip(g, -1.0, 1.0, out=g)
     if c.start == r.start:
         g[np.tril_indices(r.stop - r.start)] = 0.0
-    return block_fn((r, c), g)
+    return block_fn(b, g)
 
 
 def _map_forms(rows, maps, X):
@@ -562,34 +558,23 @@ def _eval_symmetric(cmap, g, out=None):
 def _map_symmetric(fn, out):
     """Fill the symmetric square array ``out`` from its upper triangle.
 
-    The upper triangle is cut into row blocks of _ROW_BLOCK rows, each
-    from its first row's column on (so the block's diagonal starts at its
-    column 0).  ``fn(b)`` writes ``out[b]`` for b = (rows, cols), a block
-    or, when the blocks run on several workers (see blocks), one of that
-    many column pieces of a block, so memory in flight stays one block's;
-    the strictly lower part below b is then mirrored from it.  An
-    elementwise map of a symmetric gram is thus evaluated once per
-    unordered pair, plus the lower half of each diagonal block, and equals
-    the full evaluation bit for bit.  Pieces write disjoint parts of
-    ``out``, so the result does not depend on the worker count.
+    ``fn(b)`` writes ``out[b]`` for each block b = (rows, cols) of the
+    upper triangle on the fixed grid of blocks.over_upper (a diagonal
+    block's diagonal starts at its column 0); the strictly lower part below
+    b is then mirrored from it.  An elementwise map of a symmetric gram is
+    thus evaluated once per unordered pair, plus the lower half of each
+    diagonal block, and equals the full evaluation bit for bit.  Blocks
+    write disjoint parts of ``out``, so the result does not depend on the
+    worker count.
     """
-    n = out.shape[0]
-    starts = range(0, n, _ROW_BLOCK)
-    workers = blocks.width(len(starts))
-    tasks = []
-    for lo in starts:
-        hi = min(lo + _ROW_BLOCK, n)
-        edges = [lo + (n - lo) * p // workers for p in range(workers + 1)]
-        tasks += [partial(_map_piece, fn, out, lo, hi, c0, c1)
-                  for c0, c1 in zip(edges[:-1], edges[1:]) if c1 > c0]
-    blocks.run(tasks, workers)
+    def block(b):
+        fn(b)
+        rows, cols = b
+        mid = max(cols.start, rows.stop)
+        out[mid:cols.stop, rows] = out[rows, mid:cols.stop].T
+
+    blocks.over_upper(out.shape[0], block)
     return out
-
-
-def _map_piece(fn, out, lo, hi, c0, c1):
-    fn((slice(lo, hi), slice(c0, c1)))
-    mid = max(c0, hi)
-    out[mid:c1, lo:hi] = out[lo:hi, mid:c1].T
 
 
 def _zero_diagonal(a, b):

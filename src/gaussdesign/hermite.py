@@ -27,6 +27,9 @@ import numpy as np
 from .covmap import CovarianceMap, _ndtr
 
 MAX_DEGREE = 200  # stability ceiling of the three-term recurrence
+# Past about 740 nodes h_n overflows a double at the outer nodes, in
+# hermegauss's Newton step and in the weights below
+MAX_NODES = 700
 DEFAULT_TRUNCATION = 50
 DEFAULT_NODES = 200
 
@@ -60,12 +63,24 @@ def _normalized_table(M, x):
 
 @lru_cache(maxsize=16)
 def gauss_hermite_nodes(n):
-    """Nodes and (normalized) weights so that E_phi[f] ~= sum w f(x).
-    scipy.special loads on the first call."""
-    from scipy.special import roots_hermitenorm
+    """Nodes and (normalized) weights so that E_phi[f] ~= sum w f(x), for
+    1 <= n <= MAX_NODES.
 
-    x, w = roots_hermitenorm(int(n))
-    return x, w / np.sqrt(2.0 * np.pi)
+    The nodes are numpy's hermegauss: the eigenvalues of the Jacobi matrix
+    and one Newton step (Golub & Welsch, Math. Comp. 23, 1969).  Its own
+    weights overflow from n ~ 350, so the weights are 1 / (n h_{n-1}(x)^2),
+    scaled to sum to 1; those below the smallest double underflow to 0.
+    Against scipy's roots_hermitenorm for n = 1..700 (measured): nodes
+    within 4e-14 absolute, weights within 3.8e-12 relative.
+    """
+    n = int(n)
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"Gauss-Hermite node count {n} outside [1, {MAX_NODES}]")
+    with np.errstate(all="ignore"):   # hermegauss's weights, discarded
+        x = np.polynomial.hermite_e.hermegauss(n)[0]
+    h = _normalized_table(n - 1, x)[-1]
+    w = 1.0 / (n * h) / h
+    return x, w / w.sum()
 
 
 @dataclass(frozen=True)

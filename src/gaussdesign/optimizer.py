@@ -40,22 +40,24 @@ it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
-evaluated on the upper triangle in row blocks and mirrored
-(covmap._map_symmetric).  Per block, the gradient runs the clip, f_j' and
-the product with B_j B_j^T in the order of the full evaluation, so it needs
-no n x n temporary besides its output, and every value equals the full
-elementwise evaluation with those tiles bit for bit.  The tiles are products
-on a fixed grid (_offdiag_tile); a one-column B_j gives the outer product
+evaluated on the blocks of the upper triangle and mirrored
+(covmap._map_symmetric), on the one fixed grid of blocks.over_upper, which
+also serves the default first step.  Per block, the gradient runs the clip,
+f_j' and the product with B_j B_j^T in the order of the full evaluation, so
+it needs no n x n temporary besides its output, and every value equals the
+full elementwise evaluation with those tiles bit for bit.  Each tile is one
+product per block (_offdiag_tile); a one-column B_j gives the outer product
 b_j b_j^T exactly, but where the BLAS rounds the whole product X X^T
 differently from its tiles (some n > 128, d >= 2), the nuclear gradient, and
 so the design, can differ from one formed from the whole product in the
 last bits.
 
 The elementwise layer runs on every CPU the process may use (see blocks):
-the row blocks of the maps and gradients, and of the row-normalized step
-with its factor's finiteness and norm checks, are tasks that write disjoint
-rows and column strips, so every array is bit-identical whatever the worker
-count.  The O(n^3) products use the BLAS library's own threads.
+the blocks of the maps and gradients, and the row blocks of the
+row-normalized step with its factor's finiteness and norm checks, are tasks
+that write disjoint parts of their outputs, so every array is bit-identical
+whatever the worker count.  The O(n^3) products use the BLAS library's own
+threads.
 """
 
 from __future__ import annotations
@@ -179,23 +181,16 @@ def objective(problem: DesignProblem, factor: CorrelationFactor):
 
 
 def _offdiag_tile(X, b):
-    """The block b (see _map_symmetric) of A = X X^T, its entries on the
-    square's diagonal zeroed, for C-contiguous X: the covariates, or one
-    column b_j[:, None], whose products are the outer product's exactly.
+    """The block b (of blocks.over_upper's grid) of A = X X^T, its entries
+    on the square's diagonal zeroed, for C-contiguous X: the covariates, or
+    one column b_j[:, None], whose products are the outer product's exactly.
 
-    A is formed in products X[rows] X[c:c + t]^T, t = blocks.COL_TILE, on a
-    fixed grid of columns that starts at the block's diagonal,
-    c = rows.start + k t, and each is cut to b's columns.  So A's bits do not
-    depend on how a block is cut into pieces (the worker count), and memory
-    in flight is one product per worker.
+    A is the one product X[rows] X[cols]^T.  The grid does not depend on the
+    worker count, so neither do A's bits, and memory in flight is one
+    product per worker.
     """
     rows, cols = b
-    t = blocks.COL_TILE
-    A = np.empty((rows.stop - rows.start, cols.stop - cols.start))
-    first = rows.start + (cols.start - rows.start) // t * t
-    for c in range(first, cols.stop, t):
-        lo, hi = max(c, cols.start), min(c + t, cols.stop)
-        A[:, lo - cols.start:hi - cols.start] = (X[rows] @ X[c:c + t].T)[:, lo - c:hi - c]
+    A = X[rows] @ X[cols].T
     _zero_diagonal(A, b)
     return A
 
@@ -402,14 +397,11 @@ def cap_rank(factor: CorrelationFactor, k) -> CorrelationFactor:
 def default_eta0(problem: DesignProblem):
     """0.1 / (1 + max offdiag |X X^T| * max |f'| over the table grid).
 
-    X X^T is symmetric: its largest |entry| is taken over the row blocks of
-    its upper triangle, one tile (see _offdiag_tile) at a time."""
+    X X^T is symmetric: its largest |entry| is taken over the blocks of its
+    upper triangle (blocks.over_upper), one tile (see _offdiag_tile) each."""
     X = np.ascontiguousarray(problem.X)
-    n = X.shape[0]
-    amax = 0.0   # the zeroed diagonal
-    for lo in range(0, n, blocks.ROW_BLOCK):
-        A = _offdiag_tile(X, (slice(lo, min(lo + blocks.ROW_BLOCK, n)), slice(lo, n)))
-        amax = max(amax, float(A.max()), -float(A.min()))
+    amax = max(blocks.over_upper(X.shape[0],
+                                 lambda b: float(np.abs(_offdiag_tile(X, b)).max())))
     dmax = 0.0
     for w, cmap in zip(problem.weights, problem.maps):
         tab = cmap if cmap.table is not None else build_table(cmap)

@@ -210,24 +210,54 @@ def _cr_batch(n, K, seed, streams):
     return arms
 
 
+def _stirling_term(k, y):
+    """D(k, y) = e^-y y^k / Gamma(k + 1) from Stirling's series, as
+    DiDonato & Morris's rcomp (ACM TOMS 12, 1986):
+    exp(-k rlog(y / k) - mu(k)) / sqrt(2 pi k), rlog(u) = u - 1 - log(u) and
+    mu(k) = 1/(12k) - 1/(360k^3) + 1/(1260k^5) Stirling's correction (for k
+    of 10 or more).  For y / k in [1/2, 2], where y - k is exact, k rlog(y / k)
+    is the series (y - k) s - 2k (s^3/3 + s^5/5 + ...), s = (y - k) / (y + k),
+    in which nothing cancels."""
+    s = (y - k) / (y + k)
+    if abs(s) > 1.0 / 3.0:
+        kr = y - k - k * math.log(y / k)
+    else:
+        s2 = s * s
+        series, term, j = 0.0, 1.0, 3.0
+        while term > 1e-17:
+            series += term / j
+            term *= s2
+            j += 2.0
+        kr = s * (y - k - 2.0 * k * s2 * series)
+    t = 1.0 / (k * k)
+    mu = ((t / 1260.0 - 1.0 / 360.0) * t + 1.0 / 12.0) / k
+    return math.exp(-kr - mu) / math.sqrt(2.0 * math.pi * k)
+
+
 def _gamma_terms(a, y):
     """Terms of the regularized incomplete gamma function at 2a a positive
     integer: (sum of D(k, y) over k = a - 1, a - 2, ... >= 0, D(a - 1, y),
-    D(a, y)), D(k, y) = e^-y y^k / Gamma(k + 1) by the recurrence
-    D(k + 1, y) = D(k, y) y / (k + 1) from D(0, y) = e^-y or
-    D(-1/2, y) = e^-y / sqrt(pi y).
+    D(a, y)), D(k, y) = e^-y y^k / Gamma(k + 1).
 
-    Above y = 400 (e^-y underflows from y ~ 745) the recurrence starts at
-    k = y - 20 sqrt(y) from lgamma, less exactly: D(k, y) there lies about
-    200 e-folds below the largest term, and the terms it skips below that.
+    Up to y = 400 they come from the recurrence D(k + 1, y) = D(k, y) y /
+    (k + 1) up from D(0, y) = e^-y or D(-1/2, y) = e^-y / sqrt(pi y).  Above
+    it (e^-y underflows from y ~ 745) D(a, y) comes from _stirling_term and
+    the sum runs down, D(k - 1, y) = D(k, y) k / y, until the terms past its
+    largest fall below 1e-17 of it.  The terms that carry the sum then lie
+    next to the start; a start m e-folds below them would pass an error of
+    about m ulp on to every one of them.
     """
+    if y > 400.0:
+        t = _stirling_term(a, y)
+        prev = t * a / y
+        total, term, k = 0.0, prev, a - 1.0
+        while k >= 0.0 and (k > y or term > total * 1e-17):
+            total += term
+            term *= k / y
+            k -= 1.0
+        return total, prev, t
     k = 0.0 if a == math.floor(a) else -0.5
-    skip = max(0.0, math.floor(y - 20.0 * math.sqrt(y)))
-    if skip == 0.0:
-        t = math.exp(-y) if k == 0.0 else math.exp(-y) / math.sqrt(math.pi * y)
-    else:
-        k = min(a, k + skip)
-        t = math.exp(k * math.log(y) - y - math.lgamma(k + 1.0))
+    t = math.exp(-y) if k == 0.0 else math.exp(-y) / math.sqrt(math.pi * y)
     total, prev = 0.0, t * k / y
     while k < a:
         if k >= 0.0:
@@ -303,11 +333,12 @@ def rerand_threshold(d, K, p_a):
     (``_gamma_quantile``); p = 1 gives inf.  Measured error against 45-digit
     bisection on mpmath's incomplete gamma function, p from 1e-300 to
     1 - 2**-52: at most 5 ulp for d = 1..79 (at most 3 ulp except d = 1 at
-    p = 0.4999) and 2 ulp for d = 101, 200, 333 and 600; beyond y = 400
-    (d > ~800) the lgamma start of ``_gamma_terms`` costs up to 31 ulp at
-    d = 1000 and 198 ulp at d = 3001.  ``scipy.stats.chi2.ppf`` differs from
-    it by at most 105 ulp on d = 1..39, K = 2..16, p_a from 0.001 to 0.9,
-    being itself up to 105 ulp off there (scipy 1.17).
+    p = 0.4999) and 2 ulp for d = 101, 200, 333 and 600; beyond y = 400,
+    where ``_gamma_terms`` starts from Stirling's series, at most 1 ulp for
+    d = 801, 850, 1000, 1500, 2001, 3001, 5001 and 10001.
+    ``scipy.stats.chi2.ppf`` differs from it by at most 105 ulp on
+    d = 1..39, K = 2..16, p_a from 0.001 to 0.9, being itself up to 105 ulp
+    off there (scipy 1.17).
     """
     if K < 2:
         raise ValueError(f"rerandomization needs K >= 2 arms, got K = {K}")

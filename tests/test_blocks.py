@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gaussdesign import blocks
-from gaussdesign.covmap import _ROW_BLOCK, _map_symmetric, apply_map, build_table, f_arm
+from gaussdesign.blocks import ROW_BLOCK
+from gaussdesign.covmap import _map_symmetric, apply_map, build_table, f_arm
 from gaussdesign.elliptope import factor_from_rows, identity_factor
 from gaussdesign.optimizer import pgd_step
 
@@ -71,7 +72,7 @@ def test_calls_from_a_worker_run_inline_on_a_split_budget(monkeypatch):
     assert inside == [(1, 250)] * 4
 
 
-@pytest.mark.parametrize("cpus,n", [(4, _ROW_BLOCK), (1, 2 * _ROW_BLOCK + 3)])
+@pytest.mark.parametrize("cpus,n", [(4, ROW_BLOCK), (1, 2 * ROW_BLOCK + 3)])
 def test_no_pool_for_a_single_block_or_one_cpu(monkeypatch, cpus, n):
     _force(monkeypatch, cpus)
     monkeypatch.setattr(blocks, "_pool", None)
@@ -85,7 +86,7 @@ def test_stress_more_workers_than_cpus(monkeypatch):
     # every piece of the upper triangle is visited exactly once, with the
     # interpreter switching threads as often as it can
     _force(monkeypatch, blocks._cpu_count() + 3)
-    n = 9 * _ROW_BLOCK + 5
+    n = 9 * ROW_BLOCK + 5
     seen = np.zeros((n, n), dtype=int)
     out = np.zeros((n, n))
 
@@ -113,7 +114,7 @@ def test_stress_more_workers_than_cpus(monkeypatch):
 
 def test_forked_child_builds_its_own_pool(monkeypatch):
     _force(monkeypatch, 2)
-    n = 2 * _ROW_BLOCK + 3
+    n = 2 * ROW_BLOCK + 3
     cmap = build_table(f_arm(3, 2))
     fac = factor_from_rows(np.random.default_rng(7).standard_normal((n, 9)))
     want = apply_map(cmap, fac)   # builds the parent's pool
@@ -141,11 +142,11 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_collapsed_rows_warn_in_the_caller(monkeypatch, cpus):
     _force(monkeypatch, cpus)
-    n = 2 * _ROW_BLOCK + 3
+    n = 2 * ROW_BLOCK + 3
     fac = identity_factor(n)
     grad = np.zeros((n, n))
-    for i in (3, _ROW_BLOCK + 7, n - 1):   # rows in three blocks collapse at eta = 1
+    for i in (3, ROW_BLOCK + 7, n - 1):   # rows in three blocks collapse at eta = 1
         grad[i, i] = 1.0
-    with pytest.warns(RuntimeWarning, match=rf"rows \[3, {_ROW_BLOCK + 7}, {n - 1}\] collapsed"):
+    with pytest.warns(RuntimeWarning, match=rf"rows \[3, {ROW_BLOCK + 7}, {n - 1}\] collapsed"):
         out = pgd_step(fac, grad, 1.0)
     assert np.array_equal(out.rows, fac.rows)

@@ -1,12 +1,33 @@
 import numpy as np
 import pytest
-from scipy.special import eval_hermitenorm, gammaln
+from scipy.special import eval_hermitenorm, gammaln, roots_hermitenorm
 
 from gaussdesign.hermite import (ThresholdIndicator, continuous_cov_maps,
                                  gauss_hermite_nodes, hermite_coeffs, mehler_series,
                                  normalized_hermite)
 
 PHI0 = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+# Against scipy's roots_hermitenorm for every n = 1..700 (measured): nodes
+# within 3.9e-14 absolute (n = 697), weights within 3.7e-12 relative
+# (n = 143), over the weights that are normal floats
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 64, 100, 143, 200, 300, 400, 700])
+def test_nodes_match_scipy(n):
+    x, w = gauss_hermite_nodes(n)
+    want_x, want_w = roots_hermitenorm(n)
+    want_w = want_w * PHI0
+    normal = want_w >= np.finfo(float).tiny
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=5e-14)
+    np.testing.assert_allclose(w[normal], want_w[normal], rtol=5e-12, atol=0)
+    assert np.all(np.isfinite(w)) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, 701])
+def test_node_count_outside_the_stable_range(n):
+    with pytest.raises(ValueError, match="node count"):
+        gauss_hermite_nodes(n)
 
 
 class TestNormalizedHermite:

@@ -1,5 +1,6 @@
-"""Static checks on the source tree: no unused imports, and no public name
-without a caller or a stated reason.
+"""Static checks on the source tree: no unused imports, no public name
+without a caller or a stated reason, and numpy as the only runtime
+dependency.
 
 An import is unused when the module never loads the bound name (a bare
 ``Name`` or the base of an attribute chain) and does not list it in
@@ -7,10 +8,11 @@ An import is unused when the module never loads the bound name (a bare
 the public re-exports.  A public top-level function or class of the package
 is called when the package or the benchmark loads its name, as a bare
 ``Name`` or an attribute; tests do not count.  Only the standard library's
-``ast`` is used.
+``ast`` and ``tomllib`` are used.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,11 @@ def test_checker_flags_an_uncalled_public_name():
               "        pass\n\n\nclass Assigned:\n    pass\n")
     caller = "import m\nm.used()\nThing().method()\nm.Assigned = None\n"
     assert uncalled_names([module], [caller]) == {"unused", "Assigned"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is a test oracle only (the test extra); the package runs on numpy
+    tomllib = pytest.importorskip("tomllib")   # the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
+            for dep in project["dependencies"]] == ["numpy"]

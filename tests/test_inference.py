@@ -321,8 +321,8 @@ def test_aronow_samii_peak_memory_on_four_workers(monkeypatch):
 # -- the streamed reductions against the dense maps ------------------------------
 
 # sizes around a row block and past a column tile of the gram's blocks
-REDUCE_SIZES = (1, 2, covmap._ROW_BLOCK - 1, covmap._ROW_BLOCK, covmap._ROW_BLOCK + 1,
-                blocks.COL_TILE + 1, blocks.COL_TILE + covmap._ROW_BLOCK + 3)
+REDUCE_SIZES = (1, 2, blocks.ROW_BLOCK - 1, blocks.ROW_BLOCK, blocks.ROW_BLOCK + 1,
+                blocks.COL_TILE + 1, blocks.COL_TILE + blocks.ROW_BLOCK + 3)
 
 
 def _edge_case(n, k, seed, K=3):

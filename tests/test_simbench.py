@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaincinv, roots_hermitenorm
+from scipy.special import gammaincinv
 from scipy.stats import chi2, chisquare
 
 import gaussdesign
@@ -21,6 +21,7 @@ from gaussdesign.covmap import apply_map, f_arm
 from gaussdesign.elliptope import factor_from_rows, identity_factor
 from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, records_to_csv,
                                    true_estimand)
+from gaussdesign.hermite import gauss_hermite_nodes
 from gaussdesign.inference import IntervalReport
 from gaussdesign.simbench import (CompleteRandomization, GaussianDesign,
                                   Rerandomization, balance_objective_nuc,
@@ -391,6 +392,15 @@ _EXACT_QUANTILES = (
     (333, 0.01, 275.9194676946521), (333, 0.95, 376.5549566879191),
 )
 
+# The same above y = 400, where _gamma_terms starts from Stirling's series
+_LARGE_D_QUANTILES = (
+    (1000, 0.01, 898.9124469296132), (1000, 0.5, 999.333412403381),
+    (1000, 0.99, 1106.9689943522174), (2001, 0.01, 1856.7795399173572),
+    (2001, 0.5, 2000.3333728341727), (2001, 0.99, 2151.1024441198188),
+    (3001, 0.01, 2823.718216451891), (3001, 0.5, 3000.333359668412),
+    (3001, 0.99, 3184.1639481867337),
+)
+
 
 class TestRerandThreshold:
     def test_equals_chi2_ppf(self):
@@ -409,11 +419,15 @@ class TestRerandThreshold:
         # K = 2 is one pair, so the quantile is taken at p itself
         assert abs(rerand_threshold(d, 2, p) - exact) <= 2 * math.ulp(exact)
 
+    @pytest.mark.parametrize("d, p, exact", _LARGE_D_QUANTILES)
+    def test_within_five_ulp_of_the_exact_quantile_at_large_d(self, d, p, exact):
+        assert abs(rerand_threshold(d, 2, p) - exact) <= 5 * math.ulp(exact)
+
     def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
-        # no scipy module at all after the import, the optimize, sample,
-        # estimate, ci and simulate (rerandomization included) commands and
-        # the chi^2 cutoff; the Gauss-Hermite nodes load scipy.special on
-        # their first call and give scipy's values
+        # no scipy module at all after the import, the optimize (discrete
+        # and continuous), sample, estimate, ci and simulate
+        # (rerandomization included) commands, the chi^2 cutoff and the
+        # Gauss-Hermite nodes
         g = np.random.default_rng(0)
         np.savetxt(tmp_path / "X.csv", g.standard_normal((20, 2)), delimiter=",")
         records_to_csv(tmp_path / "records.csv", ExperimentRecords(
@@ -426,19 +440,17 @@ class TestRerandThreshold:
         out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], cwd=tmp_path, env=env,
                              check=True, capture_output=True, text=True).stdout
         steps = json.loads(out.strip().splitlines()[-1])
-        assert [s["step"] for s in steps[:-1]] == [
-            "import", "optimize", "sample", "estimate", "ci_normal", "ci_randomization",
-            "simulate", "rerand_threshold"]
-        for s in steps[:-1]:
+        assert [s["step"] for s in steps] == [
+            "import", "optimize", "optimize_continuous", "sample", "estimate", "ci_normal",
+            "ci_randomization", "simulate", "rerand_threshold", "hermite_nodes"]
+        for s in steps:
             assert s["code"] == 0 and s["scipy"] == [], s
+        assert (tmp_path / "opt_continuous" / "factor.csv").exists()
         assert {line.split(",")[1] for line in
                 (tmp_path / "sim.csv").read_text().splitlines()[1:]} == {"bg", "og", "cr", "rr"}
         assert steps[-2]["threshold"] == rerand_threshold(4, 3, 0.1)
-        side = steps[-1]
-        assert "scipy.special" in side["scipy"] and "scipy.stats" not in side["scipy"]
-        x, w = roots_hermitenorm(20)
-        assert side["nodes"] == x.tolist()
-        assert side["weights"] == (w / np.sqrt(2.0 * np.pi)).tolist()
+        x, w = gauss_hermite_nodes(20)
+        assert steps[-1]["nodes"] == x.tolist() and steps[-1]["weights"] == w.tolist()
 
 
 _SCIPY_FREE_RUN = """
@@ -456,6 +468,8 @@ common = ["--records", "records.csv", "--arms", "3"]
 commands = {
     "optimize": ["optimize", "--covariates", "X.csv", "--arms", "3", "--iters", "3",
                  "--out-dir", "opt"],
+    "optimize_continuous": ["optimize", "--covariates", "X.csv", "--continuous",
+                            "--iters", "2", "--out-dir", "opt_continuous"],
     "sample": ["sample", "--factor", "opt/factor.csv", "--draws", "2", "--seed", "1",
                "--discretize", "3", "--out", "draws.csv"],
     "estimate": ["estimate", *common, "--estimand", "contrast:1,-1,0", "--out", "est.csv"],
@@ -474,7 +488,7 @@ step("rerand_threshold")
 steps[-1].update(threshold=threshold)
 from gaussdesign.hermite import gauss_hermite_nodes
 x, w = gauss_hermite_nodes(20)
-step("side path")
+step("hermite_nodes")
 steps[-1].update(nodes=x.tolist(), weights=w.tolist())
 print(json.dumps(steps))
 """

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussdesign import blocks, covmap
-from gaussdesign.covmap import (_ROW_BLOCK, _eval_symmetric, _gram, _map_symmetric,
+from gaussdesign.covmap import (_eval_symmetric, _gram, _map_symmetric,
                                 apply_map, build_table, f_arm, f_cross,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
@@ -26,7 +26,7 @@ from gaussdesign.optimizer import (DesignProblem, FixedStep, _gradient, _leading
                                    gradient_operator, pgd_gauss)
 from gaussdesign.simbench import GaussianDesign
 
-B = _ROW_BLOCK
+B = blocks.ROW_BLOCK
 T = blocks.COL_TILE
 SIZES = (1, 2, B - 1, B, B + 1, 2 * B + 3)
 
@@ -208,6 +208,25 @@ def test_map_symmetric_visits_each_upper_block_once():
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("n", [2 * B + 3, 9 * B + 5])
+def test_pair_grid_does_not_depend_on_the_worker_count(n):
+    grid = [(lo, min(lo + B, n), c, min(c + T, n))
+            for lo in range(0, n, B) for c in range(lo, n, T)]
+    rows = _rows(n, 0, 3)
+
+    def key(b):
+        return b[0].start, b[0].stop, b[1].start, b[1].stop
+
+    def blocks_seen():
+        mapped = []
+        _map_symmetric(lambda b: mapped.append(key(b)), np.zeros((n, n)))
+        return sorted(mapped), covmap._reduce_symmetric(rows, lambda b, g: key(b))
+
+    for count in (1, 4):
+        with _workers(count):
+            assert blocks_seen() == (grid, grid), count
+
+
 def test_eval_out_writes_strided_views():
     g = _gram(_rows(60))
     for cmap in (MAPS["exact f_1"], MAPS["table f_2"]):
@@ -342,8 +361,8 @@ def test_nuclear_gradient_allocates_no_second_square_array():
 
 
 def test_nuclear_gradient_memory_on_four_workers(monkeypatch):
-    # each block is split into column pieces across the workers, so memory
-    # in flight does not grow with their number
+    # each worker has one block of the fixed grid (blocks.over_upper) in
+    # flight, so four workers add block-sized temporaries only
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 4)
     test_nuclear_gradient_allocates_no_second_square_array()
 
