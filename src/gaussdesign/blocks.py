@@ -21,8 +21,10 @@ Pairs of units are walked by ``over_upper`` alone: one fixed grid of
 ``ROW_BLOCK`` x ``COL_TILE`` blocks over an n x n upper triangle, the same
 whatever the worker count, serves every map of a gram, its gradient, the
 optimizer's first step and every streamed reduction.  Memory in flight is
-one such block per worker, and inside a worker ``budget`` divides a
-kernel's points per chunk by the worker count.
+one such block per worker.  Inside a block, a covariance map runs on
+chunks of its points (covmap's one evaluation loop), and ``budget``
+divides the points per chunk by the worker count, so the chunks in flight
+on all workers together hold as many points as one chunk outside a pool.
 """
 
 from __future__ import annotations

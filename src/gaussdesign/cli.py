@@ -60,11 +60,23 @@ def parse_config(path):
     return config
 
 
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_covariates(path):
     try:
         X = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        # optional x1..xd header line
+    except ValueError as exc:
+        # an optional x1..xd header line: one whose fields are all non-numeric;
+        # a numeric first line is data, so the error stands
+        with open(path) as fh:
+            if any(map(_is_number, fh.readline().split(","))):
+                raise UsageError(f"{path}: {exc}") from None
         X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if not np.all(np.isfinite(X)):
         raise UsageError(f"{path}: covariates contain non-finite values")
@@ -217,6 +229,9 @@ def _model_regressors(spec):
         for term in terms:
             if term == "1":
                 cols.append(np.ones((t.size, 1)))
+            elif term.startswith("x") and X is None:
+                raise UsageError(f"model term {term!r} needs covariate columns "
+                                 "x1..xd in the records")
             elif term == "x":
                 cols.append(X)
             elif term.startswith("xt"):

@@ -14,7 +14,7 @@ same combinations of p_rho(q_i, q_j).
 
 Every combination is evaluated by one kernel, the bivariate normal rule of
 Genz (Statistics and Computing 14:251-260, 2004, after Drezner & Wesolowsky
-1990), in fixed-size chunks of points:
+1990), on one chunk of points at a time:
 
 - for |rho| < 0.925, Gauss-Legendre in asin coordinates (r = sin(theta)
   removes the 1/sqrt(1-r^2) endpoint singularity) with Genz's orders: 6
@@ -36,13 +36,20 @@ Maps can be tabulated for the O(n^2) elementwise evaluations inside the
 design optimizer (``build_table``): one cubic Hermite table on a grid
 uniform in theta = arccos(rho), whose nodes hold f and the analytic slope
 -f'(rho) sin(theta).  In theta the maps are smooth up to the grid's edges,
-where f' diverges in rho.  One kernel, run on fixed-size chunks of points,
-serves f and f': the cell index is (theta - theta_0) / h rounded down, and
-the cell's cubic gives f and, over -sin(theta), f'.  Points outside the
-grid go to the direct evaluator.  ``build_table`` measures the table's error
-at the grid midpoints against the direct evaluator and asserts it: at most
-1e-5 of max |f| for f and of max |f'| for f' (measured worst over every f_k
-and f_{k,k+1}, K = 2..64: 1.3e-6 for f and 7.2e-7 for f', both at K = 64).
+where f' diverges in rho.  One kernel serves f and f': the cell index is
+(theta - theta_0) / h rounded down, and the cell's cubic gives f and, over
+-sin(theta), f'.  Points outside the grid go to the direct evaluator.
+``build_table`` measures the table's error at the grid midpoints against
+the direct evaluator and asserts it: at most 1e-5 of max |f| for f and of
+max |f'| for f' (measured worst over every f_k and f_{k,k+1}, K = 2..64:
+1.3e-6 for f and 7.2e-7 for f', both at K = 64).
+
+Every evaluation, on the table or direct, runs through one loop (_walk):
+it cuts the points into chunks of _TABLE_CHUNK (table) or _CHUNK (direct:
+the Genz f, the exact f', series maps and the table's outside points)
+points, divided across the workers of a pool (blocks.budget), and reads
+and writes strided 2-D blocks in place.  Memory in flight is one chunk's
+temporaries per worker, whatever the number of points.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from . import blocks
 DEFAULT_TABLE_SIZE = 2001
 DEFAULT_EDGE_MARGIN = 1e-6
 
-# Points per kernel block, divided across the workers of a pool
+# Points per chunk of _walk, divided across the workers of a pool
 # (blocks.budget); they bound the (points x nodes) and table temporaries.
 # Two workers take 1 << 15 table points each: their per-chunk interpreter
 # overhead contends for one lock, so smaller chunks scale worse.
@@ -99,6 +106,33 @@ def _ndtri(p):
     return math.inf if p == 1.0 else math.nan
 
 
+def _walk(kernel, chunk, a, out=None):
+    """Write kernel(x) for each chunk x of ``a``'s points to the same place
+    of ``out`` (an array of a's shape; a new one when None) and return
+    ``out``.  This is the one loop over a map's points: chunks of about
+    ``blocks.budget(chunk)`` points, whole rows of the last axis or pieces
+    of a longer row, so a strided 2-D ``a`` or ``out`` (a block of a larger
+    array) is read and written in place; any other ``out`` must be
+    C-contiguous.  Each chunk is read before it is written, so ``out`` may
+    be ``a``."""
+    if out is None:
+        out = np.empty(a.shape)
+    if a.size == 0:
+        return out
+    width = a.shape[-1] if a.ndim else 1
+    pts = a.reshape(-1, width)
+    dst = out.reshape(pts.shape)
+    if not np.may_share_memory(dst, out):
+        raise ValueError("out must be 2-D or C-contiguous")
+    chunk = blocks.budget(chunk)
+    step = max(1, chunk // width)
+    piece = min(width, chunk)
+    for i in range(0, pts.shape[0], step):
+        for j in range(0, width, piece):
+            dst[i:i + step, j:j + piece] = kernel(pts[i:i + step, j:j + piece])
+    return out
+
+
 class Table:
     """A map's cubic Hermite interpolant on DEFAULT_TABLE_SIZE nodes uniform
     in theta = arccos(rho) over [-1 + DEFAULT_EDGE_MARGIN, 1 - DEFAULT_EDGE_MARGIN].
@@ -135,64 +169,40 @@ class Table:
         self.theta = theta
         self._inv_h = (theta.size - 1) / (theta[-1] - theta[0])
 
-    def evaluate(self, a, direct, deriv, out=None):
-        """The interpolant (f' when ``deriv``) at every point of ``a``,
-        written to ``out`` (a new array when None); points outside the grid
-        (and NaN) take ``direct``.  The points go in blocks of about
-        ``blocks.budget(_TABLE_CHUNK)``: whole rows of the last axis, or
-        pieces of a longer row, so a strided 2-D ``a`` or ``out`` (a row
-        block of a larger array) is read and written in place.  Each block's
-        outside points are read before the block is written, so ``out`` may
-        be ``a``."""
-        if out is None:
-            out = np.empty(a.shape)
-        if a.size == 0:
-            return out
-        width = a.shape[-1] if a.ndim else 1
-        pts = a.reshape(-1, width)
-        dst = out.reshape(pts.shape)
-        if not np.may_share_memory(dst, out):
-            raise ValueError("out must be 2-D or C-contiguous")
-        chunk = blocks.budget(_TABLE_CHUNK)
-        step = max(1, chunk // width)
-        piece = min(width, chunk)
-        lo_edge, hi_edge = self.grid[0], self.grid[-1]
-        last = self.theta.size - 2
+    def evaluate(self, x, direct, deriv):
+        """The interpolant (f' when ``deriv``) at the points ``x`` (one chunk
+        of _walk), a new array; points outside the grid (and NaN) take
+        ``direct``."""
+        inside = (x >= self.grid[0]) & (x <= self.grid[-1])
+        allin = inside.all()
+        # outside points and NaN get a dummy in-grid value (the integer cast
+        # of NaN warns); their output comes from ``direct`` below
+        xi = x if allin else np.where(inside, x, 0.0)
+        th = np.arccos(xi)
+        t = th - self.theta[0]
+        t *= self._inv_h
+        c = t.astype(np.intp)
+        np.minimum(c, self.theta.size - 2, out=c)
+        s = th - np.take(self.theta, c)
         a3, a2, a1, a0 = self.coef
-        for i in range(0, pts.shape[0], step):
-            for j in range(0, width, piece):
-                x = pts[i:i + step, j:j + piece]
-                inside = (x >= lo_edge) & (x <= hi_edge)
-                allin = inside.all()
-                # outside points and NaN get a dummy in-grid value (the
-                # integer cast of NaN warns); their output comes from
-                # ``direct`` below
-                xi = x if allin else np.where(inside, x, 0.0)
-                th = np.arccos(xi)
-                t = th - self.theta[0]
-                t *= self._inv_h
-                c = t.astype(np.intp)
-                np.minimum(c, last, out=c)
-                s = th - np.take(self.theta, c)
-                o = np.take(a3, c)
-                if deriv:
-                    # -(d/ds of the cubic) / sin(theta), as d(rho) = -sin(theta) d(theta)
-                    o *= -1.5 * s
-                    o -= np.take(a2, c)
-                    o *= 2.0 * s
-                    o -= np.take(a1, c)
-                    o /= np.sqrt((1.0 - xi) * (1.0 + xi))
-                else:
-                    o *= s
-                    o += np.take(a2, c)
-                    o *= s
-                    o += np.take(a1, c)
-                    o *= s
-                    o += np.take(a0, c)
-                if not allin:
-                    o[~inside] = direct(x[~inside])
-                dst[i:i + step, j:j + piece] = o
-        return out
+        o = np.take(a3, c)
+        if deriv:
+            # -(d/ds of the cubic) / sin(theta), as d(rho) = -sin(theta) d(theta)
+            o *= -1.5 * s
+            o -= np.take(a2, c)
+            o *= 2.0 * s
+            o -= np.take(a1, c)
+            o /= np.sqrt((1.0 - xi) * (1.0 + xi))
+        else:
+            o *= s
+            o += np.take(a2, c)
+            o *= s
+            o += np.take(a1, c)
+            o *= s
+            o += np.take(a0, c)
+        if not allin:
+            o[~inside] = direct(x[~inside])
+        return o
 
 
 class CovarianceMap:
@@ -230,13 +240,13 @@ class CovarianceMap:
             raise ValueError(f"{self.label}: derivative requested at |rho| >= 1")
         return self._apply(self._dfn, True, a, out)
 
-    def _apply(self, direct, deriv, a, out):
-        if self.table is not None:
-            out = self.table.evaluate(a, direct, deriv, out)
-        elif out is None:
-            out = direct(a)
+    def _apply(self, fn, deriv, a, out):
+        direct = partial(_walk, fn, _CHUNK)
+        if self.table is None:
+            out = direct(a, out)
         else:
-            out[...] = direct(a)
+            table = partial(self.table.evaluate, direct=direct, deriv=deriv)
+            out = _walk(table, _TABLE_CHUNK, a, out)
         return out if out.ndim else float(out)
 
     def tail_bound(self, rho):
@@ -374,53 +384,39 @@ def _ends(terms):
     return {s: sum(c * _r_endpoint(s, h, k) for c, h, k in terms) for s in (1.0, -1.0)}
 
 
-def _rectangle_sum(rho, terms, ends):
-    """sum_t coef_t r(rho; h_t, k_t) over an array rho in [-1, 1], with
-    ``ends`` = _ends(terms).
-
-    The points are taken _CHUNK at a time, and each point's value depends on
-    that point alone.  NaN propagates (it takes the first low rule).
-    """
-    a = np.asarray(rho, dtype=float)
-    flat = a.reshape(-1)
-    out = np.zeros(flat.size)
-    chunk = blocks.budget(_CHUNK)
-    for lo in range(0, flat.size, chunk):
-        x = flat[lo:lo + chunk]
-        o = out[lo:lo + chunk]
-        ax = np.abs(x)
-        high = ax >= _HIGH_RHO
-        low = ~high & (x != 0.0)
-        for limit, nodes, weights in _LOW_RULES:
-            band = low & ~(ax >= limit)
-            if band.any():
-                o[band] = _genz_low(x[band], terms, nodes, weights)
-                low &= ~band
-        if high.any():
-            for s in (1.0, -1.0):
-                o[x == s] = ends[s]
-                sel = high & (ax < 1.0) & (x * s > 0.0)
-                if sel.any():
-                    o[sel] = ends[s] + _genz_high(ax[sel], terms, s)
-    return out.reshape(a.shape)
+def _rectangle_sum(x, terms, ends):
+    """sum_t coef_t r(x; h_t, k_t) at each point of an array x in [-1, 1] (one
+    chunk of _walk), with ``ends`` = _ends(terms).  Each point's value
+    depends on that point alone; NaN propagates (it takes the first low
+    rule)."""
+    o = np.zeros(x.shape)
+    ax = np.abs(x)
+    high = ax >= _HIGH_RHO
+    low = ~high & (x != 0.0)
+    for limit, nodes, weights in _LOW_RULES:
+        band = low & ~(ax >= limit)
+        if band.any():
+            o[band] = _genz_low(x[band], terms, nodes, weights)
+            low &= ~band
+    if high.any():
+        for s in (1.0, -1.0):
+            o[x == s] = ends[s]
+            sel = high & (ax < 1.0) & (x * s > 0.0)
+            if sel.any():
+                o[sel] = ends[s] + _genz_high(ax[sel], terms, s)
+    return o
 
 
 def r_ij(rho, qi, qj):
     """Covariance of threshold indicators 1{X<=qi}, 1{Y<=qj} at correlation rho."""
-    a = np.asarray(rho, dtype=float)
-    if np.any(np.abs(a) > 1.0):
-        raise ValueError("correlation outside [-1, 1]")
-    terms = ((1.0, float(qi), float(qj)),)
-    out = _rectangle_sum(a, terms, _ends(terms))
-    return out if out.ndim else float(out)
+    return _RectangleComboMap(((1.0, float(qi), float(qj)),), "r_ij").eval(rho)
 
 
-def _density_sum(rho, terms):
-    """sum_t coef_t p_rho(h_t, k_t), the derivative of _rectangle_sum."""
-    a = np.asarray(rho, dtype=float)
-    acc = np.zeros_like(a)
+def _density_sum(x, terms):
+    """sum_t coef_t p_x(h_t, k_t), the derivative of _rectangle_sum."""
+    acc = np.zeros(x.shape)
     for coef, h, k in terms:
-        acc += coef * binormal_density(a, h, k)
+        acc += coef * binormal_density(x, h, k)
     return acc
 
 

@@ -163,21 +163,23 @@ def _terms(problem, g):
     return [problem.X.T @ _eval_symmetric(m, g, F) @ problem.X for m in problem.maps]
 
 
-def _objective(problem, terms):
-    """sum_j w_j^2 ||M_j||_norm over the term matrices M_j."""
+def _objective(weights, norm, terms):
+    """sum_j w_j^2 ||M_j||_norm over the term matrices M_j ("nuc" or "op"
+    norm); NaN when any M_j is not finite.  The one weighted-norm sum of the
+    optimizer and of the simulation's balance measure."""
     total = 0.0
-    for w, M in zip(problem.weights, terms):
+    for w, M in zip(weights, terms):
         if not np.all(np.isfinite(M)):
             return float("nan")
         sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(1)
-        total += w * w * (float(np.sum(sv)) if problem.norm == "nuc" else float(sv[0]))
+        total += w * w * (float(np.sum(sv)) if norm == "nuc" else float(sv[0]))
     return total
 
 
 def objective(problem: DesignProblem, factor: CorrelationFactor):
     """sum_j w_j^2 ||X^T f_j(Sigma) X||_norm at Sigma = V V^T."""
     _check_size(problem, factor)
-    return _objective(problem, _terms(problem, _gram(factor.rows)))
+    return _objective(problem.weights, problem.norm, _terms(problem, _gram(factor.rows)))
 
 
 def _offdiag_tile(X, b):
@@ -455,7 +457,7 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     work = _tabulated(problem)
     g = _gram(init.rows)
     terms = _terms(work, g)
-    obj = _objective(work, terms)
+    obj = _objective(work.weights, work.norm, terms)
     trace = OptimizerTrace(initial_objective=obj)
     if not np.isfinite(obj):
         raise OptimizationError("objective non-finite at the initial design", trace)
@@ -497,7 +499,7 @@ def _trial(work, rows, GV, t, trace, eta):
     formed."""
     g = _gram(_step(rows, GV, eta).rows)
     terms = _terms(work, g)
-    obj = _objective(work, terms)
+    obj = _objective(work.weights, work.norm, terms)
     if not np.isfinite(obj):
         raise OptimizationError(f"objective non-finite at iteration {t}", trace)
     return (g, terms), obj

@@ -51,7 +51,7 @@ from .elliptope import CorrelationFactor, _latent, identity_factor
 from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                          _ht_arm_weights, _ht_weight, true_estimand)
 from .inference import randomization_ci_discrete
-from .optimizer import discrete_problem, pgd_gauss
+from .optimizer import _objective, discrete_problem, pgd_gauss
 
 _CHUNK = 4096
 _RERAND_CAP = 100_000
@@ -590,34 +590,19 @@ def mc_coverage(scenario, design, estimand, ci_procedure, B_outer, seed):
     return {"coverage": hits / B_outer, "mean_width": float(np.mean(widths))}
 
 
-def _nuclear_norm(M):
-    if not np.all(np.isfinite(M)):
-        return float("nan")
-    return float(np.sum(np.linalg.svd(M, compute_uv=False)))
-
-
-def _weighted_balance(norms, w):
-    """sum_k w_k^2 norms[k], in the operation order of the optimizer's
-    objective (w * w * s)."""
-    total = 0.0
-    for wk, s in zip(w, norms):
-        total += wk * wk * s
-    return total
-
-
 def balance_objective_nuc(scenario, design, estimand, seed):
     """Nuclear-norm covariate balance measure sum_k w_k^2 ||X' Cov_k X||_nuc.
 
     Gaussian designs use the exact analytic maps; assignment designs estimate
     the indicator covariance matrices from _BALANCE_DRAWS Monte Carlo draws.
     ``estimand`` is one spec, giving a float, or a tuple of specs, giving a
-    tuple of floats that share the per-arm norms (and their draws).
+    tuple of floats that share the per-arm matrices (and their draws).
     """
     _check_units(scenario, design)
-    norms = [_nuclear_norm(M) for M in design.arm_terms(scenario.X, scenario.K, seed)]
+    terms = design.arm_terms(scenario.X, scenario.K, seed)
     if isinstance(estimand, tuple):
-        return tuple(_weighted_balance(norms, e.arm_weights) for e in estimand)
-    return _weighted_balance(norms, estimand.arm_weights)
+        return tuple(_objective(e.arm_weights, "nuc", terms) for e in estimand)
+    return _objective(estimand.arm_weights, "nuc", terms)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,23 @@ class TestOptimizeCommand:
         assert main(["optimize", "--covariates", str(tmp_path / "none.csv"),
                      "--arms", "3"]) == 2
 
+    def test_numeric_first_row_of_another_width_is_usage_error(self, tmp_path, capsys):
+        # a first row that parses as numbers is data, not a header to skip
+        path = tmp_path / "cov.csv"
+        path.write_text("0.5,0.25\n1,2,3\n4,5,6\n7,8,9\n")
+        assert main(["optimize", "--covariates", str(path), "--arms", "2", "--iters", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "number of columns changed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_header_line_is_skipped(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("x1,x2,x3\n1,2,3\n4,5,6\n7,8,9\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--covariates", str(path), "--arms", "2", "--iters", "1",
+                     "--normalize-rows", "--out-dir", str(out)]) == 0
+        assert load_factor(out / "factor.csv").n == 3
+
     def test_bad_norm_is_usage_error(self, covariates):
         assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
                      "--norm", "banana"]) == 2
@@ -386,6 +403,19 @@ class TestCiCommand:
                      "--method", "randomization", "--estimand", "continuous",
                      "--weight", "first_derivative", "--model", "1,x,t",
                      "--replicates", "150", "--seed", "2"]) == 0
+
+    @pytest.mark.parametrize("model,term", [("1,t,xt", "xt"), ("1,x,t", "x")])
+    def test_covariate_term_without_covariates_is_usage_error(self, tmp_path, capsys,
+                                                               model, term):
+        t = np.random.default_rng(6).standard_normal(15)
+        rpath = tmp_path / "records.csv"
+        records_to_csv(rpath, ExperimentRecords(Y=0.3 * t, T=t))
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(15))
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", "randomization", "--estimand", "continuous",
+                     "--model", model, "--replicates", "150"]) == 2
+        assert f"model term {term!r} needs covariate columns" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -12,6 +12,7 @@ from gaussdesign.covmap import (CovarianceMap, apply_map, binormal_density,
                                 quantile_thresholds, r_ij,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import factor_from_rows, identity_factor
+from gaussdesign.hermite import continuous_cov_maps
 
 
 class TestQuantileThresholds:
@@ -493,17 +494,13 @@ class TestGenzKernel:
                               np.array([r_ij(x, -0.2, 0.9) for x in rhos]), equal_nan=True)
 
     def test_memory_bounded_on_two_million_points(self):
-        import tracemalloc
-
+        # every direct evaluator runs on chunks: the exact f and f' and a
+        # Hermite series map's f and f'
         rhos = np.random.default_rng(5).uniform(-1.0, 1.0, 2_000_000)
-        m = f_cross(3, 1, 2)
-        tracemalloc.start()
-        try:
-            out = m.eval(rhos)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - out.nbytes < 64 * 2 ** 20
+        series = continuous_cov_maps(lambda t: np.exp(t / 4.0), lambda t: t ** 2 - 1.0).map_w
+        for m in (f_cross(3, 1, 2), series):
+            for evaluate in (m.eval, m.deriv):
+                _assert_peak_below_output_plus(evaluate, rhos, 8 * 2 ** 20)
 
 
 _TABLED = {
@@ -592,14 +589,19 @@ class TestTableKernel:
         assert np.array_equal(d[[0, 2]], tab.deriv(x[[0, 2]]))
 
     def test_memory_bounded_on_two_million_points(self):
-        import tracemalloc
-
         rhos = np.random.default_rng(6).uniform(-1.0, 1.0, 2_000_000)
         tab = build_table(f_cross(3, 1, 2))
-        tracemalloc.start()
-        try:
-            out = tab.eval(rhos)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - out.nbytes < 64 * 2 ** 20
+        for evaluate in (tab.eval, tab.deriv):
+            _assert_peak_below_output_plus(evaluate, rhos, 8 * 2 ** 20)
+
+
+def _assert_peak_below_output_plus(evaluate, rhos, extra):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = evaluate(rhos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < extra, (evaluate, peak - out.nbytes)

@@ -241,9 +241,13 @@ def test_eval_out_writes_strided_views():
 
 
 def test_table_rejects_an_out_it_cannot_view():
+    # the table and the direct path share one rule for ``out``
     out = np.empty((4, 3, 2)).transpose(2, 1, 0)   # 3-D, not C-contiguous
-    with pytest.raises(ValueError, match="out"):
-        MAPS["table f_2"].eval(np.zeros((2, 3, 4)), out=out)
+    for name in ("table f_2", "exact f_1"):
+        with pytest.raises(ValueError, match="out"):
+            MAPS[name].eval(np.zeros((2, 3, 4)), out=out)
+        with pytest.raises(ValueError, match="out"):
+            MAPS[name].deriv(np.zeros((2, 3, 4)), out=out)
 
 
 # -- the optimizer's terms and gradients ------------------------------------------
