@@ -118,6 +118,7 @@ def cmd_optimize(args):
                   file=sys.stderr)
     if args.arms is not None:
         K = args.arms
+        quantile_thresholds(K)   # rejects K outside [2, 64] before 1 / K is formed
         w = np.full(K, 1.0 / K) if args.contrast is None else \
             np.asarray([float(v) for v in args.contrast.split(",")])
         if w.shape != (K,):

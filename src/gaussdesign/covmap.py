@@ -519,13 +519,19 @@ def _panel(k):
     return max(_MIN_PANEL, blocks.SERIAL_MACS // (blocks.ROW_BLOCK * max(1, k)))
 
 
+def _panel_product(left, right, out):
+    """left @ right^T written to ``out``, in column panels of _panel(k)
+    columns, k = left.shape[1]."""
+    step = _panel(left.shape[1])
+    for j in range(0, out.shape[1], step):
+        np.matmul(left, right[j:j + step].T, out=out[:, j:j + step])
+    return out
+
+
 def _reduce_block(rows, block_fn, b):
     r, c = b
     left, right = rows[r], rows[c]
-    g = np.empty((left.shape[0], right.shape[0]))
-    step = _panel(rows.shape[1])
-    for j in range(0, g.shape[1], step):
-        np.matmul(left, right[j:j + step].T, out=g[:, j:j + step])
+    g = _panel_product(left, right, np.empty((left.shape[0], right.shape[0])))
     np.clip(g, -1.0, 1.0, out=g)
     if c.start == r.start:
         g[np.tril_indices(r.stop - r.start)] = 0.0

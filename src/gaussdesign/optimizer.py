@@ -24,8 +24,18 @@ clamped to [-1, 1], unit diagonal) is formed once, and the objective of
 every map reads it; the accepted trial hands its gram and term matrices
 X^T f_j X on to the next gradient, so f' and (for the operator norm) the
 leading eigenvectors cost no second product.  G V is formed once per
-iteration and each trial step eta is rows - eta * G V.  The identity start
-(every caller's) has gram I and G V = G, so it needs no product at all.
+iteration and each trial step eta is rows - eta * G V.
+
+The identity start (every caller's) needs no O(n^3) product in its first
+iteration.  Its gram is I, so f_j' is the constant f_j'(0), G = B S B^T
+minus its diagonal is of rank r (r = d for the nuclear norm, one per map
+for the operator norm) and G V = G.  Each trial gram of that iteration is
+formed from this low-rank form in O(n^2 r) on the blocks of the upper
+triangle, without stepped rows (_FirstStep); the accepted rows are then
+stepped from (I, G, eta) and checked once, and none can collapse.  Those
+rows are diag(a) + L B^T, so the second iteration's G V is formed in
+O(n^2 r) in G's own buffer.  Every later iteration, and every iteration
+from any other start, is as above.
 
 Memory: at full rank every array below is n x n.  A trial keeps its step
 size, gram and term matrices and drops its rows once the gram is formed;
@@ -33,10 +43,10 @@ the accepted trial's rows are stepped again from (V, G V, eta) by the same
 kernel, so they are the same bytes, at one O(n^2) step more per iteration;
 the trial checked them (CorrelationFactor), so they are not checked again.
 B_j B_j^T is never held whole: the gradient forms each block's tile from
-B_j (_offdiag_tile), and the default first step does so from X.  An
-iteration thus holds at most five n x n arrays (V, G V, two trial grams and
-one map of a gram), and the caller's start one more while the caller holds
-it.
+B_j (_offdiag_tile), and the default first step does so from X; the
+identity's first iteration holds B, n x r.  An iteration thus holds at most
+five n x n arrays (V, G V, two trial grams and one map of a gram), and the
+caller's start one more while the caller holds it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
@@ -69,8 +79,8 @@ from functools import partial
 import numpy as np
 
 from . import blocks
-from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, _zero_diagonal,
-                     build_table, f_arm, weighted_discrete_map)
+from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, _panel_product,
+                     _zero_diagonal, build_table, f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -262,13 +272,17 @@ def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
     return OperatorGradient(matrix=grad, is_subgradient=tie)
 
 
+def _check_eta(eta):
+    if not 0.0 <= eta < np.inf:
+        raise ValueError("step size must be finite and nonnegative")
+
+
 def _step_rows(rows, GV, eta):
     """(rows, collapsed): the row-normalized rows - eta * GV, with GV = G V
-    and eta >= 0, and the list of rows that collapsed, which keep their
-    previous value.  Each row block is stepped, measured and divided in one
-    task (see blocks)."""
-    if eta < 0:
-        raise ValueError("step size must be nonnegative")
+    and eta finite and >= 0, and the list of rows that collapsed, which keep
+    their previous value.  Each row block is stepped, measured and divided
+    in one task (see blocks)."""
+    _check_eta(eta)
     new = np.empty(rows.shape)
 
     def block(lo, hi):
@@ -301,6 +315,86 @@ def _step(rows, GV, eta):
 def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
     """Multiplicative update (I - eta G) V followed by row renormalization."""
     return _step(factor.rows, grad @ factor.rows, eta)
+
+
+class _FirstStep:
+    """The first step from the identity, from the gradient's low-rank form.
+
+    At the identity the gram is I, so f_j' is the constant f_j'(0) off the
+    diagonal and G = A - diag(A), A = B S B^T of rank r: B = X and
+    S = sum_j w_j^2 f_j'(0) I for the nuclear norm, B = [b_1 ... b_m] (see
+    _leading) and S = diag(w_j^2 f_j'(0)) for the operator norm.  The step
+    eta's rows are those of alpha I - beta G normalized, alpha = 1 / (1 +
+    eta) and beta = eta / (1 + eta), so no finite eta overflows.  With
+    E = alpha + beta diag(A) their gram, before the division by the row
+    norms, is
+
+        (alpha I - beta G)^2 = E^2 - beta (E A + A E) + beta^2 B (S B^T B S) B^T,
+
+    one product of inner dimension 2r per block of blocks.over_upper, and
+    the squared row norms are alpha^2 + beta^2 ||G_i||^2 > 0 (read from G
+    itself), so no row collapses.  The rows themselves are
+    diag(a) + L B^T, a = E / norms and L = -beta B S / norms, so G' V for
+    the next gradient G' is G' diag(a) + (G' L) B^T.  Both cost O(n^2 r).
+    """
+
+    def __init__(self, work, leading, grad):
+        slopes = [w * w * float(m.deriv(np.zeros(1))[0])
+                  for w, m in zip(work.weights, work.maps)]
+        if leading is None:
+            self.B = np.ascontiguousarray(work.X)
+            s = np.full(self.B.shape[1], sum(slopes))
+        else:
+            self.B = np.column_stack(leading)
+            s = np.array(slopes)
+        self.BS = self.B * s
+        self.diag = np.einsum("ij,ij->i", self.BS, self.B)   # diag(A)
+        self.BSBBS = self.B @ (self.BS.T @ self.BS)
+        self.row_sq = np.einsum("ij,ij->i", grad, grad)       # ||G_i||^2
+
+    def _scales(self, eta):
+        """(beta, E, 1 / row norms) of the step eta."""
+        _check_eta(eta)
+        alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+        return (beta, alpha + beta * self.diag,
+                1.0 / np.sqrt(alpha * alpha + beta * beta * self.row_sq))
+
+    def gram(self, eta):
+        """The gram of the step eta's rows, clamped to [-1, 1] with a unit
+        diagonal and exactly symmetric, as _gram forms it from the rows."""
+        beta, E, inv = self._scales(eta)
+        left = np.hstack([beta * beta * self.BSBBS - (beta * E)[:, None] * self.BS,
+                          -beta * self.BS])
+        right = np.hstack([self.B, E[:, None] * self.B])
+        g = np.empty((self.B.shape[0],) * 2)
+
+        def block(b):
+            rows, cols = b
+            gb = _panel_product(left[rows], right[cols], g[b])
+            gb *= inv[rows, None]
+            gb *= inv[cols]
+            np.clip(gb, -1.0, 1.0, out=gb)
+            if rows.start == cols.start:   # the square on the diagonal: mirror its upper half
+                square = gb[:, :rows.stop - rows.start]
+                lower = np.tril_indices(square.shape[0], -1)
+                square[lower] = square.T[lower]
+                np.fill_diagonal(square, 1.0)
+
+        return _map_symmetric(block, g)
+
+    def times(self, grad, eta):
+        """grad @ V for the rows V of the step eta, written to grad."""
+        beta, E, inv = self._scales(eta)
+        a = E * inv
+        GL = grad @ (self.BS * (-beta * inv)[:, None])
+
+        def block(lo, hi):
+            gb = grad[lo:hi]
+            gb *= a
+            gb += _panel_product(GL[lo:hi], self.B, np.empty(gb.shape))
+
+        blocks.over_rows(grad.shape[0], block)
+        return grad
 
 
 @dataclass(frozen=True)
@@ -436,9 +530,17 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     its step size, gram and term matrices only; its rows are dropped once
     its gram is formed, and the accepted trial's rows are stepped again from
     (V, G V, eta), the same bytes, which the trial checked: each factor is
-    checked once, and the result is wrapped once on return.  So at full
+    checked once, and the result is wrapped once on return.
+
+    From an identity start (checked once, with _is_identity) the first
+    iteration steps no trial's rows: G is of rank r plus a diagonal, and
+    each trial gram is formed from that form in O(n^2 r) (see _FirstStep),
+    equal to the stepped rows' gram up to rounding.  The accepted rows are
+    stepped from (I, G, eta) and checked once; the second iteration forms
+    G V from their low-rank form in O(n^2 r), in G's buffer.  So at full
     rank an iteration holds at most five n x n arrays: V, G V, two trial
-    grams and one map of a gram.
+    grams and one map of a gram.  A step size must be finite and
+    nonnegative, or ValueError is raised where it is first used.
     ``init`` is not held past the first accepted step; a caller that does
     not hold it either frees it there.
 
@@ -455,7 +557,8 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         raise ValueError("iteration count must be nonnegative")
     _check_size(problem, init)
     work = _tabulated(problem)
-    g = _gram(init.rows)
+    identity = _is_identity(init.rows)
+    g = np.eye(init.n) if identity else _gram(init.rows)
     terms = _terms(work, g)
     obj = _objective(work.weights, work.norm, terms)
     trace = OptimizerTrace(initial_objective=obj)
@@ -466,17 +569,23 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     start, rows = init, init.rows
     del init   # so a start the caller does not hold is freed after iteration 1
     eta = None
+    first = None   # the identity's first step, while the rows are its rows
     for t in range(1, int(iters) + 1):
         leading = _leading(work, terms)[0] if work.norm == "op" else None
         grad = _gradient(work, g, leading)
-        del g, leading  # freed before the trial steps form their own grams
+        del g  # freed before the trials form their own grams
         gnorm = float(np.linalg.norm(grad))
         if gnorm < _GRAD_TOL:
             break
-        # G V; the identity factor's is G itself
-        GV = grad if _is_identity(rows) else grad @ rows
-        del grad
-        try_eta = partial(_trial, work, rows, GV, t, trace)
+        if identity and t == 1:
+            # G V = G, and the trial grams come from G's low-rank form
+            first = _FirstStep(work, leading, grad)
+            GV, gram = grad, first.gram
+        else:
+            GV = grad @ rows if first is None else first.times(grad, eta)
+            first, gram = None, partial(_stepped_gram, rows, GV)
+        del grad, leading
+        try_eta = partial(_trial, work, gram, t, trace)
         cand, obj, eta, halvings = step_policy.search(eta, obj, try_eta)
         trace.rows.append(TraceRow(t, obj, eta, gnorm, halvings))
         if cand is None:
@@ -485,19 +594,25 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
             break
         g, terms = cand
         del cand
-        # the accepted trial's rows, stepped again; the trial checked them
-        # and warned of any collapsed row
-        rows = _step_rows(rows, GV, eta)[0]
+        # the accepted trial's rows, stepped again: a stepped trial checked
+        # them and warned of any collapsed row; the identity's first step
+        # formed none, so they are checked here (no row can collapse)
+        rows = _step_rows(rows, GV, eta)[0] if first is None else _step(rows, GV, eta).rows
         start = None
-        del GV, try_eta
+        del GV, gram, try_eta
     return (start if start is not None else CorrelationFactor(rows)), trace
 
 
-def _trial(work, rows, GV, t, trace, eta):
-    """((gram, terms), objective) of the step eta from rows (see _step, which
-    checks the stepped rows and warns); they are dropped once their gram is
-    formed."""
-    g = _gram(_step(rows, GV, eta).rows)
+def _stepped_gram(rows, GV, eta):
+    """The gram of the step eta from rows (see _step, which checks the
+    stepped rows and warns); they are dropped once their gram is formed."""
+    return _gram(_step(rows, GV, eta).rows)
+
+
+def _trial(work, gram, t, trace, eta):
+    """((gram, terms), objective) of the step eta, its gram from
+    ``gram(eta)``."""
+    g = gram(eta)
     terms = _terms(work, g)
     obj = _objective(work.weights, work.norm, terms)
     if not np.isfinite(obj):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,27 @@ class TestOptimizeCommand:
         out = tmp_path / "out"
         assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
                      "--step-size", "-0.1", "--iters", "3", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
+    def test_non_finite_step_size_is_usage_error(self, covariates, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimize", "--covariates", str(covariates), "--arms", "3",
+                         f"--step-size={step}", "--iters", "3", "--out-dir", str(out)])
+        assert code == 2
+        assert "error: step size must be finite and nonnegative" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arms", ["0", "-2", "1", "65"])
+    def test_arm_count_out_of_range_is_usage_error(self, covariates, tmp_path, capsys, arms):
+        out = tmp_path / "out"
+        assert main(["optimize", "--covariates", str(covariates), f"--arms={arms}",
+                     "--iters", "1", "--out-dir", str(out)]) == 2
+        assert (f"error: arm count K = {arms} outside supported range [2, 64]"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_large_contrast_weights(self, covariates, tmp_path):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdesign import optimizer
-from gaussdesign.covmap import (CovarianceMap, _is_identity, build_table, f_arm,
+from gaussdesign import blocks, optimizer
+from gaussdesign.covmap import (CovarianceMap, _gram, _is_identity, build_table, f_arm,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import (CorrelationFactor, factor_from_rows, identity_factor,
                                    validate)
+from gaussdesign.estimators import WeightFn
+from gaussdesign.hermite import continuous_cov_maps
 from gaussdesign.optimizer import (Backtracking, DesignProblem, FixedStep,
                                    OptimizationError, TraceRow, default_eta0,
                                    design_problem, discrete_problem,
@@ -312,11 +314,15 @@ class TestPgdGauss:
             pgd_gauss(prob, fac, -1)
 
     @pytest.mark.parametrize("norm", ["nuc", "op"])
-    @pytest.mark.parametrize("policy", [FixedStep(-1e-3), Backtracking(eta0=-1e-3)])
+    @pytest.mark.parametrize("policy", [
+        FixedStep(-1e-3), Backtracking(eta0=-1e-3),
+        FixedStep(np.nan), FixedStep(np.inf), FixedStep(-np.inf),
+        Backtracking(eta0=np.nan), Backtracking(eta0=np.inf), Backtracking(eta0=-np.inf)])
     def test_negative_step_size_rejected(self, norm, policy):
+        # policies are built at collection time: the step is checked where it is used
         prob, _ = _random_problem(11, norm=norm)
         for init in (identity_factor(prob.n), _random_problem(11, norm=norm)[1]):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="^step size must be finite and nonnegative$"):
                 pgd_gauss(prob, init, 3, policy)
 
 
@@ -382,20 +388,28 @@ def test_backtracking_trace_never_rises(seed, norm, n, d, K, eta0):
 # -- reference loop -----------------------------------------------------------
 # The PGD loop as it stood before each factor's gram was shared: every
 # objective forms its own gram per map, every gradient forms it again, every
-# trial step forms G V again.  pgd_gauss must match it bit for bit.
+# trial step forms G V again.  From an identity start, the first iteration's
+# trial grams and the next G V follow the closed form of G's low-rank form
+# (see optimizer._FirstStep), written densely.  pgd_gauss must match it bit
+# for bit; at n = 40 every closed-form product is one block.
 
-def _ref_terms(problem, factor):
+def _ref_gram(rows):
+    g = np.clip(rows @ rows.T, -1.0, 1.0)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _ref_terms(problem, factor, gram=None):
     out = []
     for m in problem.maps:
-        g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0)
-        np.fill_diagonal(g, 1.0)
+        g = _ref_gram(factor.rows) if gram is None else gram
         out.append(problem.X.T @ m.eval(g) @ problem.X)
     return out
 
 
-def _ref_objective(problem, factor):
+def _ref_objective(problem, factor, gram=None):
     total = 0.0
-    for w, M in zip(problem.weights, _ref_terms(problem, factor)):
+    for w, M in zip(problem.weights, _ref_terms(problem, factor, gram)):
         if not np.all(np.isfinite(M)):
             return float("nan")
         sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(1)
@@ -409,8 +423,13 @@ def _ref_deriv_offdiag(cmap, g):
     return d
 
 
-def _ref_gradient(problem, factor):
-    g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0)
+def _ref_leading(problem, factor, gram=None):
+    return [problem.X @ np.linalg.eigh(M)[1][:, -1]
+            for M in _ref_terms(problem, factor, gram)]
+
+
+def _ref_gradient(problem, factor, gram=None):
+    g = np.clip(factor.rows @ factor.rows.T, -1.0, 1.0) if gram is None else gram
     grad = np.zeros_like(g)
     if problem.norm == "nuc":
         A = problem.X @ problem.X.T
@@ -418,17 +437,60 @@ def _ref_gradient(problem, factor):
         for w, cmap in zip(problem.weights, problem.maps):
             grad += (w * w) * A * _ref_deriv_offdiag(cmap, g)
         return grad
-    for w, cmap, M in zip(problem.weights, problem.maps, _ref_terms(problem, factor)):
-        u1 = np.linalg.eigh(M)[1][:, -1]
-        b = problem.X @ u1
+    for w, cmap, b in zip(problem.weights, problem.maps, _ref_leading(problem, factor, gram)):
         A = np.outer(b, b)
         np.fill_diagonal(A, 0.0)
         grad += (w * w) * A * _ref_deriv_offdiag(cmap, g)
     return grad
 
 
-def _ref_step(factor, grad, eta):
-    rows = factor.rows - eta * (grad @ factor.rows)
+def _ref_first_step(problem, grad):
+    """(gram(eta), times(grad', eta)) of the first step from the identity:
+    G = A - diag(A), A = B S B^T, the trial of step eta normalizes
+    alpha I - beta G (alpha = 1 / (1 + eta), beta = eta / (1 + eta)), whose
+    square is E^2 - beta (E A + A E) + beta^2 B S B^T B S B^T with
+    E = alpha + beta diag(A), and the accepted rows are diag(a) + L B^T."""
+    slopes = [w * w * float(m.deriv(np.zeros(1))[0]) for w, m in zip(problem.weights, problem.maps)]
+    if problem.norm == "nuc":
+        B = problem.X
+        s = np.full(B.shape[1], sum(slopes))
+    else:
+        B = np.column_stack(_ref_leading(problem, identity_factor(problem.n)))
+        s = np.array(slopes)
+    BS = B * s
+    diag = np.einsum("ij,ij->i", BS, B)
+    BSBBS = B @ (BS.T @ BS)
+    sq = np.einsum("ij,ij->i", grad, grad)
+
+    def scales(eta):
+        alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+        return (beta, alpha + beta * diag,
+                1.0 / np.sqrt(alpha * alpha + beta * beta * sq))
+
+    def gram(eta):
+        beta, E, inv = scales(eta)
+        left = np.hstack([beta * beta * BSBBS - (beta * E)[:, None] * BS, -beta * BS])
+        right = np.hstack([B, E[:, None] * B])
+        g = left @ right.T
+        g *= inv[:, None]
+        g *= inv
+        np.clip(g, -1.0, 1.0, out=g)
+        lower = np.tril_indices(g.shape[0], -1)
+        g[lower] = g.T[lower]
+        np.fill_diagonal(g, 1.0)
+        return g
+
+    def times(later, eta):
+        beta, E, inv = scales(eta)
+        GV = later * (E * inv)
+        GV += (later @ (BS * (-beta * inv)[:, None])) @ B.T
+        return GV
+
+    return gram, times
+
+
+def _ref_step(factor, GV, eta):
+    rows = factor.rows - eta * GV
     norms = np.linalg.norm(rows, axis=1)
     dead = norms < 1e-14
     rows[dead] = factor.rows[dead]
@@ -446,20 +508,32 @@ def _ref_pgd_gauss(problem, init, iters, step_policy=None):
     obj = _ref_objective(work, factor)
     initial, rows = obj, []
     eta_prev = None
+    gram = first = None   # the accepted trial's closed-form gram; the first step's
     for t in range(1, int(iters) + 1):
-        grad = _ref_gradient(work, factor)
+        grad = _ref_gradient(work, factor, gram)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-10:
             break
-        if isinstance(step_policy, FixedStep):
-            factor = _ref_step(factor, grad, step_policy.eta)
-            obj = _ref_objective(work, factor)
-            rows.append(TraceRow(t, obj, step_policy.eta, gnorm, 0))
-            continue
+        if t == 1 and _is_identity(init.rows):
+            closed, first = _ref_first_step(work, grad)
+            GV = grad @ factor.rows
 
-        def try_eta(eta):
-            cand = _ref_step(factor, grad, eta)
-            return cand, _ref_objective(work, cand)
+            def try_eta(eta):
+                g = closed(eta)
+                return (_ref_step(factor, GV, eta), g), _ref_objective(work, None, g)
+        else:
+            GV = grad @ factor.rows if first is None else first(grad, eta_prev)
+            first = None
+
+            def try_eta(eta):
+                cand = _ref_step(factor, GV, eta)
+                return (cand, None), _ref_objective(work, cand)
+
+        if isinstance(step_policy, FixedStep):
+            (factor, gram), obj = try_eta(step_policy.eta)
+            eta_prev = step_policy.eta
+            rows.append(TraceRow(t, obj, eta_prev, gnorm, 0))
+            continue
 
         base = step_policy.eta0 if eta_prev is None else eta_prev
         accepted = None
@@ -482,7 +556,7 @@ def _ref_pgd_gauss(problem, init, iters, step_policy=None):
         if accepted is None:
             rows.append(TraceRow(t, obj, 0.0, gnorm, halvings))
             break
-        factor, obj, eta_prev, halvings = accepted
+        (factor, gram), obj, eta_prev, halvings = accepted
         rows.append(TraceRow(t, obj, eta_prev, gnorm, halvings))
     return factor, initial, rows
 
@@ -528,7 +602,9 @@ def test_pgd_gauss_matches_reference_loop(case):
 @pytest.mark.parametrize("case", ["nuc", "op, non-identity start", "forced halvings"])
 def test_each_factor_is_checked_once(case, monkeypatch):
     # Every trial checks its stepped rows once.  The accepted rows are
-    # stepped again without a second check and wrapped once on return.
+    # stepped again without a second check and wrapped once on return.  The
+    # first iteration from the identity steps no trial's rows: it checks its
+    # accepted rows once.
     prob, init, iters, policy = _reference_cases()[case]
     made = []
 
@@ -540,7 +616,10 @@ def test_each_factor_is_checked_once(case, monkeypatch):
     monkeypatch.setattr(optimizer, "CorrelationFactor", Counted)
     factor, trace = pgd_gauss(prob, init, iters, policy)
     assert len(trace.rows) == iters
-    assert len(made) == sum(2 + r.halvings for r in trace.rows) + 1
+    checks = [2 + r.halvings for r in trace.rows]
+    if _is_identity(init.rows):
+        checks[0] = 1
+    assert len(made) == sum(checks) + 1
     assert factor is made[-1]
 
 
@@ -614,6 +693,79 @@ def test_collapsed_rows_warn_once_per_collapsing_trial(seed, policy, want):
     ref_factor, _, ref_rows = _ref_pgd_gauss(prob, start, 2, policy(eta))
     assert factor.rows.tobytes() == ref_factor.rows.tobytes()
     assert trace.rows == ref_rows
+
+
+# -- first step from the identity ---------------------------------------------
+# The trial grams of the first iteration from the identity come from G's
+# low-rank form (optimizer._FirstStep), not from stepped rows.
+
+def _first_step_problems(n, seed):
+    """Covariates with one near-zero row, under the three objectives."""
+    X = 30.0 * np.random.default_rng(seed).standard_normal((n, 3))
+    X[0] *= 1e-3
+    pair = continuous_cov_maps(lambda t: 1.0 + 0.5 * np.asarray(t), WeightFn.first_derivative())
+    return {"nuc": discrete_problem(X, np.full(3, 1 / 3), "nuc"),
+            "op": DesignProblem(X=X, maps=tuple(f_arm(4, k) for k in range(1, 5)),
+                                weights=np.array([1.0, -1.0, 0.5, 0.0]), norm="op"),
+            "continuous": DesignProblem(X=X, maps=(pair.map_y0w, pair.map_w),
+                                        weights=np.ones(2), norm="nuc")}
+
+
+_FIRST_ETAS = (1e-4, 1e-2, 0.3, 1.0, 7.0, 50.0, 200.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 129, 700])
+@pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
+def test_first_step_grams_match_the_stepped_rows(n, objective_name):
+    # Measured on these inputs, seeds 0 and 3: at most 2.8e-15 for n >= 3,
+    # and 1.1e-11 at n = 2 (continuous pair, eta = 200), where the
+    # off-diagonal of G^2 vanishes, so the beta^2 terms cancel exactly and
+    # their rounding is all that is left; it is largest next to the
+    # near-zero row.
+    bound = 5e-11 if n == 2 else 1e-14
+    for seed in (0, 3):
+        work = optimizer._tabulated(_first_step_problems(n, seed)[objective_name])
+        g = np.eye(n)
+        leading = (optimizer._leading(work, optimizer._terms(work, g))[0]
+                   if work.norm == "op" else None)
+        grad = optimizer._gradient(work, g, leading)
+        first = optimizer._FirstStep(work, leading, grad)
+        for eta in _FIRST_ETAS:
+            closed = first.gram(eta)
+            stepped = _gram(optimizer._step_rows(np.eye(n), grad, eta)[0])
+            assert np.array_equal(closed, closed.T) and np.all(np.diag(closed) == 1.0)
+            assert np.max(np.abs(closed - stepped)) <= bound, (seed, eta)
+
+
+@pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
+def test_first_iteration_from_the_identity_forms_no_gram(objective_name, monkeypatch):
+    # the trials of the first iteration used to form 2 + halvings grams
+    calls = []
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return _gram(rows)
+
+    monkeypatch.setattr(optimizer, "_gram", counted)
+    prob = _first_step_problems(40, 0)[objective_name]
+    _, trace = pgd_gauss(prob, identity_factor(40), 1)
+    assert len(trace.rows) == 1 and calls == []
+    _, trace = pgd_gauss(prob, identity_factor(40), 2)
+    assert len(calls) == 2 + trace.rows[1].halvings
+
+
+@pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
+def test_identity_start_is_the_same_on_one_and_two_workers(objective_name, monkeypatch):
+    # n = 300: the trial grams span three row blocks and the next G V three
+    # row blocks of panels
+    prob = _first_step_problems(300, 1)[objective_name]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(blocks, "_cpu_count", lambda: cpus)
+        factor, trace = pgd_gauss(prob, identity_factor(300), 2)
+        runs.append((factor.rows.tobytes(), trace.initial_objective, trace.rows))
+    assert len(runs[0][2]) == 2
+    assert runs[0] == runs[1]
 
 
 # -- memory -------------------------------------------------------------------
