@@ -185,10 +185,12 @@ def _estimand_from_args(args):
     if args.estimand.startswith("arm:"):
         if args.arms is None:
             raise UsageError("arm estimand needs --arms K")
+        quantile_thresholds(args.arms)   # rejects K outside [2, 64]
         return EstimandSpec.arm(int(args.estimand[4:]), args.arms)
     if args.estimand.startswith("contrast:"):
         if args.arms is None:
             raise UsageError("contrast estimand needs --arms K")
+        quantile_thresholds(args.arms)
         w = np.asarray([float(v) for v in args.estimand[9:].split(",")])
         return EstimandSpec.contrast(w, args.arms)
     if args.estimand == "continuous":

@@ -594,19 +594,22 @@ def _is_identity(rows):
             and np.count_nonzero(rows) == n)
 
 
-def _gram(rows):
-    """V V^T clamped to [-1, 1] with the diagonal set to exactly 1; the
-    identity factor's gram is I, formed without the product.
-
-    The gram is exactly symmetric: the product is formed on C-contiguous
+def _syrk(rows):
+    """rows rows^T, exactly symmetric: the product is formed on C-contiguous
     rows, which numpy computes as one symmetric rank-k update, while a
     strided view takes a general loop whose (i, j) and (j, i) sums can
-    differ in the last bit.
-    """
+    differ in the last bit."""
+    rows = np.ascontiguousarray(rows)
+    return rows @ rows.T
+
+
+def _gram(rows):
+    """V V^T clamped to [-1, 1] with the diagonal set to exactly 1 (and
+    exactly symmetric, see _syrk); the identity factor's gram is I, formed
+    without the product."""
     if _is_identity(rows):
         return np.eye(rows.shape[0])
-    rows = np.ascontiguousarray(rows)
-    g = rows @ rows.T
+    g = _syrk(rows)
     np.clip(g, -1.0, 1.0, out=g)
     np.fill_diagonal(g, 1.0)
     return g

@@ -24,18 +24,24 @@ clamped to [-1, 1], unit diagonal) is formed once, and the objective of
 every map reads it; the accepted trial hands its gram and term matrices
 X^T f_j X on to the next gradient, so f' and (for the operator norm) the
 leading eigenvectors cost no second product.  G V is formed once per
-iteration and each trial step eta is rows - eta * G V.
+iteration and each trial step eta is the row-normalized alpha V - beta G V,
+alpha = 1 / (1 + eta) and beta = eta / (1 + eta), the direction of
+V - eta G V without its overflow.
 
-The identity start (every caller's) needs no O(n^3) product in its first
-iteration.  Its gram is I, so f_j' is the constant f_j'(0), G = B S B^T
-minus its diagonal is of rank r (r = d for the nuclear norm, one per map
-for the operator norm) and G V = G.  Each trial gram of that iteration is
-formed from this low-rank form in O(n^2 r) on the blocks of the upper
-triangle, without stepped rows (_FirstStep); the accepted rows are then
-stepped from (I, G, eta) and checked once, and none can collapse.  Those
-rows are diag(a) + L B^T, so the second iteration's G V is formed in
-O(n^2 r) in G's own buffer.  Every later iteration, and every iteration
-from any other start, is as above.
+The identity start (every caller's) needs one O(n^3) product in its first
+two iterations, and evaluates no map on I (_IdentityStart).  Every map
+vanishes at 0, so the start's terms are f_j(1) X^T X.  At I, f_j' is the
+constant f_j'(0), so the first gradient G = B S B^T minus its diagonal is
+of rank r (r = d for the nuclear norm, one per map for the operator norm);
+it is not formed, and each trial gram of the first iteration comes from
+that form in O(n^2 r) on the blocks of the upper triangle.  The accepted
+rows stay in their form diag(a) + L B^T, so each trial gram of the second
+iteration is (alpha I - beta G) V V^T (alpha I - beta G) from one product
+H = (G diag a)(G diag a)^T, shared by every trial, plus O(n^2 r) per
+trial; its accepted rows are formed and checked once.  A trial of the
+second iteration whose squared row norm is at most _ZERO_ROW^2 steps its
+rows instead, so collapse is handled as in _step_rows.  Every later
+iteration, and every iteration from any other start, is as above.
 
 Memory: at full rank every array below is n x n.  A trial keeps its step
 size, gram and term matrices and drops its rows once the gram is formed;
@@ -44,9 +50,10 @@ kernel, so they are the same bytes, at one O(n^2) step more per iteration;
 the trial checked them (CorrelationFactor), so they are not checked again.
 B_j B_j^T is never held whole: the gradient forms each block's tile from
 B_j (_offdiag_tile), and the default first step does so from X; the
-identity's first iteration holds B, n x r.  An iteration thus holds at most
-five n x n arrays (V, G V, two trial grams and one map of a gram), and the
-caller's start one more while the caller holds it.
+identity's closed forms hold B, n x r.  An iteration thus holds at most
+five n x n arrays: V, G V, two trial grams and one map of a gram, or, in
+the identity's second iteration, G, H, two trial grams and one map; the
+caller's start is one more while the caller holds it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
@@ -80,7 +87,7 @@ import numpy as np
 
 from . import blocks
 from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, _panel_product,
-                     _zero_diagonal, build_table, f_arm, weighted_discrete_map)
+                     _syrk, _zero_diagonal, build_table, f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -278,38 +285,55 @@ def _check_eta(eta):
 
 
 def _step_rows(rows, GV, eta):
-    """(rows, collapsed): the row-normalized rows - eta * GV, with GV = G V
-    and eta finite and >= 0, and the list of rows that collapsed, which keep
-    their previous value.  Each row block is stepped, measured and divided
-    in one task (see blocks)."""
+    """(rows, collapsed): the row-normalized alpha rows - beta GV, with
+    GV = G V, alpha = 1 / (1 + eta) and beta = eta / (1 + eta) for eta
+    finite and >= 0 (so no finite step overflows), and the list of rows that
+    collapsed (||rows_i - eta GV_i|| < _ZERO_ROW), which keep their
+    previous value."""
+    def form(nb, lo, hi, alpha, beta):
+        np.multiply(alpha, rows[lo:hi], out=nb)
+        nb -= beta * GV[lo:hi]
+
+    return _step_blocks(rows.shape, form, lambda lo, hi: rows[lo:hi], eta)
+
+
+def _step_blocks(shape, form, previous, eta):
+    """_step_rows of the rows V whose row block lo:hi is ``previous(lo,
+    hi)``, read only where a row collapsed, with ``form(out, lo, hi, alpha,
+    beta)`` writing rows lo:hi of alpha V - beta G V to out.  Each row block
+    is formed, measured and divided in one task (see blocks)."""
     _check_eta(eta)
-    new = np.empty(rows.shape)
+    alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+    new = np.empty(shape)
 
     def block(lo, hi):
         nb = new[lo:hi]
-        np.multiply(eta, GV[lo:hi], out=nb)
-        np.subtract(rows[lo:hi], nb, out=nb)
+        form(nb, lo, hi, alpha, beta)
         norms = np.linalg.norm(nb, axis=1)
-        dead = np.flatnonzero(norms < _ZERO_ROW)
+        dead = np.flatnonzero(norms < alpha * _ZERO_ROW)
         if dead.size:
-            nb[dead] = rows[lo:hi][dead]
+            nb[dead] = previous(lo, hi)[dead]
             norms[dead] = 1.0
         nb /= norms[:, None]
         return (dead + lo).tolist()
 
-    dead = sum(blocks.over_rows(new.shape[0], block), [])
+    dead = sum(blocks.over_rows(shape[0], block), [])
     return new, dead
 
 
-def _step(rows, GV, eta):
-    """_step_rows's rows as a (checked) factor, with a warning, issued in the
-    calling thread, when a row collapsed."""
-    new, dead = _step_rows(rows, GV, eta)
-    factor = CorrelationFactor(new)
+def _checked(rows, dead):
+    """``rows`` as a (checked) factor, with a warning, issued in the calling
+    thread, when the rows ``dead`` collapsed."""
+    factor = CorrelationFactor(rows)
     if dead:
         warnings.warn(f"pgd_step: rows {dead} collapsed; "
                       "keeping previous values", RuntimeWarning)
     return factor
+
+
+def _step(rows, GV, eta):
+    """_step_rows's rows as a (checked) factor (see _checked)."""
+    return _checked(*_step_rows(rows, GV, eta))
 
 
 def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
@@ -317,28 +341,67 @@ def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
     return _step(factor.rows, grad @ factor.rows, eta)
 
 
-class _FirstStep:
-    """The first step from the identity, from the gradient's low-rank form.
+def _identity_terms(problem):
+    """X^T f_j(I) X = f_j(1) X^T X for every map j: every covariance map
+    vanishes at 0, exactly on its table too."""
+    XtX = problem.X.T @ problem.X
+    return [m.eval(1.0) * XtX for m in problem.maps]
 
-    At the identity the gram is I, so f_j' is the constant f_j'(0) off the
-    diagonal and G = A - diag(A), A = B S B^T of rank r: B = X and
-    S = sum_j w_j^2 f_j'(0) I for the nuclear norm, B = [b_1 ... b_m] (see
-    _leading) and S = diag(w_j^2 f_j'(0)) for the operator norm.  The step
-    eta's rows are those of alpha I - beta G normalized, alpha = 1 / (1 +
-    eta) and beta = eta / (1 + eta), so no finite eta overflows.  With
-    E = alpha + beta diag(A) their gram, before the division by the row
-    norms, is
+
+def _finish(gb, b, inv):
+    """Block b of a trial gram from its entries before the division by the
+    row norms 1 / inv: divided, clamped to [-1, 1] and, on the square on
+    the diagonal, mirrored from its upper half with a unit diagonal, as
+    _gram forms it from the rows."""
+    rows, cols = b
+    gb *= inv[rows, None]
+    gb *= inv[cols]
+    np.clip(gb, -1.0, 1.0, out=gb)
+    if rows.start == cols.start:
+        square = gb[:, :rows.stop - rows.start]
+        lower = np.tril_indices(square.shape[0], -1)
+        square[lower] = square.T[lower]
+        np.fill_diagonal(square, 1.0)
+
+
+class _IdentityStart:
+    """The first two iterations from the identity, in closed form.
+
+    Iteration 1.  At the identity the gram is I, so f_j' is the constant
+    f_j'(0) off the diagonal and G = A - diag(A), A = B S B^T of rank r:
+    B = X and S = sum_j w_j^2 f_j'(0) I for the nuclear norm, B = [b_1 ...
+    b_m] (see _leading) and S = diag(w_j^2 f_j'(0)) for the operator norm.
+    G is not formed: ||G_i||^2, and so ||G||, are sums over A's tiles.  The
+    step eta's rows are those of alpha I - beta G normalized, alpha =
+    1 / (1 + eta) and beta = eta / (1 + eta).  With E = alpha + beta
+    diag(A) their gram, before the division by the row norms, is
 
         (alpha I - beta G)^2 = E^2 - beta (E A + A E) + beta^2 B (S B^T B S) B^T,
 
     one product of inner dimension 2r per block of blocks.over_upper, and
-    the squared row norms are alpha^2 + beta^2 ||G_i||^2 > 0 (read from G
-    itself), so no row collapses.  The rows themselves are
-    diag(a) + L B^T, a = E / norms and L = -beta B S / norms, so G' V for
-    the next gradient G' is G' diag(a) + (G' L) B^T.  Both cost O(n^2 r).
+    the row norms are hypot(alpha, beta ||G_i||) >= alpha > 0 (alpha^2
+    underflows at a huge eta), so no row collapses.  The accepted rows are kept in their form V = diag(a) +
+    L B^T, a = E / norms and L = -beta B S / norms (``rows`` forms them;
+    ``accept`` keeps them).
+
+    Iteration 2 (``second``).  With the gradient G dense, the step eta's
+    rows are those of (alpha I - beta G) V normalized.  V V^T = diag(a^2) +
+    P M P^T, P = [diag(a) B, L] and M = [[0, I], [I, B^T B]], so off the
+    diagonal their gram, before the division, is
+
+        beta^2 H - alpha beta (a_i^2 + a_j^2) G_ij + (Q M Q^T)_ij,
+
+    H = (G diag(a)) (G diag(a))^T and Q = alpha P - beta G P.  H is the one
+    O(n^3) product of both iterations, shared by every trial; the rest is
+    O(n^2) per block and one product of inner dimension 2r.  The squared row
+    norms are alpha^2 a^2 + beta^2 diag(H) + diag(Q M Q^T).  A trial with
+    one at most _ZERO_ROW^2 steps its rows instead, so collapsed rows and
+    their warning are those of _step_rows.  The accepted rows are stepped
+    once, row block by row block: alpha V - beta G V = alpha diag(a) -
+    beta G diag(a) + (alpha L - beta G L) B^T (_form).
     """
 
-    def __init__(self, work, leading, grad):
+    def __init__(self, work, leading):
         slopes = [w * w * float(m.deriv(np.zeros(1))[0])
                   for w, m in zip(work.weights, work.maps)]
         if leading is None:
@@ -350,18 +413,35 @@ class _FirstStep:
         self.BS = self.B * s
         self.diag = np.einsum("ij,ij->i", self.BS, self.B)   # diag(A)
         self.BSBBS = self.B @ (self.BS.T @ self.BS)
-        self.row_sq = np.einsum("ij,ij->i", grad, grad)       # ||G_i||^2
+        n = self.B.shape[0]
+
+        def block(b):
+            """The squared off-diagonal entries of A's tile b, summed by
+            row and by column, each unordered pair once."""
+            rows, cols = b
+            t = _panel_product(self.BS[rows], self.B[cols],
+                               np.empty((rows.stop - rows.start, cols.stop - cols.start)))
+            if rows.start == cols.start:
+                t[np.tril_indices(rows.stop - rows.start)] = 0.0
+            t *= t
+            return b, t.sum(axis=1), t.sum(axis=0)
+
+        self.row_sq = np.zeros(n)   # ||G_i||^2, the tiles added in block order
+        for (rows, cols), by_row, by_col in blocks.over_upper(n, block):
+            self.row_sq[rows] += by_row
+            self.row_sq[cols] += by_col
+        self.gnorm = float(np.sqrt(np.sum(self.row_sq)))
 
     def _scales(self, eta):
-        """(beta, E, 1 / row norms) of the step eta."""
+        """(beta, E, 1 / row norms) of iteration 1's step eta."""
         _check_eta(eta)
         alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
         return (beta, alpha + beta * self.diag,
-                1.0 / np.sqrt(alpha * alpha + beta * beta * self.row_sq))
+                1.0 / np.hypot(alpha, beta * np.sqrt(self.row_sq)))
 
-    def gram(self, eta):
-        """The gram of the step eta's rows, clamped to [-1, 1] with a unit
-        diagonal and exactly symmetric, as _gram forms it from the rows."""
+    def first_gram(self, eta):
+        """The gram of iteration 1's step eta, clamped to [-1, 1] with a
+        unit diagonal and exactly symmetric, as _gram forms it."""
         beta, E, inv = self._scales(eta)
         left = np.hstack([beta * beta * self.BSBBS - (beta * E)[:, None] * self.BS,
                           -beta * self.BS])
@@ -370,31 +450,85 @@ class _FirstStep:
 
         def block(b):
             rows, cols = b
-            gb = _panel_product(left[rows], right[cols], g[b])
-            gb *= inv[rows, None]
-            gb *= inv[cols]
-            np.clip(gb, -1.0, 1.0, out=gb)
-            if rows.start == cols.start:   # the square on the diagonal: mirror its upper half
-                square = gb[:, :rows.stop - rows.start]
-                lower = np.tril_indices(square.shape[0], -1)
-                square[lower] = square.T[lower]
-                np.fill_diagonal(square, 1.0)
+            _finish(_panel_product(left[rows], right[cols], g[b]), b, inv)
 
         return _map_symmetric(block, g)
 
-    def times(self, grad, eta):
-        """grad @ V for the rows V of the step eta, written to grad."""
+    def accept(self, eta):
+        """Keep iteration 1's step eta as V = diag(a) + L B^T."""
         beta, E, inv = self._scales(eta)
-        a = E * inv
-        GL = grad @ (self.BS * (-beta * inv)[:, None])
+        self.a = E * inv
+        self.L = self.BS * (-beta * inv)[:, None]
 
-        def block(lo, hi):
-            gb = grad[lo:hi]
-            gb *= a
-            gb += _panel_product(GL[lo:hi], self.B, np.empty(gb.shape))
+    def rows(self, lo=0, hi=None):
+        """Rows lo:hi of V (all of them by default)."""
+        hi = self.B.shape[0] if hi is None else hi
+        v = _panel_product(self.L[lo:hi], self.B, np.empty((hi - lo, self.B.shape[0])))
+        v[np.arange(hi - lo), np.arange(lo, hi)] += self.a[lo:hi]
+        return v
 
-        blocks.over_rows(grad.shape[0], block)
-        return grad
+    def second(self, grad):
+        """Iteration 2 at its gradient ``grad`` (held, not copied); returns
+        its trial gram function."""
+        self.G = grad
+        Ga = grad * self.a
+        self.H = _syrk(Ga)
+        del Ga
+        self.H_diag = np.diagonal(self.H).copy()
+        self.P = np.hstack([self.a[:, None] * self.B, self.L])
+        self.GP = grad @ self.P
+        self.BB = self.B.T @ self.B
+        return self.second_gram
+
+    def _second_scales(self, eta):
+        """(alpha, beta, Q M, Q, squared row norms) of iteration 2's step
+        eta."""
+        _check_eta(eta)
+        alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+        r = self.B.shape[1]
+        Q = alpha * self.P - beta * self.GP
+        QM = np.hstack([Q[:, r:], Q[:, :r] + Q[:, r:] @ self.BB])
+        sq = (alpha * alpha * self.a * self.a + beta * beta * self.H_diag
+              + np.einsum("ij,ij->i", QM, Q))
+        return alpha, beta, QM, Q, sq
+
+    def _form(self, nb, lo, hi, alpha, beta):
+        """Rows lo:hi of alpha V - beta G V = alpha diag(a) - beta G diag(a)
+        + (alpha L - beta G L) B^T, written to nb (see _step_blocks)."""
+        GL = self.GP[lo:hi, self.B.shape[1]:]
+        _panel_product(alpha * self.L[lo:hi] - beta * GL, self.B, nb)
+        nb -= self.G[lo:hi] * (beta * self.a)
+        nb[np.arange(hi - lo), np.arange(lo, hi)] += alpha * self.a[lo:hi]
+
+    def _stepped(self, eta):
+        return _step_blocks(self.G.shape, self._form, self.rows, eta)
+
+    def second_gram(self, eta):
+        """The gram of iteration 2's step eta, as _gram forms it."""
+        alpha, beta, QM, Q, sq = self._second_scales(eta)
+        if np.any(sq <= _ZERO_ROW ** 2):
+            return _gram(_checked(*self._stepped(eta)).rows)
+        inv = 1.0 / np.sqrt(sq)
+        a2 = (alpha * beta) * self.a * self.a
+        g = np.empty(self.G.shape)
+
+        def block(b):
+            rows, cols = b
+            gb = _panel_product(QM[rows], Q[cols], g[b])
+            t = np.add.outer(a2[rows], a2[cols])
+            t *= self.G[b]
+            gb -= t
+            gb += np.multiply(self.H[b], beta * beta, out=t)
+            _finish(gb, b, inv)
+
+        return _map_symmetric(block, g)
+
+    def second_rows(self, eta):
+        """The rows of iteration 2's accepted step eta, checked once: here,
+        or by the trial that stepped them (see second_gram)."""
+        sq = self._second_scales(eta)[-1]
+        stepped = self._stepped(eta)
+        return stepped[0] if np.any(sq <= _ZERO_ROW ** 2) else _checked(*stepped).rows
 
 
 @dataclass(frozen=True)
@@ -526,20 +660,24 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
 
     Each factor's gram is formed once: the objective of every map and, for
     the accepted factor, the next gradient's f' read it.  G V is formed once
-    per iteration and every trial step is rows - eta * G V.  A trial keeps
+    per iteration and every trial step is the row-normalized alpha V -
+    beta G V (alpha = 1 / (1 + eta), beta = eta / (1 + eta)).  A trial keeps
     its step size, gram and term matrices only; its rows are dropped once
     its gram is formed, and the accepted trial's rows are stepped again from
     (V, G V, eta), the same bytes, which the trial checked: each factor is
     checked once, and the result is wrapped once on return.
 
-    From an identity start (checked once, with _is_identity) the first
-    iteration steps no trial's rows: G is of rank r plus a diagonal, and
-    each trial gram is formed from that form in O(n^2 r) (see _FirstStep),
-    equal to the stepped rows' gram up to rounding.  The accepted rows are
-    stepped from (I, G, eta) and checked once; the second iteration forms
-    G V from their low-rank form in O(n^2 r), in G's buffer.  So at full
-    rank an iteration holds at most five n x n arrays: V, G V, two trial
-    grams and one map of a gram.  A step size must be finite and
+    From an identity start (checked once, with _is_identity) the start's
+    terms are f_j(1) X^T X, and the first two iterations step no trial's
+    rows (see _IdentityStart): the first iteration's gradient is of rank r
+    plus a diagonal and is not formed, and each trial gram of both
+    iterations is formed in closed form, equal to the stepped rows' gram up
+    to rounding.  The only O(n^3) product of the two is H = (G diag a)
+    (G diag a)^T at the second gradient G.  The first iteration's accepted
+    rows stay in closed form (they are formed only if the run ends there);
+    the second's are formed and checked once.  So at full rank an iteration
+    holds at most five n x n arrays: V, G V (G and H in the second), two
+    trial grams and one map of a gram.  A step size must be finite and
     nonnegative, or ValueError is raised where it is first used.
     ``init`` is not held past the first accepted step; a caller that does
     not hold it either frees it there.
@@ -558,8 +696,11 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     _check_size(problem, init)
     work = _tabulated(problem)
     identity = _is_identity(init.rows)
-    g = np.eye(init.n) if identity else _gram(init.rows)
-    terms = _terms(work, g)
+    if identity:
+        g, terms = None, _identity_terms(work)
+    else:
+        g = _gram(init.rows)
+        terms = _terms(work, g)
     obj = _objective(work.weights, work.norm, terms)
     trace = OptimizerTrace(initial_objective=obj)
     if not np.isfinite(obj):
@@ -568,23 +709,26 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         step_policy = Backtracking(eta0=default_eta0(work))
     start, rows = init, init.rows
     del init   # so a start the caller does not hold is freed after iteration 1
-    eta = None
-    first = None   # the identity's first step, while the rows are its rows
+    eta = closed = None   # closed: the identity start's closed form, while it serves
     for t in range(1, int(iters) + 1):
         leading = _leading(work, terms)[0] if work.norm == "op" else None
-        grad = _gradient(work, g, leading)
-        del g  # freed before the trials form their own grams
-        gnorm = float(np.linalg.norm(grad))
+        if identity and t == 1:
+            closed, grad = _IdentityStart(work, leading), None
+            gnorm = closed.gnorm
+        else:
+            grad = _gradient(work, g, leading)
+            del g  # freed before the trials form their own grams
+            gnorm = float(np.linalg.norm(grad))
+        del leading
         if gnorm < _GRAD_TOL:
             break
-        if identity and t == 1:
-            # G V = G, and the trial grams come from G's low-rank form
-            first = _FirstStep(work, leading, grad)
-            GV, gram = grad, first.gram
+        GV = None
+        if closed is None:
+            GV = grad @ rows
+            gram = partial(_stepped_gram, rows, GV)
         else:
-            GV = grad @ rows if first is None else first.times(grad, eta)
-            first, gram = None, partial(_stepped_gram, rows, GV)
-        del grad, leading
+            gram = closed.first_gram if t == 1 else closed.second(grad)
+        del grad
         try_eta = partial(_trial, work, gram, t, trace)
         cand, obj, eta, halvings = step_policy.search(eta, obj, try_eta)
         trace.rows.append(TraceRow(t, obj, eta, gnorm, halvings))
@@ -594,12 +738,19 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
             break
         g, terms = cand
         del cand
-        # the accepted trial's rows, stepped again: a stepped trial checked
-        # them and warned of any collapsed row; the identity's first step
-        # formed none, so they are checked here (no row can collapse)
-        rows = _step_rows(rows, GV, eta)[0] if first is None else _step(rows, GV, eta).rows
+        if closed is None:
+            # the accepted trial's rows, stepped again: the trial checked
+            # them and warned of any collapsed row
+            rows = _step_rows(rows, GV, eta)[0]
+        elif t == 1:
+            closed.accept(eta)
+            rows = None   # kept in closed's form
+        else:
+            rows, closed = closed.second_rows(eta), None
         start = None
         del GV, gram, try_eta
+    if rows is None:   # the run ended after iteration 1 from the identity
+        rows = closed.rows()
     return (start if start is not None else CorrelationFactor(rows)), trace
 
 

@@ -114,6 +114,29 @@ class TestOptimizeCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_huge_step_size_does_not_overflow(self, covariates, tmp_path, capsys, zero_row):
+        # each step is alpha rows - beta G V, alpha = 1 / (1 + eta) and
+        # beta = eta / (1 + eta), so no finite step overflows (rows - eta G V
+        # did, and its rows failed the unit-norm check); a zero covariate row,
+        # whose row of G is zero, keeps a finite first-step norm (alpha^2
+        # underflows at this step, so the norm is hypot(alpha, beta ||G_i||))
+        if zero_row:
+            X = np.loadtxt(covariates, delimiter=",")
+            X[3] = 0.0
+            covariates = tmp_path / "zero_row.csv"
+            np.savetxt(covariates, X, delimiter=",")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimize", "--covariates", str(covariates), "--arms", "3",
+                         "--step-size", "1e200", "--iters", "3", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert "factor rows must have unit norm" not in err
+        assert code == 0, err
+        assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
+        assert load_factor(out / "factor.csv").n == 18
+
     def test_large_contrast_weights(self, covariates, tmp_path):
         # the objective map is sum_k w_k^2 f_k: ten times the contrast is about
         # 100 times the objective (the default step 0.1 / (1 + A max|f'|) is
@@ -274,6 +297,15 @@ class TestEstimateCommand:
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("estimand,value\n")
 
+    @pytest.mark.parametrize("arms", ["0", "-2", "1", "65"])
+    @pytest.mark.parametrize("estimand", ["arm:1", "contrast:1,-1,0"])
+    def test_arm_count_out_of_range_is_usage_error(self, records, capsys, arms, estimand):
+        # the message optimize gives, not an arm index or weight count error
+        assert main(["estimate", "--records", str(records), "--estimand", estimand,
+                     f"--arms={arms}"]) == 2
+        assert (f"error: arm count K = {arms} outside supported range [2, 64]"
+                in capsys.readouterr().err)
+
     def test_bad_estimand(self, records):
         assert main(["estimate", "--records", str(records),
                      "--estimand", "banana"]) == 2
@@ -311,6 +343,16 @@ class TestCiCommand:
                      "--arms", "3"]) == 0
         row = capsys.readouterr().out.strip()
         assert row.startswith("normal,arm_1,")
+
+    @pytest.mark.parametrize("arms", ["0", "-2", "1", "65"])
+    def test_normal_ci_arm_count_out_of_range_is_usage_error(self, records, tmp_path,
+                                                              capsys, arms):
+        fpath = tmp_path / "factor.csv"
+        save_factor(fpath, identity_factor(12))
+        assert main(["ci", "--records", str(records), "--factor", str(fpath),
+                     "--method", "normal", "--estimand", "arm:1", f"--arms={arms}"]) == 2
+        assert (f"error: arm count K = {arms} outside supported range [2, 64]"
+                in capsys.readouterr().err)
 
     def test_randomization_ci_deterministic(self, records, tmp_path, capsys):
         fpath = tmp_path / "factor.csv"

@@ -1,12 +1,13 @@
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdesign import blocks, optimizer
+from gaussdesign import blocks, covmap, optimizer
 from gaussdesign.covmap import (CovarianceMap, _gram, _is_identity, build_table, f_arm,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import (CorrelationFactor, factor_from_rows, identity_factor,
@@ -388,10 +389,10 @@ def test_backtracking_trace_never_rises(seed, norm, n, d, K, eta0):
 # -- reference loop -----------------------------------------------------------
 # The PGD loop as it stood before each factor's gram was shared: every
 # objective forms its own gram per map, every gradient forms it again, every
-# trial step forms G V again.  From an identity start, the first iteration's
-# trial grams and the next G V follow the closed form of G's low-rank form
-# (see optimizer._FirstStep), written densely.  pgd_gauss must match it bit
-# for bit; at n = 40 every closed-form product is one block.
+# trial step forms G V again.  From an identity start, the start's terms,
+# the first two iterations' trial grams and the rows they accept follow the
+# closed forms of optimizer._IdentityStart, written densely.  pgd_gauss must
+# match it bit for bit; at n = 40 every closed-form product is one block.
 
 def _ref_gram(rows):
     g = np.clip(rows @ rows.T, -1.0, 1.0)
@@ -407,14 +408,23 @@ def _ref_terms(problem, factor, gram=None):
     return out
 
 
-def _ref_objective(problem, factor, gram=None):
+def _ref_identity_terms(problem):
+    """X^T f(I) X = f(1) X^T X: every map vanishes at 0."""
+    return [m.eval(1.0) * (problem.X.T @ problem.X) for m in problem.maps]
+
+
+def _ref_norm_sum(problem, terms):
     total = 0.0
-    for w, M in zip(problem.weights, _ref_terms(problem, factor, gram)):
+    for w, M in zip(problem.weights, terms):
         if not np.all(np.isfinite(M)):
             return float("nan")
         sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(1)
         total += w * w * (float(np.sum(sv)) if problem.norm == "nuc" else float(sv[0]))
     return total
+
+
+def _ref_objective(problem, factor, gram=None):
+    return _ref_norm_sum(problem, _ref_terms(problem, factor, gram))
 
 
 def _ref_deriv_offdiag(cmap, g):
@@ -423,9 +433,9 @@ def _ref_deriv_offdiag(cmap, g):
     return d
 
 
-def _ref_leading(problem, factor, gram=None):
-    return [problem.X @ np.linalg.eigh(M)[1][:, -1]
-            for M in _ref_terms(problem, factor, gram)]
+def _ref_leading(problem, factor, gram=None, terms=None):
+    terms = _ref_terms(problem, factor, gram) if terms is None else terms
+    return [problem.X @ np.linalg.eigh(M)[1][:, -1] for M in terms]
 
 
 def _ref_gradient(problem, factor, gram=None):
@@ -444,58 +454,121 @@ def _ref_gradient(problem, factor, gram=None):
     return grad
 
 
-def _ref_first_step(problem, grad):
-    """(gram(eta), times(grad', eta)) of the first step from the identity:
-    G = A - diag(A), A = B S B^T, the trial of step eta normalizes
-    alpha I - beta G (alpha = 1 / (1 + eta), beta = eta / (1 + eta)), whose
-    square is E^2 - beta (E A + A E) + beta^2 B S B^T B S B^T with
-    E = alpha + beta diag(A), and the accepted rows are diag(a) + L B^T."""
+def _ref_finish(g, inv):
+    g *= inv[:, None]
+    g *= inv
+    np.clip(g, -1.0, 1.0, out=g)
+    lower = np.tril_indices(g.shape[0], -1)
+    g[lower] = g.T[lower]
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _ref_scales(eta):
+    return 1.0 / (1.0 + eta), eta / (1.0 + eta)
+
+
+def _ref_identity_start(problem):
+    """The closed forms of the first two iterations from the identity.
+
+    Iteration 1: G = A - diag(A), A = B S B^T, is not formed; ||G_i||^2
+    sums A's squared off-diagonal entries.  The trial of step eta
+    normalizes alpha I - beta G (alpha = 1 / (1 + eta), beta = eta /
+    (1 + eta)), whose square is E^2 - beta (E A + A E) + beta^2 B S B^T B S
+    B^T with E = alpha + beta diag(A), and the accepted rows are
+    V = diag(a) + L B^T.  Iteration 2 at the dense gradient G: the trial
+    gram is (alpha I - beta G) V V^T (alpha I - beta G) off the diagonal,
+    beta^2 H - alpha beta (a_i^2 + a_j^2) G + Q M Q^T with H = (G diag a)
+    (G diag a)^T, P = [diag(a) B, L], Q = alpha P - beta G P and
+    M = [[0, I], [I, B^T B]]; the accepted rows are stepped from V and
+    G V = G diag(a) + (G L) B^T.  Returns a namespace of those steps."""
     slopes = [w * w * float(m.deriv(np.zeros(1))[0]) for w, m in zip(problem.weights, problem.maps)]
     if problem.norm == "nuc":
         B = problem.X
         s = np.full(B.shape[1], sum(slopes))
     else:
-        B = np.column_stack(_ref_leading(problem, identity_factor(problem.n)))
+        B = np.column_stack(_ref_leading(problem, None, terms=_ref_identity_terms(problem)))
         s = np.array(slopes)
+    n, r = B.shape
     BS = B * s
     diag = np.einsum("ij,ij->i", BS, B)
     BSBBS = B @ (BS.T @ BS)
-    sq = np.einsum("ij,ij->i", grad, grad)
+    tiles = BS @ B.T
+    tiles[np.tril_indices(n)] = 0.0
+    tiles *= tiles
+    sq = np.zeros(n)
+    sq += tiles.sum(axis=1)
+    sq += tiles.sum(axis=0)
+    state = SimpleNamespace(gnorm=float(np.sqrt(np.sum(sq))))
 
     def scales(eta):
-        alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
-        return (beta, alpha + beta * diag,
-                1.0 / np.sqrt(alpha * alpha + beta * beta * sq))
+        alpha, beta = _ref_scales(eta)
+        return (beta, alpha + beta * diag, 1.0 / np.hypot(alpha, beta * np.sqrt(sq)))
 
-    def gram(eta):
+    def first_gram(eta):
         beta, E, inv = scales(eta)
         left = np.hstack([beta * beta * BSBBS - (beta * E)[:, None] * BS, -beta * BS])
         right = np.hstack([B, E[:, None] * B])
-        g = left @ right.T
-        g *= inv[:, None]
-        g *= inv
-        np.clip(g, -1.0, 1.0, out=g)
-        lower = np.tril_indices(g.shape[0], -1)
-        g[lower] = g.T[lower]
-        np.fill_diagonal(g, 1.0)
-        return g
+        return _ref_finish(left @ right.T, inv)
 
-    def times(later, eta):
+    def accept(eta):
         beta, E, inv = scales(eta)
-        GV = later * (E * inv)
-        GV += (later @ (BS * (-beta * inv)[:, None])) @ B.T
-        return GV
+        state.a, state.L = E * inv, BS * (-beta * inv)[:, None]
+        state.V = state.L @ B.T
+        state.V[np.diag_indices(n)] += state.a
 
-    return gram, times
+    def second(G):
+        a, L = state.a, state.L
+        Ga = G * a
+        H = Ga @ Ga.T
+        hd = np.diagonal(H).copy()
+        P = np.hstack([a[:, None] * B, L])
+        GP = G @ P
+
+        def step_rows(eta):
+            alpha, beta = _ref_scales(eta)
+            new = (alpha * L - beta * GP[:, r:]) @ B.T
+            new -= G * (beta * a)
+            new[np.diag_indices(n)] += alpha * a
+            return _ref_normalize(new, state.V, alpha)
+
+        def parts(eta):
+            alpha, beta = _ref_scales(eta)
+            Q = alpha * P - beta * GP
+            QM = np.hstack([Q[:, r:], Q[:, :r] + Q[:, r:] @ (B.T @ B)])
+            norms_sq = alpha * alpha * a * a + beta * beta * hd + np.einsum("ij,ij->i", QM, Q)
+            return alpha, beta, QM, Q, norms_sq
+
+        def gram(eta):
+            alpha, beta, QM, Q, norms_sq = parts(eta)
+            if np.any(norms_sq <= optimizer._ZERO_ROW ** 2):   # the trial steps its rows
+                return _ref_gram(step_rows(eta))
+            g = QM @ Q.T
+            a2 = (alpha * beta) * a * a
+            t = np.add.outer(a2, a2)
+            t *= G
+            g -= t
+            g += np.multiply(H, beta * beta)
+            return _ref_finish(g, 1.0 / np.sqrt(norms_sq))
+
+        return gram, step_rows
+
+    state.first_gram, state.accept, state.second = first_gram, accept, second
+    return state
+
+
+def _ref_normalize(new, rows, alpha):
+    """new row-normalized, a row below alpha * _ZERO_ROW kept from rows."""
+    norms = np.linalg.norm(new, axis=1)
+    dead = norms < alpha * optimizer._ZERO_ROW
+    new[dead] = rows[dead]
+    norms[dead] = 1.0
+    return new / norms[:, None]
 
 
 def _ref_step(factor, GV, eta):
-    rows = factor.rows - eta * GV
-    norms = np.linalg.norm(rows, axis=1)
-    dead = norms < 1e-14
-    rows[dead] = factor.rows[dead]
-    norms[dead] = 1.0
-    return type(factor)(rows / norms[:, None])
+    alpha, beta = _ref_scales(eta)
+    return type(factor)(_ref_normalize(alpha * factor.rows - beta * GV, factor.rows, alpha))
 
 
 def _ref_pgd_gauss(problem, init, iters, step_policy=None):
@@ -505,59 +578,68 @@ def _ref_pgd_gauss(problem, init, iters, step_policy=None):
     if step_policy is None:
         step_policy = Backtracking(eta0=default_eta0(work))
     factor = init
-    obj = _ref_objective(work, factor)
+    identity = _is_identity(init.rows)
+    obj = (_ref_norm_sum(work, _ref_identity_terms(work)) if identity
+           else _ref_objective(work, factor))
     initial, rows = obj, []
     eta_prev = None
-    gram = first = None   # the accepted trial's closed-form gram; the first step's
+    gram = closed = None   # the accepted trial's closed-form gram; the closed forms
     for t in range(1, int(iters) + 1):
-        grad = _ref_gradient(work, factor, gram)
-        gnorm = float(np.linalg.norm(grad))
+        if identity and t == 1:
+            closed = _ref_identity_start(work)
+            gnorm = closed.gnorm
+        else:
+            grad = _ref_gradient(work, factor, gram)
+            gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-10:
             break
-        if t == 1 and _is_identity(init.rows):
-            closed, first = _ref_first_step(work, grad)
-            GV = grad @ factor.rows
+        if identity and t <= 2:
+            closed_gram, accept = ((closed.first_gram, closed.accept) if t == 1
+                                   else closed.second(grad))
 
             def try_eta(eta):
-                g = closed(eta)
-                return (_ref_step(factor, GV, eta), g), _ref_objective(work, None, g)
+                g = closed_gram(eta)
+                return (eta, g), _ref_objective(work, None, g)
         else:
-            GV = grad @ factor.rows if first is None else first(grad, eta_prev)
-            first = None
+            GV = grad @ factor.rows
 
             def try_eta(eta):
                 cand = _ref_step(factor, GV, eta)
                 return (cand, None), _ref_objective(work, cand)
 
         if isinstance(step_policy, FixedStep):
-            (factor, gram), obj = try_eta(step_policy.eta)
-            eta_prev = step_policy.eta
-            rows.append(TraceRow(t, obj, eta_prev, gnorm, 0))
-            continue
-
-        base = step_policy.eta0 if eta_prev is None else eta_prev
-        accepted = None
-        halvings = 0
-        grown, grown_obj = try_eta(base * 2.0)
-        held, held_obj = try_eta(base)
-        if grown_obj <= min(held_obj, obj + 1e-12):
-            accepted = (grown, grown_obj, base * 2.0, 0)
-        elif held_obj <= obj + 1e-12:
-            accepted = (held, held_obj, base, 0)
+            accepted = try_eta(step_policy.eta) + (step_policy.eta, 0)
         else:
-            eta = base * 0.5
-            while halvings < step_policy.max_halvings:
-                halvings += 1
-                cand, cand_obj = try_eta(eta)
-                if cand_obj <= obj + 1e-12:
-                    accepted = (cand, cand_obj, eta, halvings)
-                    break
-                eta *= 0.5
-        if accepted is None:
-            rows.append(TraceRow(t, obj, 0.0, gnorm, halvings))
-            break
-        (factor, gram), obj, eta_prev, halvings = accepted
+            base = step_policy.eta0 if eta_prev is None else eta_prev
+            accepted = None
+            halvings = 0
+            grown, grown_obj = try_eta(base * 2.0)
+            held, held_obj = try_eta(base)
+            if grown_obj <= min(held_obj, obj + 1e-12):
+                accepted = (grown, grown_obj, base * 2.0, 0)
+            elif held_obj <= obj + 1e-12:
+                accepted = (held, held_obj, base, 0)
+            else:
+                eta = base * 0.5
+                while halvings < step_policy.max_halvings:
+                    halvings += 1
+                    cand, cand_obj = try_eta(eta)
+                    if cand_obj <= obj + 1e-12:
+                        accepted = (cand, cand_obj, eta, halvings)
+                        break
+                    eta *= 0.5
+            if accepted is None:
+                rows.append(TraceRow(t, obj, 0.0, gnorm, halvings))
+                break
+        (cand, gram), obj, eta_prev, halvings = accepted
         rows.append(TraceRow(t, obj, eta_prev, gnorm, halvings))
+        if identity and t == 1:
+            accept(eta_prev)
+            factor = type(init)(closed.V)
+        elif identity and t == 2:
+            factor = type(init)(accept(eta_prev))
+        else:
+            factor = cand
     return factor, initial, rows
 
 
@@ -603,8 +685,10 @@ def test_pgd_gauss_matches_reference_loop(case):
 def test_each_factor_is_checked_once(case, monkeypatch):
     # Every trial checks its stepped rows once.  The accepted rows are
     # stepped again without a second check and wrapped once on return.  The
-    # first iteration from the identity steps no trial's rows: it checks its
-    # accepted rows once.
+    # first two iterations from the identity step no trial's rows: the
+    # first keeps its accepted rows in closed form, unchecked (they are
+    # formed, and checked by the wrap, only when the run ends there), the
+    # second checks its accepted rows once.
     prob, init, iters, policy = _reference_cases()[case]
     made = []
 
@@ -618,8 +702,12 @@ def test_each_factor_is_checked_once(case, monkeypatch):
     assert len(trace.rows) == iters
     checks = [2 + r.halvings for r in trace.rows]
     if _is_identity(init.rows):
-        checks[0] = 1
+        checks[:2] = [0, 1]
     assert len(made) == sum(checks) + 1
+    assert factor is made[-1]
+    made.clear()
+    factor, trace = pgd_gauss(prob, init, 1, policy)
+    assert len(made) == (1 if _is_identity(init.rows) else 3 + trace.rows[0].halvings)
     assert factor is made[-1]
 
 
@@ -695,9 +783,9 @@ def test_collapsed_rows_warn_once_per_collapsing_trial(seed, policy, want):
     assert trace.rows == ref_rows
 
 
-# -- first step from the identity ---------------------------------------------
-# The trial grams of the first iteration from the identity come from G's
-# low-rank form (optimizer._FirstStep), not from stepped rows.
+# -- first two iterations from the identity ----------------------------------
+# The trial grams of the first two iterations from the identity come from
+# closed forms (optimizer._IdentityStart), not from stepped rows.
 
 def _first_step_problems(n, seed):
     """Covariates with one near-zero row, under the three objectives."""
@@ -714,6 +802,17 @@ def _first_step_problems(n, seed):
 _FIRST_ETAS = (1e-4, 1e-2, 0.3, 1.0, 7.0, 50.0, 200.0)
 
 
+def _leading_of(work, terms):
+    return optimizer._leading(work, terms)[0] if work.norm == "op" else None
+
+
+def _identity_start(work):
+    """(the closed forms, iteration 1's gradient, dense) at the identity."""
+    g = np.eye(work.n)
+    leading = _leading_of(work, optimizer._terms(work, g))
+    return optimizer._IdentityStart(work, leading), optimizer._gradient(work, g, leading)
+
+
 @pytest.mark.parametrize("n", [2, 3, 40, 129, 700])
 @pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
 def test_first_step_grams_match_the_stepped_rows(n, objective_name):
@@ -725,21 +824,48 @@ def test_first_step_grams_match_the_stepped_rows(n, objective_name):
     bound = 5e-11 if n == 2 else 1e-14
     for seed in (0, 3):
         work = optimizer._tabulated(_first_step_problems(n, seed)[objective_name])
-        g = np.eye(n)
-        leading = (optimizer._leading(work, optimizer._terms(work, g))[0]
-                   if work.norm == "op" else None)
-        grad = optimizer._gradient(work, g, leading)
-        first = optimizer._FirstStep(work, leading, grad)
+        closed, grad = _identity_start(work)
+        assert closed.gnorm == pytest.approx(np.linalg.norm(grad), rel=1e-14)
         for eta in _FIRST_ETAS:
-            closed = first.gram(eta)
+            gram = closed.first_gram(eta)
             stepped = _gram(optimizer._step_rows(np.eye(n), grad, eta)[0])
-            assert np.array_equal(closed, closed.T) and np.all(np.diag(closed) == 1.0)
-            assert np.max(np.abs(closed - stepped)) <= bound, (seed, eta)
+            assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
+            assert np.max(np.abs(gram - stepped)) <= bound, (seed, eta)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 129, 700])
+@pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
+def test_second_step_grams_match_the_stepped_rows(n, objective_name):
+    # Iteration 2's closed form against _gram(_step_rows(V, G V, eta)) with
+    # V the accepted rows of iteration 1 (steps eta1: default_eta0, 1e-2
+    # and 1).  Measured on these inputs, seeds 0 and 3: at most 1.2e-14 for
+    # n >= 3 but 1.1e-13 at n = 129 (continuous pair, seed 3, eta1 =
+    # default_eta0, eta = 7), and 5.5e-11 at n = 2 (continuous pair, eta1 =
+    # 1, eta = 7).  The stepped rows' gram is the more accurate of the two
+    # there (1.2e-15 from a long-double reference at n = 129): the closed
+    # form adds H, G and Q M Q^T terms that cancel to the smaller gram entry.
+    bound = 2e-10 if n == 2 else 5e-13
+    for seed in (0, 3):
+        work = optimizer._tabulated(_first_step_problems(n, seed)[objective_name])
+        for eta1 in (default_eta0(work), 1e-2, 1.0):
+            closed = _identity_start(work)[0]
+            g = closed.first_gram(eta1)
+            closed.accept(eta1)
+            grad = optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g)))
+            V = closed.rows()
+            GV = grad @ V
+            closed.second(grad)
+            for eta in _FIRST_ETAS:
+                gram = closed.second_gram(eta)
+                stepped = _gram(optimizer._step_rows(V, GV, eta)[0])
+                assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
+                assert np.max(np.abs(gram - stepped)) <= bound, (seed, eta1, eta)
 
 
 @pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
 def test_first_iteration_from_the_identity_forms_no_gram(objective_name, monkeypatch):
-    # the trials of the first iteration used to form 2 + halvings grams
+    # the trials of the first iteration used to form 2 + halvings grams; now
+    # neither of the first two iterations forms one, and the third does
     calls = []
 
     def counted(rows):
@@ -750,27 +876,90 @@ def test_first_iteration_from_the_identity_forms_no_gram(objective_name, monkeyp
     prob = _first_step_problems(40, 0)[objective_name]
     _, trace = pgd_gauss(prob, identity_factor(40), 1)
     assert len(trace.rows) == 1 and calls == []
-    _, trace = pgd_gauss(prob, identity_factor(40), 2)
-    assert len(calls) == 2 + trace.rows[1].halvings
+    _, trace = pgd_gauss(prob, identity_factor(40), 3)
+    assert len(calls) == 2 + trace.rows[2].halvings
+
+
+@pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
+def test_two_iterations_from_the_identity_form_one_cubic_product(objective_name, monkeypatch):
+    # Every n x n x n product of pgd_gauss is a gram of rows (_syrk, also
+    # under _gram) or the stepped path's G V = grad @ rows.  A two-iteration
+    # run from the identity forms one, H, and no map sees the identity's
+    # points: every map call of more than one point is on a trial gram or
+    # iteration 2's gradient, strictly inside (-1, 1) off the diagonal.
+    n = 300
+    products = []
+
+    def counted(rows):
+        products.append(rows.shape)
+        return covmap._syrk(rows)
+
+    monkeypatch.setattr(optimizer, "_syrk", counted)
+    monkeypatch.setattr(optimizer, "_gram", lambda rows: pytest.fail("a gram of rows"))
+    monkeypatch.setattr(optimizer, "_stepped_gram", lambda *a: pytest.fail("G V formed"))
+    on_identity = []
+    for method in ("eval", "deriv"):
+        def spy(self, rho, out=None, _original=getattr(CovarianceMap, method)):
+            pts = np.asarray(rho, dtype=float)
+            if pts.size > 1 and np.all((pts == 0.0) | (np.abs(pts) >= 1.0 - 1e-6)):
+                on_identity.append(pts.shape)
+            return _original(self, rho, out)
+        monkeypatch.setattr(CovarianceMap, method, spy)
+    prob = _first_step_problems(n, 2)[objective_name]
+    _, trace = pgd_gauss(prob, identity_factor(n), 2)
+    assert len(trace.rows) == 2
+    assert products == [(n, n)]
+    assert on_identity == []
+
+
+@pytest.mark.parametrize("norm", ["nuc", "op"])
+def test_second_iteration_steps_the_rows_of_a_vanishing_trial(norm, monkeypatch):
+    # No natural input brings a squared row norm of iteration 2's trial down
+    # to _ZERO_ROW^2, so the threshold is raised to the median row norm over
+    # alpha = 1 / (1 + eta): the trial steps its rows, and those below the
+    # median (alpha * _ZERO_ROW) collapse and keep their previous value,
+    # with one warning, as _step_rows has it.
+    prob = _reference_cases()[norm][0]
+    eta = 1e-3
+    work = optimizer._tabulated(prob)
+    closed = optimizer._IdentityStart(work, _leading_of(work, optimizer._identity_terms(work)))
+    g = closed.first_gram(eta)
+    closed.accept(eta)
+    closed.second(optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))
+    monkeypatch.setattr(optimizer, "_ZERO_ROW",
+                        float(np.sqrt(np.median(closed._second_scales(eta)[-1]))) * (1 + eta))
+    V = closed.rows()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        factor, trace = pgd_gauss(prob, identity_factor(prob.n), 2, FixedStep(eta))
+    kept = [i for i in range(prob.n) if np.array_equal(factor.rows[i], V[i])]
+    assert 0 < len(kept) < prob.n
+    assert [str(w.message) for w in caught] == [
+        f"pgd_step: rows {kept} collapsed; keeping previous values"]
+    ref_factor, _, ref_rows = _ref_pgd_gauss(prob, identity_factor(prob.n), 2, FixedStep(eta))
+    assert factor.rows.tobytes() == ref_factor.rows.tobytes()
+    assert trace.rows == ref_rows
 
 
 @pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
 def test_identity_start_is_the_same_on_one_and_two_workers(objective_name, monkeypatch):
-    # n = 300: the trial grams span three row blocks and the next G V three
-    # row blocks of panels
+    # n = 300: the trial grams span three row blocks, and the rows accepted
+    # in iteration 2 (stepped from the closed forms) three row blocks of
+    # panels; iteration 3 steps those rows
     prob = _first_step_problems(300, 1)[objective_name]
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(blocks, "_cpu_count", lambda: cpus)
-        factor, trace = pgd_gauss(prob, identity_factor(300), 2)
+        factor, trace = pgd_gauss(prob, identity_factor(300), 3)
         runs.append((factor.rows.tobytes(), trace.initial_objective, trace.rows))
-    assert len(runs[0][2]) == 2
+    assert len(runs[0][2]) == 3
     assert runs[0] == runs[1]
 
 
 # -- memory -------------------------------------------------------------------
 # At full rank an iteration holds at most five n x n arrays (V, G V, two trial
-# grams and one map of a gram), plus block temporaries.  While every trial
+# grams and one map of a gram; G and H for V and G V in the second iteration
+# from the identity), plus block temporaries.  While every trial
 # kept its rows and A = X X^T lived through the run, these peaks were 8.46
 # (nuc) and 7.45 (op) arrays with the start held by the caller, and 9.45 and
 # 8.47 with the start allocated in the traced window and held by pgd_gauss.
