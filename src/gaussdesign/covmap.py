@@ -489,7 +489,9 @@ def apply_map(cmap: CovarianceMap, factor):
     round-off; the diagonal is evaluated at exactly 1 (analytic limit).  The
     gram is exactly symmetric, so f is evaluated once per unordered pair
     {i, j} (see _map_symmetric) and the result equals the full elementwise
-    evaluation bit for bit.  No pipeline path calls it (see _reduce_symmetric).
+    evaluation bit for bit.  No pipeline path calls it: the optimizer's term
+    matrices (optimizer._terms) and the analyses (_reduce_symmetric) sum
+    the blocks of f(V V^T) without forming it.
     """
     return _eval_symmetric(cmap, _gram(factor.rows))
 
@@ -549,11 +551,10 @@ def _map_forms(rows, maps, X):
     return [S + S.T + m.eval(1.0) * (X.T @ X) for S, m in zip(forms, maps)]
 
 
-def _eval_symmetric(cmap, g, out=None):
-    """cmap.eval(g) of a symmetric gram g, written to ``out`` (a new array
-    when None) once per unordered pair by _map_symmetric."""
-    if out is None:
-        out = np.empty_like(g)
+def _eval_symmetric(cmap, g):
+    """cmap.eval(g) of a symmetric gram g, evaluated once per unordered pair
+    by _map_symmetric."""
+    out = np.empty_like(g)
     return _map_symmetric(lambda b: cmap.eval(g[b], out=out[b]), out)
 
 

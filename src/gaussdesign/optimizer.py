@@ -50,16 +50,19 @@ kernel, so they are the same bytes, at one O(n^2) step more per iteration;
 the trial checked them (CorrelationFactor), so they are not checked again.
 B_j B_j^T is never held whole: the gradient forms each block's tile from
 B_j (_offdiag_tile), and the default first step does so from X; the
-identity's closed forms hold B, n x r.  An iteration thus holds at most
-five n x n arrays: V, G V, two trial grams and one map of a gram, or, in
-the identity's second iteration, G, H, two trial grams and one map; the
-caller's start is one more while the caller holds it.
+identity's closed forms hold B, n x r.  No map of a gram is held whole
+either: a trial's term matrices are summed block by block from f_j of its
+gram's blocks (_terms).  An iteration thus holds at most four n x n
+arrays: V, G V and two trial grams, or, in the identity's second
+iteration, G, H and two trial grams; the caller's start is one more while
+the caller holds it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
-evaluated on the blocks of the upper triangle and mirrored
-(covmap._map_symmetric), on the one fixed grid of blocks.over_upper, which
-also serves the default first step.  Per block, the gradient runs the clip,
+evaluated on the blocks of the upper triangle, on the one fixed grid of
+blocks.over_upper, which also serves the default first step; the gradient
+is mirrored from them (covmap._map_symmetric) and the term matrices sum
+them with their transposes (_terms).  Per block, the gradient runs the clip,
 f_j' and the product with B_j B_j^T in the order of the full evaluation, so
 it needs no n x n temporary besides its output, and every value equals the
 full elementwise evaluation with those tiles bit for bit.  Each tile is one
@@ -81,13 +84,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from . import blocks
-from .covmap import (_eval_symmetric, _gram, _is_identity, _map_symmetric, _panel_product,
-                     _syrk, _zero_diagonal, build_table, f_arm, weighted_discrete_map)
+from .covmap import (_gram, _is_identity, _map_symmetric, _panel_product, _syrk,
+                     _zero_diagonal, build_table, f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -174,10 +177,43 @@ def _check_size(problem, factor):
 
 
 def _terms(problem, g):
-    """X^T f_j(g) X for every map j, from the factor's gram g (see _gram);
-    each f_j(g) is evaluated once per unordered pair into one buffer."""
-    F = np.empty_like(g)
-    return [problem.X.T @ _eval_symmetric(m, g, F) @ problem.X for m in problem.maps]
+    """M_j = X^T f_j(g) X for every map j, from the factor's gram g (see
+    _gram), streamed over the blocks b = (rows, cols) of g's upper triangle
+    on the fixed grid of blocks.over_upper: no n x n array is formed.
+
+    Each block evaluates f_j(g[b]) into a block-sized temporary F, adds
+    X_rows^T F X_right over the columns right of its diagonal square to S_j
+    and, on a diagonal block, X_rows^T F_sq X_rows over the whole square
+    (f_j of a symmetric gram is symmetric there) to D_j.  The partials are
+    summed in block order and M_j = S_j + S_j^T + D_j, so the terms are
+    bit-identical on any worker count.  At n <= blocks.ROW_BLOCK (one block)
+    M_j is the one product X^T f_j(g) X bit for bit; at larger n the sum
+    order differs from it in the last bits.
+    """
+    X = problem.X
+
+    def block(b):
+        rows, cols = b
+        sq = max(cols.start, rows.stop) - cols.start   # the diagonal square's width, or 0
+        Xr, right = X[rows], X[cols.start + sq:cols.stop]
+        F = np.empty_like(g[b])
+        parts = []
+        for m in problem.maps:
+            m.eval(g[b], out=F)
+            parts.append((Xr.T @ F[:, sq:] @ right if len(right) else None,
+                          Xr.T @ F[:, :sq] @ Xr if sq else None))
+        return parts
+
+    parts = blocks.over_upper(g.shape[0], block)
+    terms = []
+    for j in range(len(problem.maps)):
+        D = reduce(np.add, [p[j][1] for p in parts if p[j][1] is not None])
+        off = [p[j][0] for p in parts if p[j][0] is not None]
+        if off:
+            S = reduce(np.add, off)
+            D = S + S.T + D
+        terms.append(D)
+    return terms
 
 
 def _objective(weights, norm, terms):
@@ -312,6 +348,11 @@ def _step_blocks(shape, form, previous, eta):
         norms = np.linalg.norm(nb, axis=1)
         dead = np.flatnonzero(norms < alpha * _ZERO_ROW)
         if dead.size:
+            # the squares of a row below about 1e-154 underflow: re-measure
+            # the flagged rows scaled by their largest entry
+            norms[dead] = _scaled_norms(nb[dead])
+            dead = dead[norms[dead] < alpha * _ZERO_ROW]
+        if dead.size:
             nb[dead] = previous(lo, hi)[dead]
             norms[dead] = 1.0
         nb /= norms[:, None]
@@ -319,6 +360,13 @@ def _step_blocks(shape, form, previous, eta):
 
     dead = sum(blocks.over_rows(shape[0], block), [])
     return new, dead
+
+
+def _scaled_norms(a):
+    """The row norms of a as max|a_i| ||a_i / max|a_i|||, which do not
+    underflow (0 for a zero row)."""
+    top = np.abs(a).max(axis=1, initial=0.0)
+    return top * np.linalg.norm(a / np.where(top > 0.0, top, 1.0)[:, None], axis=1)
 
 
 def _checked(rows, dead):
@@ -675,10 +723,11 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     to rounding.  The only O(n^3) product of the two is H = (G diag a)
     (G diag a)^T at the second gradient G.  The first iteration's accepted
     rows stay in closed form (they are formed only if the run ends there);
-    the second's are formed and checked once.  So at full rank an iteration
-    holds at most five n x n arrays: V, G V (G and H in the second), two
-    trial grams and one map of a gram.  A step size must be finite and
-    nonnegative, or ValueError is raised where it is first used.
+    the second's are formed and checked once.  The term matrices are summed
+    over the blocks of a gram (see _terms), so no map of a gram is held
+    whole, and at full rank an iteration holds at most four n x n arrays:
+    V, G V (G and H in the second) and two trial grams.  A step size must be
+    finite and nonnegative, or ValueError is raised where it is first used.
     ``init`` is not held past the first accepted step; a caller that does
     not hold it either frees it there.
 

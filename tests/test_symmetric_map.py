@@ -1,6 +1,7 @@
 """The symmetric map kernel: exact gram symmetry, and maps of a gram evaluated
 once per unordered pair that equal the full elementwise evaluation bit for
-bit (apply_map, the optimizer's term matrices and both gradients); the
+bit (apply_map and both gradients; the optimizer's term matrices, summed
+over the blocks, equal the dense map summed in the same order); the
 streamed reduction's block grid; and every row-block kernel's outputs,
 bit-identical on any worker count."""
 
@@ -266,6 +267,30 @@ def _problems(n, exact=False):
 
 
 def _full_terms(problem, g):
+    """X^T f_j(g) X from the dense f_j(g), summed in the grid order of
+    _terms: per row block lo:hi, X_rows^T F X_rows over its diagonal square
+    into D and, per column tile from the block's diagonal on, X_rows^T F
+    X_cols over the columns right of the square into S, each sum in block
+    order; then S + S^T + D (D alone when S has no block, n <= B)."""
+    X, n = problem.X, g.shape[0]
+    out = []
+    for m in problem.maps:
+        F = m.eval(g)
+        S = D = None
+        for lo in range(0, n, B):
+            hi = min(lo + B, n)
+            d = X[lo:hi].T @ F[lo:hi, lo:hi] @ X[lo:hi]
+            D = d if D is None else D + d
+            for c in range(lo, n, T):
+                c0, c1 = max(c, hi), min(c + T, n)
+                if c0 < c1:
+                    s = X[lo:hi].T @ F[lo:hi, c0:c1] @ X[c0:c1]
+                    S = s if S is None else S + s
+        out.append(D if S is None else S + S.T + D)
+    return out
+
+
+def _dense_terms(problem, g):
     return [problem.X.T @ m.eval(g) @ problem.X for m in problem.maps]
 
 
@@ -315,8 +340,13 @@ def test_terms_and_gradients_equal_full_evaluation(n, exact):
     g = _gram(rows)
     _with_edge_pairs(g)
     for problem in (nuc, op):
-        for got, want in zip(_terms(problem, g), _full_terms(problem, g)):
+        for got, want, dense in zip(_terms(problem, g), _full_terms(problem, g),
+                                    _dense_terms(problem, g)):
             assert _same(got, want)
+            if n <= B:   # one block: the one product X^T f(g) X
+                assert _same(got, dense)
+            else:   # measured at most 7.1e-16 of max |M| (n in 129..1000)
+                assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
     grad = _gradient(nuc, g)
     assert _same(grad, _full_grad_nuc(nuc, g))
     assert _same(gradient_nuclear(nuc, CorrelationFactor(rows)), grad)
@@ -344,24 +374,43 @@ def test_gradients_propagate_nan_as_full_evaluation():
     assert _same(got, want)
 
 
-def test_nuclear_gradient_allocates_no_second_square_array():
-    n = 1500
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory it allocated, in bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _memory_case(n=1500):
+    """(problem, gram, n x n array bytes) of a tabulated nuclear problem."""
     X = np.random.default_rng(3).standard_normal((n, 4))
     problem = DesignProblem(X=X, maps=(build_table(weighted_discrete_map(np.full(3, 1 / 3), 3)),),
                             weights=np.ones(1), norm="nuc")
     g = _gram(factor_from_rows(np.random.default_rng(4).standard_normal((n, 30))).rows)
-    square = n * n * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        grad = _gradient(problem, g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert grad.shape == (n, n)
+    return problem, g, n * n * 8
+
+
+def test_nuclear_gradient_allocates_no_second_square_array():
+    problem, g, square = _memory_case()
+    grad, peak = _traced_peak(_gradient, problem, g)
+    assert grad.shape == g.shape
     # the output plus block-sized temporaries; any n x n temporary would
     # add another `square`
     assert square <= peak < 1.5 * square
+
+
+def test_terms_allocate_no_square_array():
+    problem, g, square = _memory_case()
+    terms, peak = _traced_peak(_terms, problem, g)
+    assert [M.shape for M in terms] == [(4, 4)]
+    # block-sized temporaries only (0.24 of `square` on one worker, 0.31 on
+    # four); a map of the whole gram would add one `square`
+    assert peak < 0.5 * square
 
 
 def test_nuclear_gradient_memory_on_four_workers(monkeypatch):
@@ -369,6 +418,11 @@ def test_nuclear_gradient_memory_on_four_workers(monkeypatch):
     # flight, so four workers add block-sized temporaries only
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 4)
     test_nuclear_gradient_allocates_no_second_square_array()
+
+
+def test_terms_memory_on_four_workers(monkeypatch):
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 4)
+    test_terms_allocate_no_square_array()
 
 
 # -- worker counts -----------------------------------------------------------------
@@ -382,6 +436,16 @@ def _workers(count):
         yield
     finally:
         blocks._cpu_count = saved
+
+
+@pytest.mark.parametrize("n", [B + 1, 2 * B + 3])
+def test_terms_are_bit_identical_on_one_and_two_workers(n):
+    g = _gram(_rows(n))
+    for problem in _problems(n):
+        with _workers(1):
+            want = [M.tobytes() for M in _terms(problem, g)]
+        with _workers(2):
+            assert [M.tobytes() for M in _terms(problem, g)] == want
 
 
 @settings(max_examples=40, deadline=None)
