@@ -44,8 +44,9 @@ class ComputeError(RuntimeError):
 
 
 def parse_config(path):
-    """Line-oriented key = value config; '#' comments; fail-closed keys."""
-    config = {}
+    """Line-oriented key = value config; '#' comments; fail-closed keys (an
+    unknown or repeated key is a UsageError)."""
+    config, seen = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -56,7 +57,10 @@ def parse_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise UsageError(f"{path}:{lineno}: empty key")
-            config[key] = value
+            if key in seen:
+                raise UsageError(f"{path}:{lineno}: key {key!r} repeated "
+                                 f"(first set on line {seen[key]})")
+            config[key], seen[key] = value, lineno
     return config
 
 
@@ -105,17 +109,15 @@ def _fmt(x):
 
 def cmd_optimize(args):
     X = _load_covariates(args.covariates)
+    norms = elliptope._row_norms(X)
     if args.normalize_rows:
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise UsageError("cannot row-normalize: zero covariate row")
-        X = X / norms
-    else:
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(np.abs(norms - 1.0) > 0.5):
-            print("warning: covariate rows far from unit norm; "
-                  "pass --normalize-rows to enforce the unit-norm convention",
-                  file=sys.stderr)
+        X = X / norms[:, None]
+    elif np.any(np.abs(norms - 1.0) > 0.5):
+        print("warning: covariate rows far from unit norm; "
+              "pass --normalize-rows to enforce the unit-norm convention",
+              file=sys.stderr)
     if args.arms is not None:
         K = args.arms
         quantile_thresholds(K)   # rejects K outside [2, 64] before 1 / K is formed

@@ -490,8 +490,9 @@ def apply_map(cmap: CovarianceMap, factor):
     gram is exactly symmetric, so f is evaluated once per unordered pair
     {i, j} (see _map_symmetric) and the result equals the full elementwise
     evaluation bit for bit.  No pipeline path calls it: the optimizer's term
-    matrices (optimizer._terms) and the analyses (_reduce_symmetric) sum
-    the blocks of f(V V^T) without forming it.
+    matrices and the analyses' forms X^T f(V V^T) X (_sum_forms) and pair
+    sums (_reduce_symmetric) add up the blocks of f(V V^T) without forming
+    it.
     """
     return _eval_symmetric(cmap, _gram(factor.rows))
 
@@ -499,16 +500,27 @@ def apply_map(cmap: CovarianceMap, factor):
 def _reduce_symmetric(rows, block_fn):
     """[block_fn(b, g_b) for each block b = (rows, cols) of the gram's upper
     triangle], in block order, on the fixed grid of blocks.over_upper.  g_b
-    is V[rows] V[cols]^T clamped to [-1, 1] and 0 on and below the diagonal,
-    where every
-    covariance map vanishes: callers add the diagonal (exactly 1).  The
-    product is formed in column panels of _panel(k) columns from the
-    block's first column, so at rank k <= 1024 each is at most
-    blocks.SERIAL_MACS multiply-adds and OpenBLAS runs it on the calling
-    worker.  The partials are bit-identical on any worker count; one block
-    per worker is in flight."""
+    is V[rows] V[cols]^T clamped to [-1, 1] and 0 on and below the diagonal
+    (_mask_lower), where every covariance map vanishes: callers add the
+    diagonal (exactly 1) in closed form.  The product is formed in column
+    panels of _panel(k) columns from the block's first column, so at rank
+    k <= 1024 each is at most blocks.SERIAL_MACS multiply-adds and OpenBLAS
+    runs it on the calling worker.  The partials are bit-identical on any
+    worker count; one block per worker is in flight."""
     rows = np.ascontiguousarray(rows)
     return blocks.over_upper(rows.shape[0], partial(_reduce_block, rows, block_fn))
+
+
+def _held_blocks(g, block_fn):
+    """_reduce_symmetric's partials from a held gram g (see _gram) instead
+    of its rows: g_b is the view g[b], or, on a diagonal block, a masked
+    copy of it, so g is never written."""
+    def block(b):
+        rows, cols = b
+        gb = g[b] if rows.start < cols.start else _mask_lower(g[b].copy(), b)
+        return block_fn(b, gb)
+
+    return blocks.over_upper(g.shape[0], block)
 
 
 def _panel(k):
@@ -530,25 +542,50 @@ def _panel_product(left, right, out):
     return out
 
 
+def _mask_lower(g, b):
+    """g = x[b], b a block of blocks.over_upper's grid over the square x,
+    with the entries on and below x's diagonal set to 0 (in place)."""
+    rows, cols = b
+    if rows.start == cols.start:
+        g[np.tril_indices(rows.stop - rows.start)] = 0.0
+    return g
+
+
 def _reduce_block(rows, block_fn, b):
     r, c = b
     left, right = rows[r], rows[c]
     g = _panel_product(left, right, np.empty((left.shape[0], right.shape[0])))
     np.clip(g, -1.0, 1.0, out=g)
-    if c.start == r.start:
-        g[np.tril_indices(r.stop - r.start)] = 0.0
-    return block_fn(b, g)
+    return block_fn(b, _mask_lower(g, b))
 
 
-def _map_forms(rows, maps, X):
-    """[X^T f(V V^T) X for f in maps], V = ``rows``, streamed: each block
-    adds X_rows^T f(g_b) X_cols to S, and X^T f X = S + S^T + f(1) X^T X."""
+def _sum_forms(over_blocks, maps, X, diag):
+    """[X^T f(Sigma) X for f in maps] = S + S^T + D, the one kernel of the
+    design criterion, the balance measure and the design variance.  S sums
+    X_rows^T f(g_b) X_cols over the blocks b = (rows, cols) of
+    ``over_blocks(block_fn)`` (_reduce_symmetric's partials from the rows,
+    _held_blocks' from a held gram), in block order, with g_b 0 on and below
+    the diagonal; D = f(1) X^T X (``diag``, see _diagonal_forms) is the
+    diagonal's part.  Each form is exactly symmetric and bit-identical on
+    any worker count."""
     def block(b, g):
         F = np.empty_like(g)
         return [X[b[0]].T @ m.eval(g, out=F) @ X[b[1]] for m in maps]
 
-    forms = map(sum, zip(*_reduce_symmetric(rows, block)))
-    return [S + S.T + m.eval(1.0) * (X.T @ X) for S, m in zip(forms, maps)]
+    return [S + S.T + D for S, D in zip(map(sum, zip(*over_blocks(block))), diag)]
+
+
+def _diagonal_forms(maps, X):
+    """[f(1) X^T X for f in maps], the diagonal's part of X^T f(Sigma) X
+    (and the whole of it at Sigma = I, as every map vanishes at 0)."""
+    XtX = X.T @ X
+    return [m.eval(1.0) * XtX for m in maps]
+
+
+def _map_forms(rows, maps, X):
+    """[X^T f(V V^T) X for f in maps], V = ``rows``, streamed from the
+    rows' blocks (see _sum_forms)."""
+    return _sum_forms(partial(_reduce_symmetric, rows), maps, X, _diagonal_forms(maps, X))
 
 
 def _eval_symmetric(cmap, g):
@@ -587,14 +624,6 @@ def _zero_diagonal(a, b):
     np.fill_diagonal(a[cols.start - rows.start:], 0.0)
 
 
-def _is_identity(rows):
-    """True when ``rows`` is exactly the identity (a square factor with n
-    nonzeros, all on a unit diagonal)."""
-    n = rows.shape[0]
-    return (rows.shape == (n, n) and bool(np.all(np.diagonal(rows) == 1.0))
-            and np.count_nonzero(rows) == n)
-
-
 def _syrk(rows):
     """rows rows^T, exactly symmetric: the product is formed on C-contiguous
     rows, which numpy computes as one symmetric rank-k update, while a
@@ -606,10 +635,7 @@ def _syrk(rows):
 
 def _gram(rows):
     """V V^T clamped to [-1, 1] with the diagonal set to exactly 1 (and
-    exactly symmetric, see _syrk); the identity factor's gram is I, formed
-    without the product."""
-    if _is_identity(rows):
-        return np.eye(rows.shape[0])
+    exactly symmetric, see _syrk)."""
     g = _syrk(rows)
     np.clip(g, -1.0, 1.0, out=g)
     np.fill_diagonal(g, 1.0)

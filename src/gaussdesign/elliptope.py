@@ -22,6 +22,8 @@ import numpy as np
 from . import blocks, rng
 
 _ROW_NORM_TOL = 1e-12
+# A plain row norm below this may hold entries whose squares underflow.
+_NORM_TINY = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 _EIG_CLIP = 1e-10
 # Latent values (replicates x units) that one chunk of _draw_chunks holds.
 _DRAW_POINTS = 1 << 16
@@ -68,13 +70,29 @@ def _check_rows(rows, lo, hi):
     return bool(np.all(np.isfinite(r))), not np.any(np.abs(norms - 1.0) > _ROW_NORM_TOL)
 
 
+def _row_norms(a):
+    """The Euclidean norms of the rows of a 2-D a, without the overflow or
+    underflow of their squares.  A row whose plain norm is 0, non-finite or
+    below _NORM_TINY is measured as max|a_i| ||a_i / max|a_i||| (0 for a
+    zero row); every other row keeps its plain norm, bit for bit."""
+    with np.errstate(over="ignore", under="ignore"):   # the squares' range is handled here
+        norms = np.linalg.norm(a, axis=1)
+        odd = np.flatnonzero(~(np.isfinite(norms) & (norms >= _NORM_TINY)))
+        if odd.size:
+            r = a[odd]
+            top = np.abs(r).max(axis=1, initial=0.0)
+            norms[odd] = top * np.linalg.norm(r / np.where(top > 0.0, top, 1.0)[:, None],
+                                              axis=1)
+    return norms
+
+
 def factor_from_rows(rows):
     """Normalize each row to unit length and wrap as a CorrelationFactor."""
     rows = np.asarray(rows, dtype=float)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = _row_norms(rows)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero row")
-    return CorrelationFactor(rows / norms)
+    return CorrelationFactor(rows / norms[:, None])
 
 
 def identity_factor(n):

@@ -61,16 +61,21 @@ The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
 evaluated on the blocks of the upper triangle, on the one fixed grid of
 blocks.over_upper, which also serves the default first step; the gradient
-is mirrored from them (covmap._map_symmetric) and the term matrices sum
-them with their transposes (_terms).  Per block, the gradient runs the clip,
-f_j' and the product with B_j B_j^T in the order of the full evaluation, so
-it needs no n x n temporary besides its output, and every value equals the
-full elementwise evaluation with those tiles bit for bit.  Each tile is one
-product per block (_offdiag_tile); a one-column B_j gives the outer product
-b_j b_j^T exactly, but where the BLAS rounds the whole product X X^T
-differently from its tiles (some n > 128, d >= 2), the nuclear gradient, and
-so the design, can differ from one formed from the whole product in the
-last bits.
+is mirrored from them (covmap._map_symmetric).  The term matrices are the
+analyses' pair sums (covmap._sum_forms, from the held gram's blocks): S_j
+adds X_rows^T f_j(g_b) X_cols over the blocks b, g_b 0 on and below the
+diagonal, and M_j = S_j + S_j^T + D_j, exactly symmetric, with the
+diagonal's part D_j = f_j(1) X^T X formed once per run; D_j is the whole of
+the identity start's terms.  Pairs and diagonal are summed apart, so M_j
+differs from the one product X^T f_j(gram) X in the last bits at any n.
+Per block, the gradient runs the clip, f_j' and the product with B_j B_j^T
+in the order of the full evaluation, so it needs no n x n temporary besides
+its output, and every value equals the full elementwise evaluation with
+those tiles bit for bit.  Each tile is one product per block
+(_offdiag_tile); a one-column B_j gives the outer product b_j b_j^T
+exactly, but where the BLAS rounds the whole product X X^T differently from
+its tiles (some n > 128, d >= 2), the nuclear gradient, and so the design,
+can differ from one formed from the whole product in the last bits.
 
 The elementwise layer runs on every CPU the process may use (see blocks):
 the blocks of the maps and gradients, and the row blocks of the
@@ -84,14 +89,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
 from . import blocks
-from .covmap import (_gram, _is_identity, _map_symmetric, _panel_product, _syrk,
-                     _zero_diagonal, build_table, f_arm, weighted_discrete_map)
-from .elliptope import CorrelationFactor
+from .covmap import (_diagonal_forms, _gram, _held_blocks, _map_symmetric, _mask_lower,
+                     _panel_product, _sum_forms, _syrk, _zero_diagonal, build_table, f_arm,
+                     weighted_discrete_map)
+from .elliptope import CorrelationFactor, _row_norms
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
 _ZERO_ROW = 1e-14
@@ -176,44 +182,16 @@ def _check_size(problem, factor):
         raise ValueError("factor size does not match covariate rows")
 
 
-def _terms(problem, g):
+def _terms(problem, g, diag=None):
     """M_j = X^T f_j(g) X for every map j, from the factor's gram g (see
-    _gram), streamed over the blocks b = (rows, cols) of g's upper triangle
-    on the fixed grid of blocks.over_upper: no n x n array is formed.
-
-    Each block evaluates f_j(g[b]) into a block-sized temporary F, adds
-    X_rows^T F X_right over the columns right of its diagonal square to S_j
-    and, on a diagonal block, X_rows^T F_sq X_rows over the whole square
-    (f_j of a symmetric gram is symmetric there) to D_j.  The partials are
-    summed in block order and M_j = S_j + S_j^T + D_j, so the terms are
-    bit-identical on any worker count.  At n <= blocks.ROW_BLOCK (one block)
-    M_j is the one product X^T f_j(g) X bit for bit; at larger n the sum
-    order differs from it in the last bits.
+    _gram), by covmap._sum_forms over g's blocks (covmap._held_blocks): no
+    n x n array is formed, and each M_j is exactly symmetric and
+    bit-identical on any worker count.  ``diag`` is the diagonal's part
+    f_j(1) X^T X (covmap._diagonal_forms), formed here when None.
     """
-    X = problem.X
-
-    def block(b):
-        rows, cols = b
-        sq = max(cols.start, rows.stop) - cols.start   # the diagonal square's width, or 0
-        Xr, right = X[rows], X[cols.start + sq:cols.stop]
-        F = np.empty_like(g[b])
-        parts = []
-        for m in problem.maps:
-            m.eval(g[b], out=F)
-            parts.append((Xr.T @ F[:, sq:] @ right if len(right) else None,
-                          Xr.T @ F[:, :sq] @ Xr if sq else None))
-        return parts
-
-    parts = blocks.over_upper(g.shape[0], block)
-    terms = []
-    for j in range(len(problem.maps)):
-        D = reduce(np.add, [p[j][1] for p in parts if p[j][1] is not None])
-        off = [p[j][0] for p in parts if p[j][0] is not None]
-        if off:
-            S = reduce(np.add, off)
-            D = S + S.T + D
-        terms.append(D)
-    return terms
+    if diag is None:
+        diag = _diagonal_forms(problem.maps, problem.X)
+    return _sum_forms(partial(_held_blocks, g), problem.maps, problem.X, diag)
 
 
 def _objective(weights, norm, terms):
@@ -252,7 +230,8 @@ def _offdiag_tile(X, b):
 
 def _leading(problem, terms):
     """(X u_j for each term matrix M_j, u_j its leading eigenvector; tie),
-    tie flagging an eigenvalue tie of some M_j."""
+    tie flagging an eigenvalue tie of some M_j.  eigh reads one triangle of
+    M_j, which is the whole: the terms are exactly symmetric (_terms)."""
     tie = False
     leading = []
     for M in terms:
@@ -345,13 +324,8 @@ def _step_blocks(shape, form, previous, eta):
     def block(lo, hi):
         nb = new[lo:hi]
         form(nb, lo, hi, alpha, beta)
-        norms = np.linalg.norm(nb, axis=1)
+        norms = _row_norms(nb)   # a row whose squares underflow is measured scaled
         dead = np.flatnonzero(norms < alpha * _ZERO_ROW)
-        if dead.size:
-            # the squares of a row below about 1e-154 underflow: re-measure
-            # the flagged rows scaled by their largest entry
-            norms[dead] = _scaled_norms(nb[dead])
-            dead = dead[norms[dead] < alpha * _ZERO_ROW]
         if dead.size:
             nb[dead] = previous(lo, hi)[dead]
             norms[dead] = 1.0
@@ -360,13 +334,6 @@ def _step_blocks(shape, form, previous, eta):
 
     dead = sum(blocks.over_rows(shape[0], block), [])
     return new, dead
-
-
-def _scaled_norms(a):
-    """The row norms of a as max|a_i| ||a_i / max|a_i|||, which do not
-    underflow (0 for a zero row)."""
-    top = np.abs(a).max(axis=1, initial=0.0)
-    return top * np.linalg.norm(a / np.where(top > 0.0, top, 1.0)[:, None], axis=1)
 
 
 def _checked(rows, dead):
@@ -389,11 +356,12 @@ def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
     return _step(factor.rows, grad @ factor.rows, eta)
 
 
-def _identity_terms(problem):
-    """X^T f_j(I) X = f_j(1) X^T X for every map j: every covariance map
-    vanishes at 0, exactly on its table too."""
-    XtX = problem.X.T @ problem.X
-    return [m.eval(1.0) * XtX for m in problem.maps]
+def _is_identity(rows):
+    """True when ``rows`` is exactly the identity (a square factor with n
+    nonzeros, all on a unit diagonal)."""
+    n = rows.shape[0]
+    return (rows.shape == (n, n) and bool(np.all(np.diagonal(rows) == 1.0))
+            and np.count_nonzero(rows) == n)
 
 
 def _finish(gb, b, inv):
@@ -419,7 +387,8 @@ class _IdentityStart:
     f_j'(0) off the diagonal and G = A - diag(A), A = B S B^T of rank r:
     B = X and S = sum_j w_j^2 f_j'(0) I for the nuclear norm, B = [b_1 ...
     b_m] (see _leading) and S = diag(w_j^2 f_j'(0)) for the operator norm.
-    G is not formed: ||G_i||^2, and so ||G||, are sums over A's tiles.  The
+    G is not formed: ||G_i||^2, and so ||G||, are sums over A's tiles, each
+    masked on and below the diagonal (covmap._mask_lower).  The
     step eta's rows are those of alpha I - beta G normalized, alpha =
     1 / (1 + eta) and beta = eta / (1 + eta).  With E = alpha + beta
     diag(A) their gram, before the division by the row norms, is
@@ -428,9 +397,9 @@ class _IdentityStart:
 
     one product of inner dimension 2r per block of blocks.over_upper, and
     the row norms are hypot(alpha, beta ||G_i||) >= alpha > 0 (alpha^2
-    underflows at a huge eta), so no row collapses.  The accepted rows are kept in their form V = diag(a) +
-    L B^T, a = E / norms and L = -beta B S / norms (``rows`` forms them;
-    ``accept`` keeps them).
+    underflows at a huge eta), so no row collapses.  The accepted rows are
+    kept in their form V = diag(a) + L B^T, a = E / norms and
+    L = -beta B S / norms (``rows`` forms them; ``accept`` keeps them).
 
     Iteration 2 (``second``).  With the gradient G dense, the step eta's
     rows are those of (alpha I - beta G) V normalized.  V V^T = diag(a^2) +
@@ -467,10 +436,9 @@ class _IdentityStart:
             """The squared off-diagonal entries of A's tile b, summed by
             row and by column, each unordered pair once."""
             rows, cols = b
-            t = _panel_product(self.BS[rows], self.B[cols],
-                               np.empty((rows.stop - rows.start, cols.stop - cols.start)))
-            if rows.start == cols.start:
-                t[np.tril_indices(rows.stop - rows.start)] = 0.0
+            t = _mask_lower(_panel_product(
+                self.BS[rows], self.B[cols],
+                np.empty((rows.stop - rows.start, cols.stop - cols.start))), b)
             t *= t
             return b, t.sum(axis=1), t.sum(axis=0)
 
@@ -715,10 +683,11 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     (V, G V, eta), the same bytes, which the trial checked: each factor is
     checked once, and the result is wrapped once on return.
 
-    From an identity start (checked once, with _is_identity) the start's
-    terms are f_j(1) X^T X, and the first two iterations step no trial's
-    rows (see _IdentityStart): the first iteration's gradient is of rank r
-    plus a diagonal and is not formed, and each trial gram of both
+    The terms' diagonal part f_j(1) X^T X is formed once (see _terms).  From
+    an identity start (checked once, with _is_identity) it is the start's
+    terms, as every map vanishes at 0, and the first two iterations step no
+    trial's rows (see _IdentityStart): the first iteration's gradient is of
+    rank r plus a diagonal and is not formed, and each trial gram of both
     iterations is formed in closed form, equal to the stepped rows' gram up
     to rounding.  The only O(n^3) product of the two is H = (G diag a)
     (G diag a)^T at the second gradient G.  The first iteration's accepted
@@ -744,12 +713,13 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         raise ValueError("iteration count must be nonnegative")
     _check_size(problem, init)
     work = _tabulated(problem)
+    diag = _diagonal_forms(work.maps, work.X)
     identity = _is_identity(init.rows)
     if identity:
-        g, terms = None, _identity_terms(work)
+        g, terms = None, diag
     else:
         g = _gram(init.rows)
-        terms = _terms(work, g)
+        terms = _terms(work, g, diag)
     obj = _objective(work.weights, work.norm, terms)
     trace = OptimizerTrace(initial_objective=obj)
     if not np.isfinite(obj):
@@ -778,7 +748,7 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         else:
             gram = closed.first_gram if t == 1 else closed.second(grad)
         del grad
-        try_eta = partial(_trial, work, gram, t, trace)
+        try_eta = partial(_trial, work, diag, gram, t, trace)
         cand, obj, eta, halvings = step_policy.search(eta, obj, try_eta)
         trace.rows.append(TraceRow(t, obj, eta, gnorm, halvings))
         if cand is None:
@@ -809,11 +779,11 @@ def _stepped_gram(rows, GV, eta):
     return _gram(_step(rows, GV, eta).rows)
 
 
-def _trial(work, gram, t, trace, eta):
+def _trial(work, diag, gram, t, trace, eta):
     """((gram, terms), objective) of the step eta, its gram from
-    ``gram(eta)``."""
+    ``gram(eta)`` and its terms' diagonal part ``diag``."""
     g = gram(eta)
-    terms = _terms(work, g)
+    terms = _terms(work, g, diag)
     obj = _objective(work.weights, work.norm, terms)
     if not np.isfinite(obj):
         raise OptimizationError(f"objective non-finite at iteration {t}", trace)

@@ -140,6 +140,26 @@ class TestOptimizeCommand:
         assert [str(w.message) for w in caught if "collapsed" in str(w.message)] == []
         assert load_factor(out / "factor.csv").n == 18
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_normalize_rows_of_extreme_scale(self, covariates, tmp_path, capsys, scale):
+        # the rows' squares overflow (1e200: the rows became zeros and the
+        # identity was written) or underflow (1e-170: "zero covariate row");
+        # measured scaled, the rows are the unscaled rows to rounding
+        X = np.loadtxt(covariates, delimiter=",")
+        scaled = tmp_path / "scaled.csv"
+        np.savetxt(scaled, X * scale, delimiter=",", fmt="%.17g")
+        traces = []
+        for path, out in ((covariates, tmp_path / "plain"), (scaled, tmp_path / "scaled")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["optimize", "--covariates", str(path), "--arms", "3",
+                             "--normalize-rows", "--iters", "3", "--out-dir", str(out)])
+            assert code == 0, capsys.readouterr().err
+            assert [str(w.message) for w in caught] == []
+            traces.append(np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2))
+        assert traces[1].shape == (3, 5)
+        np.testing.assert_allclose(traces[1], traces[0], rtol=1e-12, atol=0)
+
     def test_large_contrast_weights(self, covariates, tmp_path):
         # the objective map is sum_k w_k^2 f_k: ten times the contrast is about
         # 100 times the objective (the default step 0.1 / (1 + A max|f'|) is
@@ -500,6 +520,17 @@ class TestSimulateCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("generator = factorial\nbanana = 1\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    def test_repeated_key_fails_closed(self, tmp_path, capsys):
+        # the last value used to win: 200 replicates ran, exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("generator = factorial\ndesigns = cr\nreplicates = 100\n"
+                       "# again\nreplicates = 200\n")
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"{cfg}:5: key 'replicates' repeated (first set on line 3)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_flag_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gaussdesign.elliptope import (CorrelationFactor, block_factor,
+from gaussdesign.elliptope import (CorrelationFactor, _row_norms, block_factor,
                                    factor_from_rows, identity_factor,
                                    load_factor, load_matrix, sample,
                                    save_factor, save_matrix, validate)
@@ -130,6 +132,32 @@ class TestFactorType:
     def test_rejects_zero_row_normalization(self):
         with pytest.raises(ValueError):
             factor_from_rows(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_normalizes_rows_whose_squares_leave_the_range(self, scale):
+        # 1e200 used to overflow to unit-norm failure, 1e-170 to "zero row"
+        rows = np.random.default_rng(0).standard_normal((6, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac = factor_from_rows(rows * scale)
+        assert np.max(np.abs(np.linalg.norm(fac.rows, axis=1) - 1.0)) <= 1e-15
+        np.testing.assert_allclose(fac.rows, factor_from_rows(rows).rows, rtol=0, atol=1e-15)
+
+    def test_ordinary_rows_keep_their_plain_norms(self):
+        rows = np.random.default_rng(1).standard_normal((6, 3))
+        rows[1] *= 1e200
+        rows[2] *= 1e-170
+        rows[3] = 0.0
+        norms = _row_norms(rows)
+        plain = [0, 4, 5]
+        assert norms[plain].tobytes() == np.linalg.norm(rows[plain], axis=1).tobytes()
+        np.testing.assert_allclose(norms[1:3] / np.array([1e200, 1e-170]),
+                                   np.linalg.norm(rows[1:3] / np.array([[1e200], [1e-170]]),
+                                                  axis=1), rtol=1e-15)
+        assert norms[3] == 0.0
+        ordinary = np.delete(rows, [1, 2, 3], axis=0)
+        assert (factor_from_rows(ordinary).rows.tobytes()
+                == (ordinary / np.linalg.norm(ordinary, axis=1, keepdims=True)).tobytes())
 
 
 def test_csv_round_trips(tmp_path):

@@ -7,7 +7,8 @@ An import is unused when the module never loads the bound name (a bare
 ``__all__``.  Package ``__init__.py`` files are skipped: their imports are
 the public re-exports.  A public top-level function or class of the package
 is called when the package or the benchmark loads its name, as a bare
-``Name`` or an attribute; tests do not count.  Only the standard library's
+``Name`` or an attribute of a package module (``optimizer.objective``, not
+a field read ``r.objective``); tests do not count.  Only the standard library's
 ``ast`` and ``tomllib`` are used.
 """
 
@@ -43,6 +44,7 @@ KEPT = {
     "true_variance": "acceptance suite: the exact design variance of an arm "
                      "estimator",
     "cap_rank": "the planned rank-k start of Burer-Monteiro PGD",
+    "objective": "acceptance suite: the PGD objective of a design",
     "gradient_nuclear": "acceptance suite: the nuclear-norm gradient",
     "gradient_operator": "acceptance suite: the operator-norm gradient",
     "pgd_step": "acceptance suite: one PGD step (I - eta G) V, renormalized",
@@ -92,11 +94,21 @@ def test_checker_counts_attribute_bases_and_exports():
     assert unused_imports(source) == []
 
 
+def _base_name(node):
+    """The last name of an attribute's base: ``m`` of ``m.f`` and of
+    ``pkg.m.f``; None for any other base."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
 def uncalled_names(modules, callers):
-    """Public top-level def/class names of the ``modules`` sources that no
-    ``callers`` source loads, as a bare ``Name`` or an attribute."""
+    """Public top-level def/class names of the ``modules`` sources (a dict
+    of module name to source) that no ``callers`` source loads, as a bare
+    ``Name`` or as an attribute of one of those modules (``optimizer.f``):
+    ``r.f`` reads a field or method of some value, not the module's f."""
     defined = set()
-    for source in modules:
+    for source in modules.values():
         defined.update(node.name for node in ast.parse(source).body
                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                             ast.ClassDef))
@@ -106,13 +118,14 @@ def uncalled_names(modules, callers):
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and _base_name(node.value) in modules):
                 loaded.add(node.attr)
     return defined - loaded
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    uncalled = uncalled_names([p.read_text() for p in MODULES],
+    uncalled = uncalled_names({p.stem: p.read_text() for p in MODULES},
                               [p.read_text() for p in CALLERS])
     assert not uncalled - KEPT.keys(), (
         "public names with no caller in the package or the benchmark; call, "
@@ -126,7 +139,15 @@ def test_checker_flags_an_uncalled_public_name():
               "def _private():\n    pass\n\n\nclass Thing:\n    def method(self):\n"
               "        pass\n\n\nclass Assigned:\n    pass\n")
     caller = "import m\nm.used()\nThing().method()\nm.Assigned = None\n"
-    assert uncalled_names([module], [caller]) == {"unused", "Assigned"}
+    assert uncalled_names({"m": module}, [caller]) == {"unused", "Assigned"}
+
+
+def test_checker_counts_an_attribute_of_a_package_module_only():
+    # a TraceRow's ``r.objective`` field used to hide optimizer.objective
+    module = "def objective():\n    pass\n"
+    assert uncalled_names({"optimizer": module}, ["r.objective\n"]) == {"objective"}
+    for caller in ("optimizer.objective(p, f)\n", "gaussdesign.optimizer.objective\n"):
+        assert uncalled_names({"optimizer": module}, [caller]) == set()
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussdesign import blocks, covmap, optimizer
-from gaussdesign.covmap import (CovarianceMap, _gram, _is_identity, build_table, f_arm,
+from gaussdesign.covmap import (CovarianceMap, _diagonal_forms, _gram, build_table, f_arm,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import (CorrelationFactor, factor_from_rows, identity_factor,
                                    validate)
 from gaussdesign.estimators import WeightFn
 from gaussdesign.hermite import continuous_cov_maps
 from gaussdesign.optimizer import (Backtracking, DesignProblem, FixedStep,
-                                   OptimizationError, TraceRow, default_eta0,
+                                   OptimizationError, TraceRow, _is_identity, default_eta0,
                                    design_problem, discrete_problem,
                                    gradient_nuclear, gradient_operator,
                                    objective, pgd_gauss, pgd_step)
@@ -401,10 +401,14 @@ def _ref_gram(rows):
 
 
 def _ref_terms(problem, factor, gram=None):
+    """X^T f(g) X = S + S^T + f(1) X^T X, S = X^T f(g above the diagonal) X:
+    at n = 40 the one block of optimizer._terms."""
+    g = _ref_gram(factor.rows) if gram is None else gram
+    X = problem.X
     out = []
     for m in problem.maps:
-        g = _ref_gram(factor.rows) if gram is None else gram
-        out.append(problem.X.T @ m.eval(g) @ problem.X)
+        S = X.T @ m.eval(np.triu(g, 1)) @ X
+        out.append(S + S.T + m.eval(1.0) * (X.T @ X))
     return out
 
 
@@ -922,7 +926,7 @@ def test_second_iteration_steps_the_rows_of_a_vanishing_trial(norm, monkeypatch)
     prob = _reference_cases()[norm][0]
     eta = 1e-3
     work = optimizer._tabulated(prob)
-    closed = optimizer._IdentityStart(work, _leading_of(work, optimizer._identity_terms(work)))
+    closed = optimizer._IdentityStart(work, _leading_of(work, _diagonal_forms(work.maps, work.X)))
     g = closed.first_gram(eta)
     closed.accept(eta)
     closed.second(optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))

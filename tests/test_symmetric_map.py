@@ -1,7 +1,9 @@
 """The symmetric map kernel: exact gram symmetry, and maps of a gram evaluated
 once per unordered pair that equal the full elementwise evaluation bit for
-bit (apply_map and both gradients; the optimizer's term matrices, summed
-over the blocks, equal the dense map summed in the same order); the
+bit (apply_map and both gradients); the optimizer's term matrices, the
+analyses' pair sums over the held gram's blocks plus f(1) X^T X for the
+diagonal, which equal the dense map summed in the same order, are exactly
+symmetric, and at the identity are the identity start's closed form; the
 streamed reduction's block grid; and every row-block kernel's outputs,
 bit-identical on any worker count."""
 
@@ -87,6 +89,12 @@ def test_gram_is_exactly_symmetric(n, above, frac, seed, layout):
     assert g.shape == (n, n)
     assert np.array_equal(g, g.T)
     assert np.all(np.diagonal(g) == 1.0)
+
+
+@pytest.mark.parametrize("n", [1, B + 1, 300])
+def test_gram_of_the_identity_is_the_identity(n):
+    # the identity's gram is formed by the product, like any other factor's
+    assert _same(_gram(np.eye(n)), np.eye(n))
 
 
 def test_column_strided_factor_maps_symmetrically():
@@ -268,25 +276,23 @@ def _problems(n, exact=False):
 
 def _full_terms(problem, g):
     """X^T f_j(g) X from the dense f_j(g), summed in the grid order of
-    _terms: per row block lo:hi, X_rows^T F X_rows over its diagonal square
-    into D and, per column tile from the block's diagonal on, X_rows^T F
-    X_cols over the columns right of the square into S, each sum in block
-    order; then S + S^T + D (D alone when S has no block, n <= B)."""
+    _terms: S adds X_rows^T F_b X_cols over the blocks b = (rows, cols) of
+    the upper triangle in block order, F_b the dense map's block with the
+    entries on and below the diagonal set to 0 (_terms evaluates f_j at 0
+    there, which is 0), and M_j = S + S^T + f_j(1) X^T X."""
     X, n = problem.X, g.shape[0]
     out = []
     for m in problem.maps:
         F = m.eval(g)
-        S = D = None
+        S = 0
         for lo in range(0, n, B):
             hi = min(lo + B, n)
-            d = X[lo:hi].T @ F[lo:hi, lo:hi] @ X[lo:hi]
-            D = d if D is None else D + d
             for c in range(lo, n, T):
-                c0, c1 = max(c, hi), min(c + T, n)
-                if c0 < c1:
-                    s = X[lo:hi].T @ F[lo:hi, c0:c1] @ X[c0:c1]
-                    S = s if S is None else S + s
-        out.append(D if S is None else S + S.T + D)
+                Fb = F[lo:hi, c:c + T].copy()
+                if c == lo:
+                    Fb[np.tril_indices(hi - lo)] = 0.0
+                S = S + X[lo:hi].T @ Fb @ X[c:c + T]
+        out.append(S + S.T + m.eval(1.0) * (X.T @ X))
     return out
 
 
@@ -343,16 +349,27 @@ def test_terms_and_gradients_equal_full_evaluation(n, exact):
         for got, want, dense in zip(_terms(problem, g), _full_terms(problem, g),
                                     _dense_terms(problem, g)):
             assert _same(got, want)
-            if n <= B:   # one block: the one product X^T f(g) X
-                assert _same(got, dense)
-            else:   # measured at most 7.1e-16 of max |M| (n in 129..1000)
-                assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+            assert np.array_equal(got, got.T)
+            # the pairs and the diagonal are summed apart, so even one block
+            # differs from the one product X^T f(g) X in the last bits
+            assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
     grad = _gradient(nuc, g)
     assert _same(grad, _full_grad_nuc(nuc, g))
     assert _same(gradient_nuclear(nuc, CorrelationFactor(rows)), grad)
     grad = _gradient(op, g, _leading(op, _terms(op, g))[0])
     assert _same(grad, _full_grad_op(op, g))
     assert _same(gradient_operator(op, CorrelationFactor(rows)).matrix, grad)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+@pytest.mark.parametrize("n", [2, B + 1, 2 * B + 3])
+def test_terms_at_the_identity_are_the_identity_starts(n, exact):
+    # every map vanishes at 0, so the pairs add exact zeros to f_j(1) X^T X,
+    # the terms pgd_gauss takes at an identity start without a gram
+    for problem in _problems(n, exact):
+        want = [m.eval(1.0) * (problem.X.T @ problem.X) for m in problem.maps]
+        for got, closed in zip(_terms(problem, np.eye(n)), want):
+            assert _same(got, closed)
 
 
 def test_gradients_propagate_nan_as_full_evaluation():
