@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -141,3 +141,14 @@ def over_upper(n, fn):
     tasks = [partial(fn, (slice(lo, min(lo + ROW_BLOCK, n)), slice(c, min(c + COL_TILE, n))))
              for lo in range(0, n, ROW_BLOCK) for c in range(lo, n, COL_TILE)]
     return run(tasks, width(len(tasks)))
+
+
+@lru_cache(maxsize=None)
+def lower(m):
+    """np.tril_indices(m), cached and read-only: the entries on and below
+    the diagonal of the square of a diagonal block of height m on the grid
+    of over_upper (so m <= ROW_BLOCK)."""
+    index = np.tril_indices(m)
+    for a in index:
+        a.flags.writeable = False
+    return index

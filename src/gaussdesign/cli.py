@@ -87,6 +87,19 @@ def _load_covariates(path):
     return X
 
 
+def _values(flag, text, count, kind=float):
+    """The ``count`` comma-separated ``kind`` values of ``text``, given to
+    ``flag``; a UsageError naming the flag otherwise."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise UsageError(f"{flag} needs {count} comma-separated {kind.__name__} "
+                         f"values, got {text!r}")
+    return values
+
+
 def _parse_weight(spec):
     try:
         tag, _, params = spec.partition(":")
@@ -122,9 +135,7 @@ def cmd_optimize(args):
         K = args.arms
         quantile_thresholds(K)   # rejects K outside [2, 64] before 1 / K is formed
         w = np.full(K, 1.0 / K) if args.contrast is None else \
-            np.asarray([float(v) for v in args.contrast.split(",")])
-        if w.shape != (K,):
-            raise UsageError(f"--contrast needs {K} comma-separated weights")
+            _values("--contrast", args.contrast, K)
         problem = discrete_problem(X, w, args.norm)
     elif args.continuous:
         weight = _parse_weight(args.weight or "first_derivative")
@@ -193,7 +204,7 @@ def _estimand_from_args(args):
         if args.arms is None:
             raise UsageError("contrast estimand needs --arms K")
         quantile_thresholds(args.arms)
-        w = np.asarray([float(v) for v in args.estimand[9:].split(",")])
+        w = _values("--estimand contrast", args.estimand[9:], args.arms)
         return EstimandSpec.contrast(w, args.arms)
     if args.estimand == "continuous":
         return EstimandSpec.continuous(_parse_weight(args.weight or "first_derivative"))
@@ -317,14 +328,12 @@ def cmd_simulate(args):
 
 def cmd_covmap_table(args):
     K = args.arms
+    quantile_thresholds(K)   # rejects K outside [2, 64] before a weight count is asked for
     if args.cross:
-        k, l = (int(v) for v in args.cross.split(","))
+        k, l = _values("--cross", args.cross, 2, int)
         cmap = f_cross(K, k, l)
     elif args.weights:
-        w = np.asarray([float(v) for v in args.weights.split(",")])
-        if w.shape != (K,):
-            raise UsageError(f"--weights needs {K} comma-separated values")
-        cmap = weighted_discrete_map(w, K)
+        cmap = weighted_discrete_map(_values("--weights", args.weights, K), K)
     else:
         cmap = f_arm(K, args.arm)
     grid = np.linspace(-1.0, 1.0, args.grid)

@@ -547,7 +547,7 @@ def _mask_lower(g, b):
     with the entries on and below x's diagonal set to 0 (in place)."""
     rows, cols = b
     if rows.start == cols.start:
-        g[np.tril_indices(rows.stop - rows.start)] = 0.0
+        g[blocks.lower(rows.stop - rows.start)] = 0.0
     return g
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blocks
 from .covmap import (_map_forms, _ndtri, _reduce_symmetric, discretize, f_arm, f_cross,
                      quantile_thresholds)
 from .elliptope import CorrelationFactor, _draw_chunks
@@ -120,7 +121,7 @@ def _ipw_pairs(rows, arms, u, K):
                 cmap.eval(cell, out=cell)
         joint = C + 1.0 / K ** 2
         if cols.start == rows.start:   # pairs i >= j are not pairs i < j
-            joint[np.tril_indices(rows.stop - rows.start)] = np.inf
+            joint[blocks.lower(rows.stop - rows.start)] = np.inf
         np.divide(C, joint, out=C, where=joint > _JOINT_GUARD)
         return float(joint.min()), float(u[rows] @ C @ u[cols])
 

@@ -28,20 +28,29 @@ iteration and each trial step eta is the row-normalized alpha V - beta G V,
 alpha = 1 / (1 + eta) and beta = eta / (1 + eta), the direction of
 V - eta G V without its overflow.
 
-The identity start (every caller's) needs one O(n^3) product in its first
-two iterations, and evaluates no map on I (_IdentityStart).  Every map
+Every iteration makes the same calls.  An iterate has ``trials(G)``, the
+trials of one iteration at its gradient G, and ``factor()``, its rows as a
+checked factor; the trials have ``gnorm`` = ||G||, ``gram(eta)``, the gram
+of the step eta, and ``accept(eta)``, the next iterate.  An iterate held as
+its rows (_Dense: any start, and every stepped iterate) forms G V in
+``trials`` and steps its rows per trial and once more on acceptance, as
+above.
+
+The identity start (every caller's) has closed forms that need one O(n^3)
+product in its first two iterations and evaluate no map on I.  Every map
 vanishes at 0, so the start's terms are f_j(1) X^T X.  At I, f_j' is the
 constant f_j'(0), so the first gradient G = B S B^T minus its diagonal is
 of rank r (r = d for the nuclear norm, one per map for the operator norm);
-it is not formed, and each trial gram of the first iteration comes from
-that form in O(n^2 r) on the blocks of the upper triangle.  The accepted
-rows stay in their form diag(a) + L B^T, so each trial gram of the second
-iteration is (alpha I - beta G) V V^T (alpha I - beta G) from one product
-H = (G diag a)(G diag a)^T, shared by every trial, plus O(n^2 r) per
-trial; its accepted rows are formed and checked once.  A trial of the
-second iteration whose squared row norm is at most _ZERO_ROW^2 steps its
-rows instead, so collapse is handled as in _step_rows.  Every later
-iteration, and every iteration from any other start, is as above.
+it is not formed, which is pgd_gauss's one branch: the first iteration's
+trials (_IdentityStart) form each trial gram from that form in O(n^2 r) on
+the blocks of the upper triangle.  They accept the iterate V = diag(a) +
+L B^T (_ClosedRows), whose ``trials(G)`` form one product H = (G diag a)
+(G diag a)^T, shared by every trial of the second iteration, so each of its
+trial grams (alpha I - beta G) V V^T (alpha I - beta G) costs O(n^2 r)
+more; a trial whose squared row norm is at most _ZERO_ROW^2 steps its rows
+instead, so collapse is handled as in _step_rows.  Their ``accept`` forms
+and checks the rows once, as a _Dense iterate: every later iteration, and
+every iteration from any other start, is a _Dense one.
 
 Memory: at full rank every array below is n x n.  A trial keeps its step
 size, gram and term matrices and drops its rows once the gram is formed;
@@ -294,17 +303,21 @@ def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
     return OperatorGradient(matrix=grad, is_subgradient=tie)
 
 
-def _check_eta(eta):
+def _scales(eta):
+    """(alpha, beta) = (1 / (1 + eta), eta / (1 + eta)) of the step eta:
+    every step is the row-normalized alpha V - beta G V, the direction of
+    V - eta G V without its overflow.  ValueError unless eta is finite and
+    nonnegative."""
     if not 0.0 <= eta < np.inf:
         raise ValueError("step size must be finite and nonnegative")
+    return 1.0 / (1.0 + eta), eta / (1.0 + eta)
 
 
 def _step_rows(rows, GV, eta):
     """(rows, collapsed): the row-normalized alpha rows - beta GV, with
-    GV = G V, alpha = 1 / (1 + eta) and beta = eta / (1 + eta) for eta
-    finite and >= 0 (so no finite step overflows), and the list of rows that
-    collapsed (||rows_i - eta GV_i|| < _ZERO_ROW), which keep their
-    previous value."""
+    GV = G V and (alpha, beta) from _scales, so no finite step overflows,
+    and the list of rows that collapsed (||rows_i - eta GV_i|| < _ZERO_ROW),
+    which keep their previous value."""
     def form(nb, lo, hi, alpha, beta):
         np.multiply(alpha, rows[lo:hi], out=nb)
         nb -= beta * GV[lo:hi]
@@ -317,8 +330,7 @@ def _step_blocks(shape, form, previous, eta):
     hi)``, read only where a row collapsed, with ``form(out, lo, hi, alpha,
     beta)`` writing rows lo:hi of alpha V - beta G V to out.  Each row block
     is formed, measured and divided in one task (see blocks)."""
-    _check_eta(eta)
-    alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+    alpha, beta = _scales(eta)
     new = np.empty(shape)
 
     def block(lo, hi):
@@ -346,14 +358,9 @@ def _checked(rows, dead):
     return factor
 
 
-def _step(rows, GV, eta):
-    """_step_rows's rows as a (checked) factor (see _checked)."""
-    return _checked(*_step_rows(rows, GV, eta))
-
-
 def pgd_step(factor: CorrelationFactor, grad, eta) -> CorrelationFactor:
     """Multiplicative update (I - eta G) V followed by row renormalization."""
-    return _step(factor.rows, grad @ factor.rows, eta)
+    return _checked(*_step_rows(factor.rows, grad @ factor.rows, eta))
 
 
 def _is_identity(rows):
@@ -362,6 +369,35 @@ def _is_identity(rows):
     n = rows.shape[0]
     return (rows.shape == (n, n) and bool(np.all(np.diagonal(rows) == 1.0))
             and np.count_nonzero(rows) == n)
+
+
+class _Dense:
+    """An iterate held as its rows V: the start, whose factor ``start`` is
+    returned as it is when no step is accepted, or the rows of an accepted
+    step.
+
+    ``trials(G)`` forms G V once and returns the iterate as its trials: the
+    step eta's rows are _step_rows(V, G V, eta), checked (_checked) and
+    dropped once their gram is formed.  ``accept`` steps them again from
+    (V, G V, eta), the same bytes, which the trial checked, so they are not
+    checked again; ``factor`` wraps the rows of a stepped iterate once.
+    """
+
+    def __init__(self, rows, start=None):
+        self.rows, self.start = rows, start
+
+    def factor(self):
+        return CorrelationFactor(self.rows) if self.start is None else self.start
+
+    def trials(self, G):
+        self.gnorm, self.GV = float(np.linalg.norm(G)), G @ self.rows
+        return self
+
+    def gram(self, eta):
+        return _gram(_checked(*_step_rows(self.rows, self.GV, eta)).rows)
+
+    def accept(self, eta):
+        return _Dense(_step_rows(self.rows, self.GV, eta)[0])
 
 
 def _finish(gb, b, inv):
@@ -375,47 +411,31 @@ def _finish(gb, b, inv):
     np.clip(gb, -1.0, 1.0, out=gb)
     if rows.start == cols.start:
         square = gb[:, :rows.stop - rows.start]
-        lower = np.tril_indices(square.shape[0], -1)
+        lower = blocks.lower(square.shape[0])
         square[lower] = square.T[lower]
         np.fill_diagonal(square, 1.0)
 
 
 class _IdentityStart:
-    """The first two iterations from the identity, in closed form.
+    """The trials of the first iteration from the identity, in closed form.
 
-    Iteration 1.  At the identity the gram is I, so f_j' is the constant
-    f_j'(0) off the diagonal and G = A - diag(A), A = B S B^T of rank r:
-    B = X and S = sum_j w_j^2 f_j'(0) I for the nuclear norm, B = [b_1 ...
-    b_m] (see _leading) and S = diag(w_j^2 f_j'(0)) for the operator norm.
-    G is not formed: ||G_i||^2, and so ||G||, are sums over A's tiles, each
-    masked on and below the diagonal (covmap._mask_lower).  The
-    step eta's rows are those of alpha I - beta G normalized, alpha =
-    1 / (1 + eta) and beta = eta / (1 + eta).  With E = alpha + beta
-    diag(A) their gram, before the division by the row norms, is
+    At the identity the gram is I, so f_j' is the constant f_j'(0) off the
+    diagonal and G = A - diag(A), A = B S B^T of rank r: B = X and S =
+    sum_j w_j^2 f_j'(0) I for the nuclear norm, B = [b_1 ... b_m] (see
+    _leading) and S = diag(w_j^2 f_j'(0)) for the operator norm.  G is not
+    formed: ||G_i||^2, and so ``gnorm`` = ||G||, are sums over A's tiles,
+    each masked on and below the diagonal (covmap._mask_lower).  The step
+    eta's rows are those of alpha I - beta G normalized ((alpha, beta) from
+    _scales).  With E = alpha + beta diag(A) their gram, before the
+    division by the row norms, is
 
         (alpha I - beta G)^2 = E^2 - beta (E A + A E) + beta^2 B (S B^T B S) B^T,
 
     one product of inner dimension 2r per block of blocks.over_upper, and
     the row norms are hypot(alpha, beta ||G_i||) >= alpha > 0 (alpha^2
-    underflows at a huge eta), so no row collapses.  The accepted rows are
-    kept in their form V = diag(a) + L B^T, a = E / norms and
-    L = -beta B S / norms (``rows`` forms them; ``accept`` keeps them).
-
-    Iteration 2 (``second``).  With the gradient G dense, the step eta's
-    rows are those of (alpha I - beta G) V normalized.  V V^T = diag(a^2) +
-    P M P^T, P = [diag(a) B, L] and M = [[0, I], [I, B^T B]], so off the
-    diagonal their gram, before the division, is
-
-        beta^2 H - alpha beta (a_i^2 + a_j^2) G_ij + (Q M Q^T)_ij,
-
-    H = (G diag(a)) (G diag(a))^T and Q = alpha P - beta G P.  H is the one
-    O(n^3) product of both iterations, shared by every trial; the rest is
-    O(n^2) per block and one product of inner dimension 2r.  The squared row
-    norms are alpha^2 a^2 + beta^2 diag(H) + diag(Q M Q^T).  A trial with
-    one at most _ZERO_ROW^2 steps its rows instead, so collapsed rows and
-    their warning are those of _step_rows.  The accepted rows are stepped
-    once, row block by row block: alpha V - beta G V = alpha diag(a) -
-    beta G diag(a) + (alpha L - beta G L) B^T (_form).
+    underflows at a huge eta), so no row collapses.  ``accept`` returns the
+    accepted rows in their form V = diag(a) + L B^T, a = E / norms and
+    L = -beta B S / norms (_ClosedRows).
     """
 
     def __init__(self, work, leading):
@@ -448,17 +468,16 @@ class _IdentityStart:
             self.row_sq[cols] += by_col
         self.gnorm = float(np.sqrt(np.sum(self.row_sq)))
 
-    def _scales(self, eta):
-        """(beta, E, 1 / row norms) of iteration 1's step eta."""
-        _check_eta(eta)
-        alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+    def _parts(self, eta):
+        """(beta, E, 1 / row norms) of the step eta."""
+        alpha, beta = _scales(eta)
         return (beta, alpha + beta * self.diag,
                 1.0 / np.hypot(alpha, beta * np.sqrt(self.row_sq)))
 
-    def first_gram(self, eta):
-        """The gram of iteration 1's step eta, clamped to [-1, 1] with a
-        unit diagonal and exactly symmetric, as _gram forms it."""
-        beta, E, inv = self._scales(eta)
+    def gram(self, eta):
+        """The gram of the step eta, clamped to [-1, 1] with a unit diagonal
+        and exactly symmetric, as _gram forms it."""
+        beta, E, inv = self._parts(eta)
         left = np.hstack([beta * beta * self.BSBBS - (beta * E)[:, None] * self.BS,
                           -beta * self.BS])
         right = np.hstack([self.B, E[:, None] * self.B])
@@ -471,10 +490,38 @@ class _IdentityStart:
         return _map_symmetric(block, g)
 
     def accept(self, eta):
-        """Keep iteration 1's step eta as V = diag(a) + L B^T."""
-        beta, E, inv = self._scales(eta)
-        self.a = E * inv
-        self.L = self.BS * (-beta * inv)[:, None]
+        """The rows of the step eta, V = diag(a) + L B^T."""
+        beta, E, inv = self._parts(eta)
+        return _ClosedRows(self.B, E * inv, self.BS * (-beta * inv)[:, None])
+
+
+class _ClosedRows:
+    """The rows V = diag(a) + L B^T accepted in the first iteration from the
+    identity (see _IdentityStart): an iterate whose trials, the second
+    iteration's, are in closed form.  ``factor`` forms the rows, checked
+    once, when the run ends after the first iteration.
+
+    With the gradient G dense, the step eta's rows are those of
+    (alpha I - beta G) V normalized.  V V^T = diag(a^2) + P M P^T,
+    P = [diag(a) B, L] and M = [[0, I], [I, B^T B]], so off the diagonal
+    their gram, before the division, is
+
+        beta^2 H - alpha beta (a_i^2 + a_j^2) G_ij + (Q M Q^T)_ij,
+
+    H = (G diag(a)) (G diag(a))^T and Q = alpha P - beta G P.  H, formed by
+    ``trials(G)``, is the one O(n^3) product of the first two iterations,
+    shared by every trial; the rest is O(n^2) per block and one product of
+    inner dimension 2r.  The squared row norms are alpha^2 a^2 +
+    beta^2 diag(H) + diag(Q M Q^T).  A trial with one at most _ZERO_ROW^2
+    steps its rows instead, so collapsed rows and their warning are those
+    of _step_rows.  ``accept`` steps the accepted rows once, row block by
+    row block: alpha V - beta G V = alpha diag(a) - beta G diag(a) +
+    (alpha L - beta G L) B^T (_form), checked once, here or by the trial
+    that stepped them, and returns them as a _Dense iterate.
+    """
+
+    def __init__(self, B, a, L):
+        self.B, self.a, self.L = B, a, L
 
     def rows(self, lo=0, hi=None):
         """Rows lo:hi of V (all of them by default)."""
@@ -483,24 +530,22 @@ class _IdentityStart:
         v[np.arange(hi - lo), np.arange(lo, hi)] += self.a[lo:hi]
         return v
 
-    def second(self, grad):
-        """Iteration 2 at its gradient ``grad`` (held, not copied); returns
-        its trial gram function."""
-        self.G = grad
-        Ga = grad * self.a
-        self.H = _syrk(Ga)
-        del Ga
+    def factor(self):
+        return CorrelationFactor(self.rows())
+
+    def trials(self, G):
+        """The second iteration at its gradient G (held, not copied)."""
+        self.G, self.gnorm = G, float(np.linalg.norm(G))
+        self.H = _syrk(G * self.a)
         self.H_diag = np.diagonal(self.H).copy()
         self.P = np.hstack([self.a[:, None] * self.B, self.L])
-        self.GP = grad @ self.P
+        self.GP = G @ self.P
         self.BB = self.B.T @ self.B
-        return self.second_gram
+        return self
 
-    def _second_scales(self, eta):
-        """(alpha, beta, Q M, Q, squared row norms) of iteration 2's step
-        eta."""
-        _check_eta(eta)
-        alpha, beta = 1.0 / (1.0 + eta), eta / (1.0 + eta)
+    def _parts(self, eta):
+        """(alpha, beta, Q M, Q, squared row norms) of the step eta."""
+        alpha, beta = _scales(eta)
         r = self.B.shape[1]
         Q = alpha * self.P - beta * self.GP
         QM = np.hstack([Q[:, r:], Q[:, :r] + Q[:, r:] @ self.BB])
@@ -519,9 +564,9 @@ class _IdentityStart:
     def _stepped(self, eta):
         return _step_blocks(self.G.shape, self._form, self.rows, eta)
 
-    def second_gram(self, eta):
-        """The gram of iteration 2's step eta, as _gram forms it."""
-        alpha, beta, QM, Q, sq = self._second_scales(eta)
+    def gram(self, eta):
+        """The gram of the step eta, as _gram forms it."""
+        alpha, beta, QM, Q, sq = self._parts(eta)
         if np.any(sq <= _ZERO_ROW ** 2):
             return _gram(_checked(*self._stepped(eta)).rows)
         inv = 1.0 / np.sqrt(sq)
@@ -539,12 +584,11 @@ class _IdentityStart:
 
         return _map_symmetric(block, g)
 
-    def second_rows(self, eta):
-        """The rows of iteration 2's accepted step eta, checked once: here,
-        or by the trial that stepped them (see second_gram)."""
-        sq = self._second_scales(eta)[-1]
+    def accept(self, eta):
+        """The rows of the step eta as a _Dense iterate."""
+        sq = self._parts(eta)[-1]
         stepped = self._stepped(eta)
-        return stepped[0] if np.any(sq <= _ZERO_ROW ** 2) else _checked(*stepped).rows
+        return _Dense(stepped[0] if np.any(sq <= _ZERO_ROW ** 2) else _checked(*stepped).rows)
 
 
 @dataclass(frozen=True)
@@ -667,38 +711,44 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
 
     Maps are tabulated on entry (the objective touches all n^2 entries every
     iteration).  Each iteration forms G = sum_j w_j^2 (B_j B_j^T - diag) o
-    f_j'(V V^T) (see _gradient) and hands the trial ``try_eta`` to
-    ``step_policy.search`` (default Backtracking from default_eta0), which
-    returns the accepted candidate, its objective, eta and the halvings.
-    With the backtracking policy the objective trace is non-increasing;
-    iteration stops early once the gradient norm falls below 1e-10 or no
+    f_j'(V V^T) (see _gradient), takes the iterate's trials at G
+    (``trials(G)``) and hands the trial ``try_eta``, the trials' ``gram(eta)``
+    and its objective, to ``step_policy.search`` (default Backtracking from
+    default_eta0), which returns the accepted candidate, its objective, eta
+    and the halvings; the trials' ``accept(eta)`` is the next iterate, and
+    the last iterate's ``factor()`` is the result.  With the backtracking
+    policy the objective trace is non-increasing; iteration stops early once
+    the gradient norm (the trials' ``gnorm``) falls below 1e-10 or no
     acceptable step exists.
 
     Each factor's gram is formed once: the objective of every map and, for
-    the accepted factor, the next gradient's f' read it.  G V is formed once
-    per iteration and every trial step is the row-normalized alpha V -
-    beta G V (alpha = 1 / (1 + eta), beta = eta / (1 + eta)).  A trial keeps
-    its step size, gram and term matrices only; its rows are dropped once
-    its gram is formed, and the accepted trial's rows are stepped again from
-    (V, G V, eta), the same bytes, which the trial checked: each factor is
-    checked once, and the result is wrapped once on return.
+    the accepted factor, the next gradient's f' read it.  A trial keeps its
+    step size, gram and term matrices only.  An iterate held as its rows
+    (_Dense, the start and every stepped iterate) forms G V once per
+    iteration; each trial step is the row-normalized alpha V - beta G V
+    (see _scales), whose rows are dropped once its gram is formed, and the
+    accepted trial's rows are stepped again from (V, G V, eta), the same
+    bytes, which the trial checked: each factor is checked once, and the
+    result is wrapped once on return.
 
     The terms' diagonal part f_j(1) X^T X is formed once (see _terms).  From
     an identity start (checked once, with _is_identity) it is the start's
-    terms, as every map vanishes at 0, and the first two iterations step no
-    trial's rows (see _IdentityStart): the first iteration's gradient is of
-    rank r plus a diagonal and is not formed, and each trial gram of both
-    iterations is formed in closed form, equal to the stepped rows' gram up
-    to rounding.  The only O(n^3) product of the two is H = (G diag a)
-    (G diag a)^T at the second gradient G.  The first iteration's accepted
-    rows stay in closed form (they are formed only if the run ends there);
-    the second's are formed and checked once.  The term matrices are summed
-    over the blocks of a gram (see _terms), so no map of a gram is held
-    whole, and at full rank an iteration holds at most four n x n arrays:
-    V, G V (G and H in the second) and two trial grams.  A step size must be
-    finite and nonnegative, or ValueError is raised where it is first used.
-    ``init`` is not held past the first accepted step; a caller that does
-    not hold it either frees it there.
+    terms, as every map vanishes at 0, and no gram of the start is formed,
+    the one branch of the loop: the first iteration's gradient is of rank r
+    plus a diagonal and is not formed, and its trials are _IdentityStart's
+    closed forms.  They accept the closed-form iterate _ClosedRows, whose
+    trials are the second iteration's, also in closed form; so the first two
+    iterations step no trial's rows, each trial gram equals the stepped
+    rows' gram up to rounding, and their only O(n^3) product is H = (G
+    diag a)(G diag a)^T at the second gradient G.  The first iteration's
+    accepted rows are formed only if the run ends there; the second's are
+    formed and checked once.  The term matrices are summed over the blocks
+    of a gram (see _terms), so no map of a gram is held whole, and at full
+    rank an iteration holds at most four n x n arrays: V, G V (G and H in
+    the second) and two trial grams.  A step size must be finite and
+    nonnegative, or ValueError is raised where it is first used.  ``init``
+    is not held past the first accepted step; a caller that does not hold
+    it either frees it there.
 
     The start is evaluated once, on the tabulated maps, and that value is
     ``trace.initial_objective``.  A map that is non-finite at the table's
@@ -714,8 +764,7 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     _check_size(problem, init)
     work = _tabulated(problem)
     diag = _diagonal_forms(work.maps, work.X)
-    identity = _is_identity(init.rows)
-    if identity:
+    if _is_identity(init.rows):
         g, terms = None, diag
     else:
         g = _gram(init.rows)
@@ -726,57 +775,29 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         raise OptimizationError("objective non-finite at the initial design", trace)
     if step_policy is None:
         step_policy = Backtracking(eta0=default_eta0(work))
-    start, rows = init, init.rows
-    del init   # so a start the caller does not hold is freed after iteration 1
-    eta = closed = None   # closed: the identity start's closed form, while it serves
+    it, eta = _Dense(init.rows, init), None
+    del init   # so a start the caller does not hold is freed after the first accepted step
     for t in range(1, int(iters) + 1):
         leading = _leading(work, terms)[0] if work.norm == "op" else None
-        if identity and t == 1:
-            closed, grad = _IdentityStart(work, leading), None
-            gnorm = closed.gnorm
+        if g is None:   # the identity's first iteration: G is not formed
+            trials = _IdentityStart(work, leading)
         else:
             grad = _gradient(work, g, leading)
-            del g  # freed before the trials form their own grams
-            gnorm = float(np.linalg.norm(grad))
-        del leading
-        if gnorm < _GRAD_TOL:
+            del g   # freed before the trials form their own grams
+            trials = it.trials(grad)
+            del grad
+        if trials.gnorm < _GRAD_TOL:
             break
-        GV = None
-        if closed is None:
-            GV = grad @ rows
-            gram = partial(_stepped_gram, rows, GV)
-        else:
-            gram = closed.first_gram if t == 1 else closed.second(grad)
-        del grad
-        try_eta = partial(_trial, work, diag, gram, t, trace)
+        try_eta = partial(_trial, work, diag, trials.gram, t, trace)
         cand, obj, eta, halvings = step_policy.search(eta, obj, try_eta)
-        trace.rows.append(TraceRow(t, obj, eta, gnorm, halvings))
+        trace.rows.append(TraceRow(t, obj, eta, trials.gnorm, halvings))
         if cand is None:
             # No descent step within the halving budget: the gradient is
             # stale at this point, so further iterations cannot help.
             break
-        g, terms = cand
-        del cand
-        if closed is None:
-            # the accepted trial's rows, stepped again: the trial checked
-            # them and warned of any collapsed row
-            rows = _step_rows(rows, GV, eta)[0]
-        elif t == 1:
-            closed.accept(eta)
-            rows = None   # kept in closed's form
-        else:
-            rows, closed = closed.second_rows(eta), None
-        start = None
-        del GV, gram, try_eta
-    if rows is None:   # the run ended after iteration 1 from the identity
-        rows = closed.rows()
-    return (start if start is not None else CorrelationFactor(rows)), trace
-
-
-def _stepped_gram(rows, GV, eta):
-    """The gram of the step eta from rows (see _step, which checks the
-    stepped rows and warns); they are dropped once their gram is formed."""
-    return _gram(_step(rows, GV, eta).rows)
+        (g, terms), it = cand, trials.accept(eta)
+        del cand, trials, try_eta
+    return it.factor(), trace
 
 
 def _trial(work, diag, gram, t, trace, eta):

@@ -1,6 +1,7 @@
 """The row-block runner: task order, errors and numpy error state in the
 caller, no nested submission, a budget split across workers, no pool for a
-single task or one CPU, and a pool that does not survive fork."""
+single task or one CPU, a pool that does not survive fork, and the cached,
+read-only lower-triangle index of a diagonal block."""
 
 import os
 import signal
@@ -150,3 +151,12 @@ def test_collapsed_rows_warn_in_the_caller(monkeypatch, cpus):
     with pytest.warns(RuntimeWarning, match=rf"rows \[3, {ROW_BLOCK + 7}, {n - 1}\] collapsed"):
         out = pgd_step(fac, grad, 1.0)
     assert np.array_equal(out.rows, fac.rows)
+
+
+@pytest.mark.parametrize("m", [1, 37, ROW_BLOCK])
+def test_lower_index_is_cached_and_read_only(m):
+    index = blocks.lower(m)
+    assert blocks.lower(m) is index
+    assert all(np.array_equal(a, b) for a, b in zip(index, np.tril_indices(m)))
+    with pytest.raises(ValueError):
+        index[0][0] = 1   # a write would change every later mask of height m

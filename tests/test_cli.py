@@ -114,6 +114,15 @@ class TestOptimizeCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("contrast", ["1,x,0", "1,-1", "1,-1,0,0", ""])
+    def test_bad_contrast_list_names_the_flag(self, covariates, tmp_path, capsys, contrast):
+        out = tmp_path / "out"
+        assert main(["optimize", "--covariates", str(covariates), "--arms", "3",
+                     f"--contrast={contrast}", "--iters", "1", "--out-dir", str(out)]) == 2
+        assert (f"error: --contrast needs 3 comma-separated float values, got {contrast!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("zero_row", [False, True])
     def test_huge_step_size_does_not_overflow(self, covariates, tmp_path, capsys, zero_row):
         # each step is alpha rows - beta G V, alpha = 1 / (1 + eta) and
@@ -328,6 +337,13 @@ class TestEstimateCommand:
                      f"--arms={arms}"]) == 2
         assert (f"error: arm count K = {arms} outside supported range [2, 64]"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("weights", ["1,x,0", "1,-1"])
+    def test_bad_contrast_estimand_list_names_the_flag(self, records, capsys, weights):
+        assert main(["estimate", "--records", str(records), "--estimand",
+                     f"contrast:{weights}", "--arms", "3"]) == 2
+        assert ("error: --estimand contrast needs 3 comma-separated float values, "
+                f"got {weights!r}") in capsys.readouterr().err
 
     def test_bad_estimand(self, records):
         assert main(["estimate", "--records", str(records),
@@ -567,6 +583,25 @@ class TestCovmapTableCommand:
         out = tmp_path / "tab.csv"
         assert main(["covmap-table", "--arms", "3", "--cross", "1,2",
                      "--grid", "21", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("flag,value,want", [
+        ("--weights", "1,x,0.5", "3 comma-separated float values"),
+        ("--weights", "1,-1", "3 comma-separated float values"),
+        ("--cross", "1", "2 comma-separated int values"),
+        ("--cross", "1,x", "2 comma-separated int values"),
+        ("--cross", "1.5,2", "2 comma-separated int values"),
+    ])
+    def test_bad_list_names_the_flag(self, tmp_path, capsys, flag, value, want):
+        out = tmp_path / "tab.csv"
+        assert main(["covmap-table", "--arms", "3", flag, value, "--out", str(out)]) == 2
+        assert f"error: {flag} needs {want}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options", [["--weights", "1,2"], ["--cross", "1,2"]])
+    def test_arm_count_out_of_range_is_usage_error(self, tmp_path, capsys, options):
+        # the message optimize gives, not a weight count error
+        assert main(["covmap-table", "--arms=-2", *options, "--out", str(tmp_path / "t.csv")]) == 2
+        assert "error: arm count K = -2 outside supported range [2, 64]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("options,cmap", [
         (["--arm", "2"], lambda: f_arm(3, 2)),

@@ -659,6 +659,12 @@ def _reference_cases():
         "nuc, non-identity start": (nuc, start, 6, None),
         "op": (op, identity_factor(40), 5, None),
         "op, non-identity start": (op, start, 5, None),
+        # runs that end after the identity's first iteration (its closed-form
+        # rows, formed on return) or its second (the rows it stepped)
+        "nuc, 1 iteration": (nuc, identity_factor(40), 1, None),
+        "nuc, 2 iterations": (nuc, identity_factor(40), 2, None),
+        "op, 1 iteration": (op, identity_factor(40), 1, None),
+        "op, 2 iterations": (op, identity_factor(40), 2, None),
         "fixed step": (nuc, identity_factor(40), 4, FixedStep(1e-3)),
         "fixed step, non-identity start": (op, start, 4, FixedStep(1e-2)),
         "forced halvings": (nuc, identity_factor(40), 6, Backtracking(eta0=100.0)),
@@ -831,7 +837,7 @@ def test_first_step_grams_match_the_stepped_rows(n, objective_name):
         closed, grad = _identity_start(work)
         assert closed.gnorm == pytest.approx(np.linalg.norm(grad), rel=1e-14)
         for eta in _FIRST_ETAS:
-            gram = closed.first_gram(eta)
+            gram = closed.gram(eta)
             stepped = _gram(optimizer._step_rows(np.eye(n), grad, eta)[0])
             assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
             assert np.max(np.abs(gram - stepped)) <= bound, (seed, eta)
@@ -853,14 +859,14 @@ def test_second_step_grams_match_the_stepped_rows(n, objective_name):
         work = optimizer._tabulated(_first_step_problems(n, seed)[objective_name])
         for eta1 in (default_eta0(work), 1e-2, 1.0):
             closed = _identity_start(work)[0]
-            g = closed.first_gram(eta1)
-            closed.accept(eta1)
+            g = closed.gram(eta1)
+            accepted = closed.accept(eta1)
             grad = optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g)))
-            V = closed.rows()
+            V = accepted.rows()
             GV = grad @ V
-            closed.second(grad)
+            trials = accepted.trials(grad)
             for eta in _FIRST_ETAS:
-                gram = closed.second_gram(eta)
+                gram = trials.gram(eta)
                 stepped = _gram(optimizer._step_rows(V, GV, eta)[0])
                 assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
                 assert np.max(np.abs(gram - stepped)) <= bound, (seed, eta1, eta)
@@ -900,7 +906,7 @@ def test_two_iterations_from_the_identity_form_one_cubic_product(objective_name,
 
     monkeypatch.setattr(optimizer, "_syrk", counted)
     monkeypatch.setattr(optimizer, "_gram", lambda rows: pytest.fail("a gram of rows"))
-    monkeypatch.setattr(optimizer, "_stepped_gram", lambda *a: pytest.fail("G V formed"))
+    monkeypatch.setattr(optimizer._Dense, "trials", lambda *a: pytest.fail("G V formed"))
     on_identity = []
     for method in ("eval", "deriv"):
         def spy(self, rho, out=None, _original=getattr(CovarianceMap, method)):
@@ -927,12 +933,13 @@ def test_second_iteration_steps_the_rows_of_a_vanishing_trial(norm, monkeypatch)
     eta = 1e-3
     work = optimizer._tabulated(prob)
     closed = optimizer._IdentityStart(work, _leading_of(work, _diagonal_forms(work.maps, work.X)))
-    g = closed.first_gram(eta)
-    closed.accept(eta)
-    closed.second(optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))
+    g = closed.gram(eta)
+    accepted = closed.accept(eta)
+    trials = accepted.trials(
+        optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))
     monkeypatch.setattr(optimizer, "_ZERO_ROW",
-                        float(np.sqrt(np.median(closed._second_scales(eta)[-1]))) * (1 + eta))
-    V = closed.rows()
+                        float(np.sqrt(np.median(trials._parts(eta)[-1]))) * (1 + eta))
+    V = accepted.rows()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         factor, trace = pgd_gauss(prob, identity_factor(prob.n), 2, FixedStep(eta))

@@ -24,8 +24,8 @@ from gaussdesign.covmap import (_eval_symmetric, _gram, _map_symmetric,
 from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
 from gaussdesign.estimators import ExperimentRecords
 from gaussdesign.inference import aronow_samii_bound, true_variance, variance_ht_arm
-from gaussdesign.optimizer import (DesignProblem, FixedStep, _gradient, _leading,
-                                   _step, _terms, default_eta0, gradient_nuclear,
+from gaussdesign.optimizer import (DesignProblem, FixedStep, _checked, _gradient, _leading,
+                                   _step_rows, _terms, default_eta0, gradient_nuclear,
                                    gradient_operator, pgd_gauss)
 from gaussdesign.simbench import GaussianDesign
 
@@ -513,7 +513,7 @@ def _kernel_outputs(n, seed):
     GV[n // 2] = rows[n // 2]   # this row collapses at eta = 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stepped = _step(rows, GV, 1.0).rows
+        stepped = _checked(*_step_rows(rows, GV, 1.0)).rows
     want, dead = _reference_step(rows, GV, 1.0)
     assert _same(stepped, want)
     assert [str(w.message) for w in caught] == [
