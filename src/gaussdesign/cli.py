@@ -19,8 +19,7 @@ from . import elliptope
 from .covmap import (discretize, f_arm, f_cross, quantile_thresholds,
                      weighted_discrete_map)
 from .elliptope import identity_factor, load_factor
-from .estimators import (EstimandSpec, WeightFn, ht_arm, ht_contrast,
-                         ht_continuous, records_from_csv, rescale_treatment,
+from .estimators import (EstimandSpec, WeightFn, records_from_csv, rescale_treatment,
                          write_rows)
 from .hermite import continuous_cov_maps
 from .inference import (ContinuousModelSpec, EmptyArmError, normal_ci,
@@ -101,19 +100,17 @@ def _values(flag, text, count, kind=float):
 
 
 def _parse_weight(spec):
+    """The WeightFn of ``tag[:p1,p2,..]``, made by the WeightFn constructor
+    named by the tag."""
+    tag, _, params = spec.partition(":")
+    if tag not in ("interval", "first_derivative", "second_derivative"):
+        raise UsageError(f"unknown weight tag {tag!r}; expected interval, "
+                         "first_derivative or second_derivative")
     try:
-        tag, _, params = spec.partition(":")
         vals = [float(v) for v in params.split(",")] if params else []
-        if tag == "interval":
-            return WeightFn.interval(*vals)
-        if tag == "first_derivative":
-            return WeightFn.first_derivative(*vals) if vals else WeightFn.first_derivative()
-        if tag == "second_derivative":
-            return WeightFn.second_derivative(*vals) if vals else WeightFn.second_derivative()
+        return getattr(WeightFn, tag)(*vals)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad --weight spec {spec!r}: {exc}") from None
-    raise UsageError(f"unknown weight tag {tag!r}; expected interval, "
-                     "first_derivative or second_derivative")
 
 
 def _fmt(x):
@@ -168,29 +165,34 @@ def cmd_optimize(args):
 def cmd_sample(args):
     # load_factor rejects rows off unit norm, so V V^T is on the elliptope
     factor = load_factor(args.factor)
-    draws = elliptope.sample(factor, args.draws, args.seed)
+    if args.draws < 1:
+        raise UsageError("need at least one draw")
     cols = ["unit", "rep", "T"]
     row_format = "%d,%d,%.17g"
-    extra = []   # (B, n) arrays of the optional columns
+    extra = []   # the optional columns, each a function of a chunk of draws
     if args.discretize is not None:
-        extra.append(discretize(draws.draws, quantile_thresholds(args.discretize)))
+        thresholds = quantile_thresholds(args.discretize)
+        extra.append(lambda t: discretize(t, thresholds))
         cols.append("D")
         row_format += ",%d"
     if args.rescale is not None:
         a, b = args.rescale
         if not a < b:
             raise UsageError("--rescale needs a < b")
-        extra.append(rescale_treatment(draws.draws, a, b))
+        extra.append(lambda t: rescale_treatment(t, a, b))
         cols.append("T_rescaled")
         row_format += ",%.17g"
     units = list(range(1, factor.n + 1))
     out = args.out or "draws.csv"
     with open(out, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for b_idx in range(draws.draws.shape[0]):
-            columns = [units, [b_idx + 1] * factor.n, draws.draws[b_idx]]
-            write_rows(fh, row_format, columns + [c[b_idx] for c in extra])
-    print(f"sample: wrote {draws.draws.shape[0]} x {factor.n} draws to {out}")
+        # one chunk of replicates at a time, never the B x n draws
+        for lo, hi, draws in elliptope._draw_chunks(factor, args.draws, args.seed):
+            columns = [draws] + [column(draws) for column in extra]
+            for b_idx in range(hi - lo):
+                write_rows(fh, row_format, [units, [lo + b_idx + 1] * factor.n]
+                           + [c[b_idx] for c in columns])
+    print(f"sample: wrote {args.draws} x {factor.n} draws to {out}")
     return EXIT_OK
 
 
@@ -215,13 +217,7 @@ def _estimand_from_args(args):
 def cmd_estimate(args):
     records = records_from_csv(args.records)
     spec = _estimand_from_args(args)
-    if spec.kind == "arm":
-        value = ht_arm(records, spec.k, spec.K)
-    elif spec.kind == "contrast":
-        value = ht_contrast(records, spec.w, spec.K)
-    else:
-        value = ht_continuous(records, spec.weight)
-    line = f"{spec.label},{_fmt(value)}"
+    line = f"{spec.label},{_fmt(spec.estimate(records))}"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("estimand,value\n" + line + "\n")
@@ -265,6 +261,7 @@ def cmd_ci(args):
     records = records_from_csv(args.records)
     factor = load_factor(args.factor)
     spec = _estimand_from_args(args)
+    point = spec.estimate(records)
     if args.method == "normal":
         if spec.kind != "arm":
             raise UsageError("the normal CI applies to single-arm estimands")
@@ -277,24 +274,19 @@ def cmd_ci(args):
             raise ComputeError(
                 f"variance estimate {_fmt(report.point)} is negative; the "
                 f"unbiased estimator gives no normal interval for this sample")
-        tau = ht_arm(records, spec.k, spec.K)
-        interval = normal_ci(tau, report.point, records.n, args.alpha)
-        point = tau
+        interval = normal_ci(point, report.point, records.n, args.alpha)
     elif spec.kind == "continuous":
         model = ContinuousModelSpec(
             regressors=_model_regressors(args.model or "1,x,t"),
             weight=spec.weight)
         interval = randomization_ci_continuous(
             records, factor, model, args.replicates, args.alpha, args.seed)
-        point = ht_continuous(records, spec.weight)
     else:
-        w = spec.arm_weights
         try:
             interval = randomization_ci_discrete(
-                records, factor, spec.K, w, args.replicates, args.alpha, args.seed)
+                records, factor, spec.K, spec.arm_weights, args.replicates, args.alpha, args.seed)
         except EmptyArmError as exc:
             raise ComputeError(str(exc)) from exc
-        point = ht_contrast(records, w, spec.K)
     header = "method,estimand,point,lower,upper,alpha,B,well_defined"
     row = (f"{interval.method},{spec.label},{_fmt(point)},{_fmt(interval.lower)},"
            f"{_fmt(interval.upper)},{interval.alpha},"

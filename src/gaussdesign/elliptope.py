@@ -77,6 +77,9 @@ def _row_norms(a):
     zero row); every other row keeps its plain norm, bit for bit."""
     with np.errstate(over="ignore", under="ignore"):   # the squares' range is handled here
         norms = np.linalg.norm(a, axis=1)
+        # one pass over the norms when no row is odd (a NaN norm fails both tests)
+        if norms.min(initial=np.inf) >= _NORM_TINY and norms.max(initial=0.0) < np.inf:
+            return norms
         odd = np.flatnonzero(~(np.isfinite(norms) & (norms >= _NORM_TINY)))
         if odd.size:
             r = a[odd]
@@ -150,20 +153,24 @@ def _latent(factor: CorrelationFactor, seed, streams):
 
 
 def sample(factor: CorrelationFactor, B, seed) -> GaussianDraws:
-    """Draw B latent treatment vectors; replicate b uses RNG substream b."""
+    """Draw B latent treatment vectors; replicate b uses RNG substream b.
+    The rows are those of ``_draw_chunks``, bit for bit."""
     if B < 1:
         raise ValueError("need at least one draw")
-    return GaussianDraws(draws=_latent(factor, seed, np.arange(int(B))), seed=int(seed),
-                         factor_id=factor.tag)
+    draws = np.empty((int(B), factor.n))
+    for lo, hi, latent in _draw_chunks(factor, B, seed):
+        draws[lo:hi] = latent
+    return GaussianDraws(draws=draws, seed=int(seed), factor_id=factor.tag)
 
 
 def _draw_chunks(factor: CorrelationFactor, B, seed):
     """Yield (lo, hi, latent) over replicates 0..B-1, where latent holds rows
     lo:hi of ``sample(factor, B, seed).draws`` and at most
     max(1, _DRAW_POINTS // n) rows, so a consumer that reduces each chunk
-    keeps O(_DRAW_POINTS) values whatever B is.  Rows agree with ``sample``
-    up to the last bit: BLAS may round a row of z V^T differently with the
-    number of rows in one product."""
+    keeps O(_DRAW_POINTS) values whatever B is.  ``sample``, the CLI's
+    ``sample`` and the randomization CIs all draw through these chunks:
+    BLAS may round a row of z V^T differently with the number of rows in
+    one product, so one chunking gives them the same bits."""
     B = int(B)
     step = max(1, _DRAW_POINTS // factor.n)
     for lo in range(0, B, step):

@@ -77,12 +77,17 @@ def weight_eval(weight: WeightFn, t):
 @dataclass(frozen=True)
 class EstimandSpec:
     """What to estimate: a single arm mean, an arm contrast, or a weighted
-    continuous functional."""
+    continuous functional.
+
+    An arm or contrast estimand holds per-arm weights w (e_k for arm k) and
+    is scored as (K/n) sum_i w_{D_i} Y_i; a continuous one holds a WeightFn
+    and is scored as (1/n) sum_i Y_i w(T_i).  w is a tuple, so specs compare
+    by value and hash."""
 
     kind: str
     K: int = None
     k: int = None
-    w: np.ndarray = None
+    w: tuple = None
     weight: WeightFn = None
     label: str = ""
 
@@ -90,7 +95,8 @@ class EstimandSpec:
     def arm(cls, k, K, label=None):
         if not 1 <= k <= K:
             raise ValueError(f"arm index {k} out of range 1..{K}")
-        return cls(kind="arm", K=int(K), k=int(k), label=label or f"arm_{k}")
+        w = tuple(float(j == k) for j in range(1, K + 1))
+        return cls(kind="arm", K=int(K), k=int(k), w=w, label=label or f"arm_{k}")
 
     @classmethod
     def contrast(cls, w, K, label=None):
@@ -99,7 +105,7 @@ class EstimandSpec:
             raise ValueError(f"contrast needs {K} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("contrast weights must be finite")
-        return cls(kind="contrast", K=int(K), w=w, label=label or "contrast")
+        return cls(kind="contrast", K=int(K), w=tuple(w.tolist()), label=label or "contrast")
 
     @classmethod
     def continuous(cls, weight: WeightFn, label=None):
@@ -107,14 +113,35 @@ class EstimandSpec:
 
     @property
     def arm_weights(self):
-        """Per-arm weight vector (e_k for an arm estimand)."""
-        if self.kind == "arm":
-            e = np.zeros(self.K)
-            e[self.k - 1] = 1.0
-            return e
-        if self.kind == "contrast":
-            return self.w
-        raise ValueError("continuous estimand has no arm weights")
+        """Per-arm weight vector (e_k for an arm estimand), a new array."""
+        if self.w is None:
+            raise ValueError("continuous estimand has no arm weights")
+        return np.array(self.w)
+
+    def estimates(self, arms, T, Y):
+        """The HT estimate of every row of a replicate block: arms D,
+        treatments T and outcomes Y of shape (..., n); the arms of a
+        continuous estimand and the treatments of a discrete one are not
+        read and may be None."""
+        if self.w is None:
+            return _ht_weight(T, Y, self.weight)
+        return _ht_arm_weights(arms, Y, self.arm_weights, self.K)
+
+    def estimate(self, records: ExperimentRecords):
+        """The HT estimate of one experiment."""
+        if records.n == 0:
+            raise ValueError("no experimental records")
+        if self.w is not None:
+            return float(self.estimates(records.arms(self.K), None, records.Y))
+        if records.T is None:
+            raise ValueError("continuous estimator requires latent treatments T")
+        if self.weight.tag == "interval":
+            bad = np.flatnonzero((_phi(records.T) < _PHI_FLOOR) & (records.T >= self.weight.r)
+                                 & (records.T <= self.weight.l))
+            if bad.size:
+                raise FloatingPointError(
+                    f"interval weight underflows phi(T) at unit {int(bad[0]) + 1}")
+        return float(self.estimates(None, records.T, records.Y))
 
 
 @dataclass(frozen=True)
@@ -232,34 +259,17 @@ def records_from_csv(path) -> ExperimentRecords:
 
 def ht_arm(records: ExperimentRecords, k, K):
     """(K/n) sum_i 1{D_i = k} Y_i."""
-    if records.n == 0:
-        raise ValueError("no experimental records")
-    if not 1 <= k <= K:
-        raise ValueError(f"arm index {k} out of range 1..{K}")
-    arms = records.arms(K)
-    return float(K / records.n * np.sum(records.Y[arms == k]))
+    return EstimandSpec.arm(k, K).estimate(records)
 
 
 def ht_contrast(records: ExperimentRecords, w, K):
-    """sum_k w_k tau_hat_k."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (K,):
-        raise ValueError(f"contrast needs {K} weights, got shape {w.shape}")
-    return float(sum(w[k - 1] * ht_arm(records, k, K) for k in range(1, K + 1)))
+    """sum_k w_k tau_hat_k = (K/n) sum_i w_{D_i} Y_i."""
+    return EstimandSpec.contrast(w, K).estimate(records)
 
 
 def ht_continuous(records: ExperimentRecords, weight: WeightFn):
     """(1/n) sum_i Y_i w(T_i)."""
-    if records.T is None:
-        raise ValueError("continuous estimator requires latent treatments T")
-    if weight.tag == "interval":
-        dens = _phi(records.T)
-        bad = np.flatnonzero((dens < _PHI_FLOOR)
-                             & (records.T >= weight.r) & (records.T <= weight.l))
-        if bad.size:
-            raise FloatingPointError(
-                f"interval weight underflows phi(T) at unit {int(bad[0]) + 1}")
-    return float(_ht_weight(records.T, records.Y, weight))
+    return EstimandSpec.continuous(weight).estimate(records)
 
 
 def _ht_arm_weights(arms, Y, w, K):
@@ -290,12 +300,9 @@ def true_estimand(potential_outcomes, spec: EstimandSpec, nodes=200):
     callable mapping a node vector t (m,) to the n x m response matrix; the
     integral against phi is done by Gauss-Hermite quadrature.
     """
-    if spec.kind in ("arm", "contrast"):
-        table = np.asarray(potential_outcomes, dtype=float)
-        means = table.mean(axis=0)
-        if spec.kind == "arm":
-            return float(means[spec.k - 1])
-        return float(np.dot(spec.w, means))
+    if spec.w is not None:
+        means = np.asarray(potential_outcomes, dtype=float).mean(axis=0)
+        return float(spec.arm_weights @ means)
     x, wq = gauss_hermite_nodes(nodes)
     vals = np.asarray(potential_outcomes(x), dtype=float)
     wt = weight_eval(spec.weight, x)

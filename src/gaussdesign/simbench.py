@@ -35,6 +35,11 @@ Every design (``GaussianDesign``, ``CompleteRandomization(n)``,
 ``mc_estimates`` and ``mc_coverage`` call ``draw``, ``balance_objective_nuc``
 calls ``arm_terms`` and ``run_scenario`` reads ``factor``; the first
 three check ``n`` before anything is drawn.
+
+The engine scores every estimand alike: a scenario gives the observed
+outcomes of a draw (``Scenario.outcomes(arms, latent)``) and each
+estimand's exact value (``Scenario.truth``), and the estimand scores its
+own replicates (``EstimandSpec.estimates``).
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ import numpy as np
 from . import blocks, rng
 from .covmap import _map_forms, _ndtri, discretize, f_arm, quantile_thresholds
 from .elliptope import CorrelationFactor, _latent, identity_factor
-from .estimators import (EstimandSpec, ExperimentRecords, WeightFn,
-                         _ht_arm_weights, _ht_weight, true_estimand)
+from .estimators import EstimandSpec, ExperimentRecords, WeightFn, true_estimand
 from .inference import randomization_ci_discrete
 from .optimizer import _objective, discrete_problem, pgd_gauss
 
@@ -89,14 +93,20 @@ class Scenario:
         return self.response_intercept[:, None] \
             + self.response_slope[:, None] * t[None, :] ** self.response_power
 
-    def response_at(self, t_matrix):
-        """Y_i(T_bi) for a (B, n) matrix of treatments."""
-        t = np.asarray(t_matrix, dtype=float)
-        return self.response_intercept + self.response_slope * t ** self.response_power
-
-    def observed_outcomes(self, arms):
-        """Pick Y_i(D_i) from the table for a (B, n) or (n,) arm array."""
+    def outcomes(self, arms, latent):
+        """Observed outcomes of (B, n) or (n,) draws: Y_i(D_i) from the table
+        of a discrete scenario, Y_i(T_i) of the responses of a continuous
+        one (which reads no arms)."""
+        if self.potential_outcomes is None:
+            t = np.asarray(latent, dtype=float)
+            return self.response_intercept + self.response_slope * t ** self.response_power
         return self.potential_outcomes[np.arange(self.n), np.asarray(arms) - 1]
+
+    def truth(self, estimand):
+        """The estimand's exact value over every unit's potential outcomes."""
+        if self.potential_outcomes is None:
+            return true_estimand(self.responses, estimand)
+        return true_estimand(self.potential_outcomes, estimand)
 
 
 def _exp1(u):
@@ -516,12 +526,6 @@ def _check_units(scenario, design):
                          f"scenario {scenario.name!r} has n = {scenario.n}")
 
 
-def _truth(scenario, estimand):
-    if estimand.kind == "continuous":
-        return true_estimand(scenario.responses, estimand)
-    return true_estimand(scenario.potential_outcomes, estimand)
-
-
 def _mse(est, truth):
     return float(np.mean((est - truth) ** 2))
 
@@ -539,12 +543,9 @@ def mc_estimates(scenario, design, estimand, B, seed):
     for lo in range(0, B, _CHUNK):
         hi = min(lo + _CHUNK, B)
         arms, latent = design.draw(seed, np.arange(lo, hi), scenario.K)
-        outcomes = None if arms is None else scenario.observed_outcomes(arms)
+        outcomes = scenario.outcomes(arms, latent)
         for row, spec in zip(out, specs):
-            if spec.kind == "continuous":
-                row[lo:hi] = _ht_weight(latent, scenario.response_at(latent), spec.weight)
-            else:
-                row[lo:hi] = _ht_arm_weights(arms, outcomes, spec.arm_weights, scenario.K)
+            row[lo:hi] = spec.estimates(arms, latent, outcomes)
         # free this chunk's (B, n) arrays before the next chunk is drawn
         del arms, latent, outcomes
     return out if isinstance(estimand, tuple) else out[0]
@@ -558,7 +559,7 @@ def _check_replicates(B):
 def mc_mse(scenario, design, estimand, B, seed):
     """Monte Carlo mean squared error of the HT estimator."""
     _check_replicates(B)
-    truth = _truth(scenario, estimand)
+    truth = scenario.truth(estimand)
     return _mse(mc_estimates(scenario, design, estimand, B, seed), truth)
 
 
@@ -572,18 +573,14 @@ def mc_coverage(scenario, design, estimand, ci_procedure, B_outer, seed):
     if B_outer < 100:
         raise ValueError("need at least 100 outer replicates")
     _check_units(scenario, design)
-    truth = _truth(scenario, estimand)
+    truth = scenario.truth(estimand)
     hits = 0
     widths = np.empty(B_outer)
     for b in range(B_outer):
         arms, latent = design.draw(seed, np.arange(b, b + 1), scenario.K)
-        t = None if latent is None else latent[0]
-        if estimand.kind == "continuous":
-            records = ExperimentRecords(Y=scenario.response_at(latent)[0],
-                                        X=scenario.X, T=t)
-        else:
-            records = ExperimentRecords(Y=scenario.observed_outcomes(arms[0]),
-                                        X=scenario.X, T=t, D=arms[0])
+        records = ExperimentRecords(Y=scenario.outcomes(arms, latent)[0], X=scenario.X,
+                                    T=None if latent is None else latent[0],
+                                    D=None if arms is None else arms[0])
         interval = ci_procedure(records, rng.derive_seed(seed, b))
         hits += interval.contains(truth)
         widths[b] = interval.width
@@ -690,8 +687,8 @@ def run_scenario(config) -> BenchmarkReport:
     _check_replicates(replicates)
 
     scenario = _GENERATORS[gen_name](seed)
-    estimands = tuple(e for e in scenario.estimands if e.kind != "continuous")
-    truths = [_truth(scenario, e) for e in estimands]
+    estimands = scenario.estimands
+    truths = [scenario.truth(e) for e in estimands]
     rows = []
     for design in _build_designs(designs, scenario, seed, iters, norm):
         # one draw per design, scored for every estimand

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from gaussdesign.cli import main, parse_config
 from gaussdesign.covmap import (discretize, f_arm, f_cross, quantile_thresholds,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import factor_from_rows, identity_factor, load_factor, save_factor
-from gaussdesign.estimators import ExperimentRecords, records_to_csv, rescale_treatment
+from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, WeightFn, records_from_csv,
+                                    records_to_csv, rescale_treatment)
 
 
 @pytest.fixture
@@ -297,6 +299,35 @@ class TestSampleCommand:
             None if rescale is None else rescale_treatment(draws, *rescale))
         assert out.read_bytes() == ref.read_bytes()
 
+    def test_zero_draws_is_input_error(self, tmp_path, capsys):
+        fpath, out = tmp_path / "factor.csv", tmp_path / "d.csv"
+        save_factor(fpath, identity_factor(3))
+        assert main(["sample", "--factor", str(fpath), "--draws", "0", "--out", str(out)]) == 2
+        assert "need at least one draw" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_draws_are_written_chunk_by_chunk(self, tmp_path, monkeypatch):
+        # B x n draws would take 8 MB, and as much again per optional column;
+        # one chunk of them and its temporaries take about 3.3 MB.  The writer
+        # is stubbed: tracing its per-cell Python objects takes about 10 s,
+        # and it holds at most one replicate's rows at a time.
+        n, B = 500, 2000
+        fpath, out = tmp_path / "factor.csv", tmp_path / "d.csv"
+        save_factor(fpath, factor_from_rows(np.random.default_rng(0).standard_normal((n, 7))))
+        rows = []
+        monkeypatch.setattr("gaussdesign.cli.write_rows",
+                            lambda fh, row_format, columns: rows.append(len(columns[2])))
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--factor", str(fpath), "--draws", str(B), "--seed", "1",
+                         "--discretize", "3", "--rescale", "0", "1", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert rows == [n] * B
+        assert peak < B * n * 8 / 2
+
 
 def _per_cell_draws_csv(path, draws, arms, rescaled):
     """The draws CSV as `sample` wrote it before the batched writer: one
@@ -344,6 +375,46 @@ class TestEstimateCommand:
                      f"contrast:{weights}", "--arms", "3"]) == 2
         assert ("error: --estimand contrast needs 3 comma-separated float values, "
                 f"got {weights!r}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options,spec", [
+        (["arm:2"], EstimandSpec.arm(2, 3)),
+        (["contrast:1,-1,0.5"], EstimandSpec.contrast([1.0, -1.0, 0.5], 3)),
+        (["continuous", "--weight", "interval:-0.5,1"],
+         EstimandSpec.continuous(WeightFn.interval(-0.5, 1.0))),
+        (["continuous", "--weight", "first_derivative:0.2,1.5"],
+         EstimandSpec.continuous(WeightFn.first_derivative(0.2, 1.5))),
+        (["continuous", "--weight", "second_derivative"],
+         EstimandSpec.continuous(WeightFn.second_derivative()))],
+        ids=["arm", "contrast", "interval", "first_derivative", "second_derivative"])
+    def test_prints_the_library_estimate(self, tmp_path, capsys, options, spec):
+        gen = np.random.default_rng(4)
+        t = gen.standard_normal(30)
+        path = tmp_path / "records.csv"
+        records_to_csv(path, ExperimentRecords(Y=gen.standard_normal(30), T=t,
+                                               D=discretize(t, quantile_thresholds(3))))
+        assert main(["estimate", "--records", str(path), "--arms", "3",
+                     "--estimand", *options]) == 0
+        value = spec.estimate(records_from_csv(path))
+        assert capsys.readouterr().out == f"{spec.label},{value:.17g}\n"
+
+    @pytest.mark.parametrize("estimand", ["arm:1", "contrast:1,-1"])
+    def test_header_only_records_is_input_error(self, tmp_path, capsys, estimand):
+        path = tmp_path / "empty.csv"
+        path.write_text("unit,T,D,Y\n")
+        assert main(["estimate", "--records", str(path), "--estimand", estimand,
+                     "--arms", "2"]) == 2
+        assert "error: no experimental records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight,message", [
+        ("interval:1", "bad --weight spec 'interval:1'"),
+        ("interval:1,x", "bad --weight spec 'interval:1,x'"),
+        ("first_derivative:0,-1", "bad --weight spec 'first_derivative:0,-1'"),
+        ("cubic", "unknown weight tag 'cubic'"),
+        ("cubic:0,1", "unknown weight tag 'cubic'")])
+    def test_bad_weight_is_usage_error(self, records, capsys, weight, message):
+        assert main(["estimate", "--records", str(records), "--estimand", "continuous",
+                     "--weight", weight]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_bad_estimand(self, records):
         assert main(["estimate", "--records", str(records),

@@ -159,6 +159,14 @@ class TestFactorType:
         assert (factor_from_rows(ordinary).rows.tobytes()
                 == (ordinary / np.linalg.norm(ordinary, axis=1, keepdims=True)).tobytes())
 
+    def test_nan_row_leaves_the_others_plain(self):
+        # a NaN norm fails both tests of the all-ordinary fast path
+        rows = np.random.default_rng(2).standard_normal((4, 3))
+        rows[2, 1] = np.nan
+        norms = _row_norms(rows)
+        assert np.isnan(norms[2])
+        assert norms[[0, 1, 3]].tobytes() == np.linalg.norm(rows[[0, 1, 3]], axis=1).tobytes()
+
 
 def test_csv_round_trips(tmp_path):
     fac = block_factor([0, 1, 0, 1], 0.25)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import gaussdesign.rng as grng
+from gaussdesign.covmap import discretize, quantile_thresholds
 from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, WeightFn,
                                     ht_arm, ht_contrast, ht_continuous,
                                     records_from_csv, records_to_csv,
@@ -325,6 +327,75 @@ def test_estimand_spec_validation():
     assert spec.arm_weights.tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(ValueError):
         EstimandSpec.continuous(WeightFn.first_derivative()).arm_weights
+
+
+class TestEstimandSpecEstimate:
+    """Every estimand scores one experiment through EstimandSpec.estimate,
+    checked against the estimator's formula summed with math.fsum; numpy's
+    sum differs from it by at most n eps sum_i |term_i|."""
+
+    N, K = 41, 3
+
+    def _records(self, with_arms):
+        gen = np.random.default_rng(5)
+        t = gen.standard_normal(self.N)
+        arms = discretize(t, quantile_thresholds(self.K))
+        y = gen.standard_normal(self.N) + arms
+        return ExperimentRecords(Y=y, T=t, D=arms if with_arms else None), arms
+
+    @pytest.mark.parametrize("with_arms", [True, False], ids=["D", "T_only"])
+    @pytest.mark.parametrize("spec", [EstimandSpec.arm(2, 3),
+                                      EstimandSpec.contrast([1.0, -0.5, 0.25], 3)],
+                             ids=["arm", "contrast"])
+    def test_discrete_is_the_arm_weighted_sum(self, spec, with_arms):
+        # (K/n) sum_i w_{D_i} Y_i; T-only records take their arms from discretize
+        rec, arms = self._records(with_arms)
+        terms = [spec.arm_weights[d - 1] * y for d, y in zip(arms, rec.Y)]
+        scale = self.K / self.N
+        eps = np.finfo(float).eps
+        assert spec.estimate(rec) == pytest.approx(
+            scale * math.fsum(terms), rel=0, abs=scale * self.N * eps * math.fsum(map(abs, terms)))
+
+    @pytest.mark.parametrize("weight,w", [
+        (WeightFn.interval(-0.5, 1.0),
+         lambda t: (-0.5 <= t <= 1.0) / (1.5 * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi))),
+        (WeightFn.first_derivative(0.2, 1.5), lambda t: (t - 0.2) / 1.5 ** 2),
+        (WeightFn.second_derivative(-0.1, 0.8),
+         lambda t: ((t + 0.1) ** 2 / 0.8 ** 2 - 1.0) / 0.8 ** 2),
+    ], ids=["interval", "first_derivative", "second_derivative"])
+    def test_continuous_is_the_weighted_mean(self, weight, w):
+        # (1/n) sum_i Y_i w(T_i); each w(T_i) may be a few ulp off the formula
+        rec, _ = self._records(False)
+        terms = [y * w(t) for t, y in zip(rec.T, rec.Y)]
+        eps = np.finfo(float).eps
+        assert EstimandSpec.continuous(weight).estimate(rec) == pytest.approx(
+            math.fsum(terms) / self.N, rel=0,
+            abs=(self.N + 8) * eps * math.fsum(map(abs, terms)) / self.N)
+
+    @pytest.mark.parametrize("spec", [EstimandSpec.arm(1, 3),
+                                      EstimandSpec.contrast([0.5, 0.5, -1.0], 3),
+                                      EstimandSpec.continuous(WeightFn.second_derivative())],
+                             ids=["arm", "contrast", "continuous"])
+    def test_block_rows_score_as_experiments(self, spec):
+        # estimates scores a (B, n) replicate block row by row, bit for bit
+        t = grng.normals(8, np.arange(6), self.N)
+        arms = discretize(t, quantile_thresholds(self.K))
+        y = np.sin(3.0 * t) + arms
+        block = spec.estimates(arms, t, y)
+        assert block.shape == (6,)
+        assert block.tolist() == [spec.estimate(ExperimentRecords(Y=y[b], T=t[b], D=arms[b]))
+                                  for b in range(6)]
+
+
+def test_estimand_specs_compare_by_value_and_hash():
+    # the weights are held as a tuple: an array made == raise and hash fail
+    assert (EstimandSpec.contrast([1, -1, 0], 3)
+            == EstimandSpec.contrast(np.array([1.0, -1.0, 0.0]), 3))
+    assert EstimandSpec.contrast([1, -1, 0], 3) != EstimandSpec.contrast([1, 0, -1], 3)
+    assert len({EstimandSpec.arm(1, 3), EstimandSpec.arm(1, 3), EstimandSpec.arm(2, 3)}) == 2
+    spec = EstimandSpec.arm(1, 3)
+    spec.arm_weights[0] = 5.0   # writes the caller's copy only
+    assert spec.arm_weights.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestRecordsValidation:

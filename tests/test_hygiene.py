@@ -34,9 +34,13 @@ KEPT = {
                         "its rows; the tests' way to make random factors",
     "block_factor": "the block-equicorrelation designs of the acceptance suite "
                     "(matched pairs)",
+    "sample": "the library's draw of B treatment vectors as one array; the CLI "
+              "writes the same rows chunk by chunk",
     "validate": "checks that a user's Sigma lies on the elliptope; the tests' "
                 "PSD oracle",
     "records_to_csv": "writes the record files that estimate and ci read",
+    "ht_continuous": "the public HT estimate of a continuous estimand, beside "
+                     "ht_arm and ht_contrast",
     "mehler_series": "the Hermite-series covariance of two transforms, the "
                      "reference for continuous_cov_maps",
     "normalized_hermite": "the normalized Hermite polynomials behind the "

@@ -632,15 +632,17 @@ class TestStreamedReplicates:
         return w
 
     def test_chunks_tile_the_replicates(self):
-        factor, _ = _streamed_case(self.N, 3, 0)
-        B = 2 * self.CHUNK + 3
-        chunks = list(elliptope._draw_chunks(factor, B, 4))
-        assert [(lo, hi) for lo, hi, _ in chunks] == [
-            (0, self.CHUNK), (self.CHUNK, 2 * self.CHUNK), (2 * self.CHUNK, B)]
-        whole = sample(factor, B, 4).draws
-        # equal up to the last bit of a BLAS product
-        np.testing.assert_allclose(np.vstack([c for _, _, c in chunks]), whole,
-                                   rtol=0, atol=1e-14)
+        # shapes where BLAS rounds some rows of z V^T differently with the
+        # number of rows in one product: sample draws through the same chunks
+        for n, k in [(self.N, 7), (801, 20)]:
+            factor, _ = _streamed_case(n, 3, 0, k)
+            chunk = elliptope._DRAW_POINTS // n
+            B = 2 * chunk + 3
+            chunks = list(elliptope._draw_chunks(factor, B, 4))
+            assert [(lo, hi) for lo, hi, _ in chunks] == [
+                (0, chunk), (chunk, 2 * chunk), (2 * chunk, B)]
+            whole = sample(factor, B, 4).draws
+            assert np.array_equal(np.vstack([c for _, _, c in chunks]), whole)
 
     @pytest.mark.parametrize("K", [2, 3, 5])
     @pytest.mark.parametrize("B", [100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])

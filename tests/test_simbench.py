@@ -656,7 +656,7 @@ class TestMcCoverage:
         for records, arms in zip(seen, expected):
             assert records.T is None
             assert np.array_equal(records.D, arms)
-            assert np.array_equal(records.Y, sc.observed_outcomes(arms))
+            assert np.array_equal(records.Y, sc.outcomes(arms, None))
 
     def test_normal_ci_clt_coverage(self):
         # bounded outcomes, i.i.d. design, n = 200: normal CI on the arm
@@ -776,7 +776,7 @@ def test_scenario_responses_shape():
     out = sc.responses(np.array([0.0, 1.0, 2.0]))
     assert out.shape == (12, 3)
     t = grng.normals(0, np.arange(4), 12)
-    assert sc.response_at(t).shape == (4, 12)
+    assert sc.outcomes(None, t).shape == (4, 12)
 
 
 def test_benchmark_row_invariants():
