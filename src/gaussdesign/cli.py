@@ -22,9 +22,8 @@ from .elliptope import identity_factor, load_factor
 from .estimators import (EstimandSpec, WeightFn, records_from_csv, rescale_treatment,
                          write_rows)
 from .hermite import continuous_cov_maps
-from .inference import (ContinuousModelSpec, EmptyArmError, normal_ci,
-                        randomization_ci_continuous, randomization_ci_discrete,
-                        variance_ht_arm)
+from .inference import (ContinuousModelSpec, EmptyArmError, aronow_samii_bound, normal_ci,
+                        randomization_ci_continuous, randomization_ci_discrete)
 from .optimizer import (DesignProblem, FixedStep, OptimizationError,
                         discrete_problem, pgd_gauss)
 from .simbench import run_scenario
@@ -263,9 +262,9 @@ def cmd_ci(args):
     spec = _estimand_from_args(args)
     point = spec.estimate(records)
     if args.method == "normal":
-        if spec.kind != "arm":
-            raise UsageError("the normal CI applies to single-arm estimands")
-        report = variance_ht_arm(records, factor, spec.k, spec.K)
+        if spec.w is None:
+            raise UsageError("the normal CI needs an arm or contrast estimand")
+        report = aronow_samii_bound(records, factor, spec.arm_weights, spec.K)
         if not report.well_defined:
             raise ComputeError(
                 f"variance estimator not well-defined: minimum joint probability "
@@ -275,7 +274,7 @@ def cmd_ci(args):
                 f"variance estimate {_fmt(report.point)} is negative; the "
                 f"unbiased estimator gives no normal interval for this sample")
         interval = normal_ci(point, report.point, records.n, args.alpha)
-    elif spec.kind == "continuous":
+    elif spec.w is None:
         model = ContinuousModelSpec(
             regressors=_model_regressors(args.model or "1,x,t"),
             weight=spec.weight)

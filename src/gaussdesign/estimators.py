@@ -84,9 +84,7 @@ class EstimandSpec:
     and is scored as (1/n) sum_i Y_i w(T_i).  w is a tuple, so specs compare
     by value and hash."""
 
-    kind: str
     K: int = None
-    k: int = None
     w: tuple = None
     weight: WeightFn = None
     label: str = ""
@@ -96,7 +94,7 @@ class EstimandSpec:
         if not 1 <= k <= K:
             raise ValueError(f"arm index {k} out of range 1..{K}")
         w = tuple(float(j == k) for j in range(1, K + 1))
-        return cls(kind="arm", K=int(K), k=int(k), w=w, label=label or f"arm_{k}")
+        return cls(K=int(K), w=w, label=label or f"arm_{k}")
 
     @classmethod
     def contrast(cls, w, K, label=None):
@@ -105,11 +103,11 @@ class EstimandSpec:
             raise ValueError(f"contrast needs {K} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("contrast weights must be finite")
-        return cls(kind="contrast", K=int(K), w=tuple(w.tolist()), label=label or "contrast")
+        return cls(K=int(K), w=tuple(w.tolist()), label=label or "contrast")
 
     @classmethod
     def continuous(cls, weight: WeightFn, label=None):
-        return cls(kind="continuous", weight=weight, label=label or weight.tag)
+        return cls(weight=weight, label=label or weight.tag)
 
     @property
     def arm_weights(self):
@@ -231,6 +229,10 @@ def records_to_csv(path, records: ExperimentRecords):
 def records_from_csv(path) -> ExperimentRecords:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        idx = {name: j for j, name in enumerate(header)}
+        for required in ("unit", "Y"):
+            if required not in idx:
+                raise ValueError(f"records CSV missing column {required!r}")
         rows = []
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
@@ -239,11 +241,12 @@ def records_from_csv(path) -> ExperimentRecords:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: {len(row)} fields, but the header "
                                  f"has {len(header)}")
+            # records pair with factor rows by position, so the ids must be
+            # 1..n in file order (what records_to_csv writes)
+            if row[idx["unit"]] != str(len(rows) + 1):
+                raise ValueError(f"{path}:{lineno}: unit id {row[idx['unit']]!r}, expected "
+                                 f"{len(rows) + 1}: units must be 1..n in file order")
             rows.append(row)
-    idx = {name: j for j, name in enumerate(header)}
-    for required in ("unit", "Y"):
-        if required not in idx:
-            raise ValueError(f"records CSV missing column {required!r}")
     Y = np.array([float(r[idx["Y"]]) for r in rows])
     T = D = None
     if "T" in idx and any(r[idx["T"]] for r in rows):

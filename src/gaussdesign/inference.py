@@ -1,22 +1,24 @@
 """Design-based uncertainty for Gaussianized designs.
 
-Variance of the arm estimator is estimated by inverse-probability weighting
-over unit pairs,
+One estimator gives the variance of every arm and contrast estimator
+tau_hat_w = (K/n) sum_i w_{D_i} Y_i.  Its own-arm part weights each pair
+of units by the inverse of its joint probability,
 
-    V_hat = (K^2/n) sum_{i,j} Y_i Y_j f_k(Sigma_ij)
-            * 1{D_i = k, D_j = k} / (f_k(Sigma_ij) + 1/K^2),
+    V_hat = (K^2/n) sum_{i,j} u_i u_j f_{D_i,D_j}(Sigma_ij)
+            / (f_{D_i,D_j}(Sigma_ij) + 1/K^2),    u_i = w_{D_i} Y_i,
 
-using the joint-probability identity P(D_i = k, D_j = k) =
-f_k(Sigma_ij) + 1/K^2 (which also covers i = j, where it equals 1/K).
-Normal confidence intervals are tau_hat +- z_{alpha/2} sqrt(V_hat / n).
+using the joint-probability identity P(D_i = k, D_j = l) =
+f_{k,l}(Sigma_ij) + 1/K^2 (which also covers i = j, k = l, where it equals
+1/K).  The same-unit cross-arm terms are not estimable, so the conservative
+bound of Aronow & Samii (Survey Methodology 39, 2013) replaces
+-(1/n) sum_{k!=l} w_k w_l sum_i Y_i(k) Y_i(l) with the observable
+(1/2n) sum_{k!=l} |w_k||w_l| sum_i (Y_i(k)^2 + Y_i(l)^2).  An arm k is the
+contrast w = e_k: its bound term is exactly 0, and V_hat is the unbiased
+Horvitz-Thompson estimate.  Normal confidence intervals are
+tau_hat +- z_{alpha/2} sqrt(V_hat / n).
 
-For weighted contrasts the same-unit cross-arm terms are not estimable, so a
-conservative variance bound is estimated instead (Aronow-Samii), replacing
--(1/n) sum_{k!=l} w_k w_l sum_i Y_i(k) Y_i(l) with the observable bound
-(1/2n) sum_{k!=l} |w_k||w_l| sum_i (Y_i(k)^2 + Y_i(l)^2).
-
-Both estimators and the design variance (K^2/n) Y(k)^T f_k(Sigma) Y(k)
-sum the pairs i < j of each block of Sigma's upper triangle
+The estimator and the design variance (K^2/n) Y(k)^T f_k(Sigma) Y(k) sum
+the pairs i < j of each block of Sigma's upper triangle
 (covmap._reduce_symmetric) and add the diagonal: no n x n array is formed.
 
 As a less conservative alternative, randomization-based confidence intervals
@@ -29,7 +31,7 @@ chunk's arrays, never a B x n array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from . import blocks
 from .covmap import (_map_forms, _ndtri, _reduce_symmetric, discretize, f_arm, f_cross,
                      quantile_thresholds)
 from .elliptope import CorrelationFactor, _draw_chunks
-from .estimators import ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
+from .estimators import EstimandSpec, ExperimentRecords, WeightFn, _ht_arm_weights, _ht_weight
 
 _JOINT_GUARD = 1e-8
 _MIN_REPLICATES = 100
@@ -79,25 +81,10 @@ class IntervalReport:
 
 def variance_ht_arm(records: ExperimentRecords, factor: CorrelationFactor,
                     k, K) -> VarianceReport:
-    """Horvitz-Thompson estimate of n * Var(tau_hat_k) under the design."""
-    if factor.n != records.n:
-        raise ValueError("factor size does not match record count")
-    arms = records.arms(K)
-    unit = np.flatnonzero(arms == k)
-    if unit.size == 0:
-        return VarianceReport(point=0.0, well_defined=True,
-                              min_joint_prob=np.inf, kind="ht_arm_variance")
-    # Only pairs of arm-k units enter the estimator: each pair i < j twice,
-    # and the diagonal, where f_k(1) = 1/K - 1/K^2 and the joint is 1/K.
-    y = records.Y[unit]
-    min_joint, pairs = _ipw_pairs(factor.rows[unit], arms[unit], y, K)
-    min_joint = min(min_joint, 1.0 / K)
-    if min_joint <= _JOINT_GUARD:
-        return VarianceReport(point=None, well_defined=False,
-                              min_joint_prob=min_joint, kind="ht_arm_variance")
-    point = K ** 2 / records.n * ((1.0 - 1.0 / K) * float(y @ y) + 2.0 * pairs)
-    return VarianceReport(point=point, well_defined=True,
-                          min_joint_prob=min_joint, kind="ht_arm_variance")
+    """Horvitz-Thompson estimate of n * Var(tau_hat_k) under the design: the
+    bound at w = e_k, whose bound term is exactly 0."""
+    report = aronow_samii_bound(records, factor, EstimandSpec.arm(k, K).arm_weights, K)
+    return replace(report, kind="ht_arm_variance")
 
 
 def _ipw_pairs(rows, arms, u, K):
@@ -150,7 +137,8 @@ def normal_ci(tau_hat, var_hat, n, alpha) -> IntervalReport:
 
 def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
                        w, K) -> VarianceReport:
-    """Conservative estimator of n * Var(tau_hat_w) for a contrast w."""
+    """Conservative estimator of n * Var(tau_hat_w) for a contrast w
+    (unbiased for an arm, w = e_k)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (K,):
         raise ValueError(f"contrast needs {K} weights, got shape {w.shape}")
@@ -158,26 +146,25 @@ def aronow_samii_bound(records: ExperimentRecords, factor: CorrelationFactor,
         raise ValueError("factor size does not match record count")
     n = records.n
     arms = records.arms(K)
-    Y = records.Y
+    # Only units with w_{D_i} != 0 enter: every term of every other unit is 0.
+    unit = np.flatnonzero(w[arms - 1] != 0)
+    y = records.Y[unit]
+    u = w[arms[unit] - 1] * y
 
-    # Same-unit own-arm variance term, IPW by the 1/K marginal.
-    var_ind = (K - 1.0) / K ** 2
-    t1 = K ** 2 / n * float(np.sum(w[arms - 1] ** 2 * Y ** 2 * var_ind * K))
-
-    # Cross-unit term: each pair i != j once, twice (f_{l,k} = f_{k,l}).
-    min_joint, pairs = _ipw_pairs(factor.rows, arms, w[arms - 1] * Y, K)
+    # Own-arm terms: each pair i < j twice (f_{l,k} = f_{k,l}), and the
+    # diagonal, where f_k(1) = 1/K - 1/K^2 and the joint is 1/K.
+    min_joint, pairs = _ipw_pairs(factor.rows[unit], arms[unit], u, K)
     if min_joint <= _JOINT_GUARD:
         return VarianceReport(point=None, well_defined=False,
                               min_joint_prob=min_joint, kind="aronow_samii_bound")
-    t2 = 2.0 * K ** 2 / n * pairs
+    own = K ** 2 / n * ((1.0 - 1.0 / K) * float(u @ u) + 2.0 * pairs)
 
     # Bound replacing the inestimable same-unit cross-arm products; unit i
     # observes (K/n) Y_i^2 |w_{D_i}| (sum_l |w_l| - |w_{D_i}|) of it.
     absw = np.abs(w)
-    a = absw[arms - 1]
-    t3 = K / n * float(np.sum(Y ** 2 * a * (absw.sum() - a)))
-
-    return VarianceReport(point=t1 + t2 + t3, well_defined=True,
+    a = absw[arms[unit] - 1]
+    bound = K / n * float(np.sum(y ** 2 * a * (absw.sum() - a)))
+    return VarianceReport(point=own + bound, well_defined=True,
                           min_joint_prob=min_joint, kind="aronow_samii_bound")
 
 

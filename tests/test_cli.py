@@ -14,8 +14,9 @@ from gaussdesign.cli import main, parse_config
 from gaussdesign.covmap import (discretize, f_arm, f_cross, quantile_thresholds,
                                 weighted_discrete_map)
 from gaussdesign.elliptope import factor_from_rows, identity_factor, load_factor, save_factor
-from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, WeightFn, records_from_csv,
-                                    records_to_csv, rescale_treatment)
+from gaussdesign.estimators import (EstimandSpec, ExperimentRecords, WeightFn, ht_contrast,
+                                    records_from_csv, records_to_csv, rescale_treatment)
+from gaussdesign.inference import aronow_samii_bound, normal_ci
 
 
 @pytest.fixture
@@ -454,6 +455,57 @@ class TestCiCommand:
         row = capsys.readouterr().out.strip()
         assert row.startswith("normal,arm_1,")
 
+    @pytest.mark.parametrize("estimand,w", [("contrast:1,-1,0", [1.0, -1.0, 0.0]),
+                                            ("contrast:0.5,2,-1", [0.5, 2.0, -1.0]),
+                                            ("arm:2", [0.0, 1.0, 0.0])])
+    def test_normal_ci_is_the_library_interval(self, tmp_path, capsys, estimand, w):
+        # arms and contrasts alike: normal_ci of aronow_samii_bound
+        gen = np.random.default_rng(7)
+        n = 40
+        factor = factor_from_rows(gen.standard_normal((n, 4)))
+        t = factor.rows @ gen.standard_normal(4)
+        rec = ExperimentRecords(Y=gen.standard_normal(n) + 3.0, T=t,
+                                D=discretize(t, quantile_thresholds(3)))
+        rpath, fpath = tmp_path / "records.csv", tmp_path / "factor.csv"
+        records_to_csv(rpath, rec)
+        save_factor(fpath, factor)
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", "normal", "--estimand", estimand, "--arms", "3",
+                     "--alpha", "0.1"]) == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        back = records_from_csv(rpath)
+        point = ht_contrast(back, np.array(w), 3)
+        bound = aronow_samii_bound(back, load_factor(fpath), np.array(w), 3)
+        interval = normal_ci(point, bound.point, n, 0.1)
+        assert fields[2:5] == [f"{x:.17g}" for x in (point, interval.lower, interval.upper)]
+
+    def test_normal_ci_of_continuous_estimand_is_usage_error(self, tmp_path, capsys):
+        t = np.random.default_rng(8).standard_normal(10)
+        rpath, fpath = tmp_path / "records.csv", tmp_path / "factor.csv"
+        records_to_csv(rpath, ExperimentRecords(Y=t + 1.0, T=t))
+        save_factor(fpath, identity_factor(10))
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", "normal", "--estimand", "continuous"]) == 2
+        assert ("error: the normal CI needs an arm or contrast estimand"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("ids,line,bad", [((2, 1, 3), 2, "2"), ((1, 1, 3), 3, "1"),
+                                              ((1, "nan", 3), 3, "nan")],
+                             ids=["shuffled", "duplicate", "nan"])
+    def test_unit_ids_out_of_order_are_input_error(self, tmp_path, capsys, ids, line, bad):
+        # records pair with factor rows by position; ids other than 1..n in
+        # file order would pair them wrongly
+        body = "".join(f"{u},,{d},{y},{x}\n" for u, d, y, x in
+                       zip(ids, (1, 2, 3), (0.5, 1.0, 2.0), (0.1, -0.3, 0.7)))
+        rpath, fpath = tmp_path / "records.csv", tmp_path / "factor.csv"
+        rpath.write_text("unit,T,D,Y,x1\n" + body)
+        save_factor(fpath, identity_factor(3))
+        assert main(["ci", "--records", str(rpath), "--factor", str(fpath),
+                     "--method", "normal", "--estimand", "contrast:1,-1,0",
+                     "--arms", "3"]) == 2
+        assert (f"records.csv:{line}: unit id {bad!r}, expected {line - 1}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("arms", ["0", "-2", "1", "65"])
     def test_normal_ci_arm_count_out_of_range_is_usage_error(self, records, tmp_path,
                                                               capsys, arms):
@@ -503,7 +555,7 @@ class TestCiCommand:
         def fail(*args):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr("gaussdesign.cli.variance_ht_arm", fail)
+        monkeypatch.setattr("gaussdesign.cli.aronow_samii_bound", fail)
         fpath = tmp_path / "factor.csv"
         save_factor(fpath, identity_factor(12))
         code = main(["ci", "--records", str(records), "--factor", str(fpath),

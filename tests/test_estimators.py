@@ -234,6 +234,16 @@ class TestRecordsCsv:
         with pytest.raises(ValueError, match=f":4: {fields} fields, but the header has 5"):
             records_from_csv(path)
 
+    @pytest.mark.parametrize("ids,line", [("2,1", 2), ("1,1", 4), ("1,nan", 4),
+                                          ("1,2.0", 4), ("0,1", 2)])
+    def test_unit_ids_must_be_one_to_n_in_order(self, tmp_path, ids, line):
+        path = tmp_path / "r.csv"
+        first, second = ids.split(",")
+        # a blank line still counts toward the line number
+        path.write_text(f"unit,T,D,Y\n{first},,1,0.5\n\n{second},,2,1.5\n")
+        with pytest.raises(ValueError, match=f"r.csv:{line}: unit id "):
+            records_from_csv(path)
+
     @pytest.mark.parametrize("t,d,d_cols", [(True, True, 2), (False, True, 0),
                                             (True, False, 1), (False, False, 3)])
     def test_bytes_match_per_cell_writer(self, tmp_path, t, d, d_cols):

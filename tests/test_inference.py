@@ -73,6 +73,12 @@ class TestVarianceHtArm:
         rep = variance_ht_arm(rec, identity_factor(2), 1, 2)
         assert rep.well_defined and rep.point == 0.0
 
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_arm_index_out_of_range(self, k):
+        rec = ExperimentRecords(Y=np.ones(2), D=np.array([1, 2]))
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            variance_ht_arm(rec, identity_factor(2), k, 2)
+
 
 class TestTrueVariance:
     def test_identity_two_arm(self):
@@ -131,16 +137,17 @@ class TestAronowSamii:
         assert rep.point == 0.0
 
     def test_basis_weight_reduces_to_arm_variance(self):
-        # with w = e_k the cross-arm bound term vanishes and the estimator
-        # coincides with the arm variance estimator term by term
+        # with w = e_k the cross-arm bound term is exactly 0, and the arm
+        # variance estimator is the bound at that w, relabelled
         gen = np.random.default_rng(3)
         y = gen.standard_normal(6)
         rec = ExperimentRecords(Y=y, D=np.array([1, 2, 3, 1, 2, 3]))
         fac = block_factor([0, 0, 0, 1, 1, 1], -0.3)
-        w = np.array([0.0, 1.0, 0.0])
-        bound = aronow_samii_bound(rec, fac, w, 3)
-        direct = variance_ht_arm(rec, fac, 2, 3)
-        assert bound.point == pytest.approx(direct.point, rel=1e-12)
+        for k in range(1, 4):
+            bound = aronow_samii_bound(rec, fac, np.eye(3)[k - 1], 3)
+            direct = variance_ht_arm(rec, fac, k, 3)
+            assert (bound.kind, direct.kind) == ("aronow_samii_bound", "ht_arm_variance")
+            assert (bound.point, bound.min_joint_prob) == (direct.point, direct.min_joint_prob)
 
     def test_conservative_on_average(self):
         gen = np.random.default_rng(4)
@@ -291,6 +298,29 @@ def test_aronow_samii_guard_reached_through_reference():
         assert not rep.well_defined and rep.min_joint_prob <= _JOINT_GUARD
 
 
+def test_zero_weight_arm_units_do_not_enter_the_bound():
+    # an antithetic pair in arm 3 has joint probability 0, but w_3 = 0, so
+    # neither unit enters: the bound is the bound without them
+    gen = np.random.default_rng(6)
+    K, w = 3, np.array([1.0, -1.0, 0.0])
+    rows = gen.standard_normal((8, 3))
+    rows[6], rows[7] = rows[5], -rows[5]
+    factor = factor_from_rows(rows)
+    D = np.array([1, 2, 1, 2, 1, 2, 3, 3])
+    rec = ExperimentRecords(Y=gen.standard_normal(8), D=D)
+    got = aronow_samii_bound(rec, factor, w, K)
+    assert got.well_defined
+    keep = D != 3
+    # the records without those units are 6 of the 8, and the estimator
+    # scales by 1/n: compare n * V_hat
+    want = aronow_samii_bound(ExperimentRecords(Y=rec.Y[keep], D=D[keep]),
+                              CorrelationFactor(factor.rows[keep]), w, K)
+    assert 8 * got.point == pytest.approx(6 * want.point, rel=1e-13)
+    assert got.min_joint_prob == want.min_joint_prob
+    # the pair still trips the guard where its arm has weight
+    assert not aronow_samii_bound(rec, factor, np.array([1.0, 0.0, -1.0]), K).well_defined
+
+
 def test_aronow_samii_peak_memory():
     # Blocks of the gram stream through the cross term; no n x n array.
     # Measured: 5.5 MB on one worker, 7.6-8.2 MB on four (8 n^2 = 5.1 MB);
@@ -342,13 +372,15 @@ def _edge_case(n, k, seed, K=3):
 
 
 def _dense_variance_ht_arm(records, factor, k, K):
-    """(point, minimum joint probability) of variance_ht_arm from the dense
-    map of the arm-k rows."""
+    """(point, minimum joint probability over pairs i != j) of
+    variance_ht_arm from the dense map of the arm-k rows."""
     unit = np.flatnonzero(records.arms(K) == k)
     F = apply_map(f_arm(K, k), CorrelationFactor(factor.rows[unit]))
     joint = F + 1.0 / K ** 2
     y = records.Y[unit]
-    return K ** 2 / records.n * float(np.sum(np.outer(y, y) * F / joint)), float(joint.min())
+    pairs = joint[~np.eye(unit.size, dtype=bool)]
+    return (K ** 2 / records.n * float(np.sum(np.outer(y, y) * F / joint)),
+            float(pairs.min()) if pairs.size else np.inf)
 
 
 @pytest.mark.parametrize("k", [9, 80])
