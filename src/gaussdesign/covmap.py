@@ -508,7 +508,7 @@ def _reduce_symmetric(rows, block_fn):
     runs it on the calling worker.  The partials are bit-identical on any
     worker count; one block per worker is in flight."""
     rows = np.ascontiguousarray(rows)
-    return blocks.over_upper(rows.shape[0], partial(_reduce_block, rows, block_fn))
+    return _formed_blocks(rows.shape[0], partial(_rows_block, rows), block_fn)
 
 
 def _held_blocks(g, block_fn):
@@ -521,6 +521,18 @@ def _held_blocks(g, block_fn):
         return block_fn(b, gb)
 
     return blocks.over_upper(g.shape[0], block)
+
+
+def _formed_blocks(n, form, block_fn):
+    """_reduce_symmetric's partials from the n x n gram whose block b
+    ``form(b, out)`` writes to the block temporary out and returns, masked
+    (_mask_lower) as _held_blocks masks it: the gram is never held whole."""
+    def block(b):
+        rows, cols = b
+        gb = form(b, np.empty((rows.stop - rows.start, cols.stop - cols.start)))
+        return block_fn(b, _mask_lower(gb, b))
+
+    return blocks.over_upper(n, block)
 
 
 def _panel(k):
@@ -551,12 +563,10 @@ def _mask_lower(g, b):
     return g
 
 
-def _reduce_block(rows, block_fn, b):
+def _rows_block(rows, b, out):
+    """Block b of the gram of ``rows``, clamped to [-1, 1], written to out."""
     r, c = b
-    left, right = rows[r], rows[c]
-    g = _panel_product(left, right, np.empty((left.shape[0], right.shape[0])))
-    np.clip(g, -1.0, 1.0, out=g)
-    return block_fn(b, _mask_lower(g, b))
+    return np.clip(_panel_product(rows[r], rows[c], out), -1.0, 1.0, out=out)
 
 
 def _sum_forms(over_blocks, maps, X, diag):
@@ -564,10 +574,10 @@ def _sum_forms(over_blocks, maps, X, diag):
     design criterion, the balance measure and the design variance.  S sums
     X_rows^T f(g_b) X_cols over the blocks b = (rows, cols) of
     ``over_blocks(block_fn)`` (_reduce_symmetric's partials from the rows,
-    _held_blocks' from a held gram), in block order, with g_b 0 on and below
-    the diagonal; D = f(1) X^T X (``diag``, see _diagonal_forms) is the
-    diagonal's part.  Each form is exactly symmetric and bit-identical on
-    any worker count."""
+    _held_blocks' from a held gram, _formed_blocks' from a gram's blocks),
+    in block order, with g_b 0 on and below the diagonal; D = f(1) X^T X
+    (``diag``, see _diagonal_forms) is the diagonal's part.  Each form is
+    exactly symmetric and bit-identical on any worker count."""
     def block(b, g):
         F = np.empty_like(g)
         return [X[b[0]].T @ m.eval(g, out=F) @ X[b[1]] for m in maps]

@@ -30,11 +30,14 @@ V - eta G V without its overflow.
 
 Every iteration makes the same calls.  An iterate has ``trials(G)``, the
 trials of one iteration at its gradient G, and ``factor()``, its rows as a
-checked factor; the trials have ``gnorm`` = ||G||, ``gram(eta)``, the gram
-of the step eta, and ``accept(eta)``, the next iterate.  An iterate held as
-its rows (_Dense: any start, and every stepped iterate) forms G V in
-``trials`` and steps its rows per trial and once more on acceptance, as
-above.
+checked factor; the trials have ``gnorm`` = ||G||, ``trial(eta)``, the gram
+of the step eta, and ``accept(eta)``, the next iterate.  A trial's gram has
+``blocks``, the block source of its term matrices (covmap._sum_forms), and
+``form()``, the gram itself, which the loop asks of the accepted trial only
+when another iteration follows.  An iterate held as its rows (_Dense: any
+start, and every stepped iterate) forms G V in ``trials`` and steps its rows
+per trial and once more on acceptance, as above; its trial grams are held
+(_Held).
 
 The identity start (every caller's) has closed forms that need one O(n^3)
 product in its first two iterations and evaluate no map on I.  Every map
@@ -42,29 +45,36 @@ vanishes at 0, so the start's terms are f_j(1) X^T X.  At I, f_j' is the
 constant f_j'(0), so the first gradient G = B S B^T minus its diagonal is
 of rank r (r = d for the nuclear norm, one per map for the operator norm);
 it is not formed, which is pgd_gauss's one branch: the first iteration's
-trials (_IdentityStart) form each trial gram from that form in O(n^2 r) on
-the blocks of the upper triangle.  They accept the iterate V = diag(a) +
-L B^T (_ClosedRows), whose ``trials(G)`` form one product H = (G diag a)
-(G diag a)^T, shared by every trial of the second iteration, so each of its
-trial grams (alpha I - beta G) V V^T (alpha I - beta G) costs O(n^2 r)
-more; a trial whose squared row norm is at most _ZERO_ROW^2 steps its rows
-instead, so collapse is handled as in _step_rows.  Their ``accept`` forms
-and checks the rows once, as a _Dense iterate: every later iteration, and
-every iteration from any other start, is a _Dense one.
+trials (_IdentityStart) give each block of a trial gram from that form in
+O(n^2 r).  They accept the iterate V = diag(a) + L B^T (_ClosedRows), whose
+``trials(G)`` form one product H = (G diag a^2) G^T on the row strips of
+the upper triangle (_upper_strips), shared by every trial of the second
+iteration, so each block of its trial grams (alpha I - beta G) V V^T
+(alpha I - beta G) costs O(n^2 r) more; a trial whose squared row norm is
+at most _ZERO_ROW^2 steps its rows instead, so collapse is handled as in
+_step_rows.  Each closed form has one block function, which feeds the
+streamed term matrices (_Streamed) and writes the accepted gram.  Their
+``accept`` forms and checks the rows once, as a _Dense iterate: every later
+iteration, and every iteration from any other start, is a _Dense one.
 
-Memory: at full rank every array below is n x n.  A trial keeps its step
-size, gram and term matrices and drops its rows once the gram is formed;
-the accepted trial's rows are stepped again from (V, G V, eta) by the same
-kernel, so they are the same bytes, at one O(n^2) step more per iteration;
-the trial checked them (CorrelationFactor), so they are not checked again.
-B_j B_j^T is never held whole: the gradient forms each block's tile from
-B_j (_offdiag_tile), and the default first step does so from X; the
-identity's closed forms hold B, n x r.  No map of a gram is held whole
-either: a trial's term matrices are summed block by block from f_j of its
-gram's blocks (_terms).  An iteration thus holds at most four n x n
-arrays: V, G V and two trial grams, or, in the identity's second
-iteration, G, H and two trial grams; the caller's start is one more while
-the caller holds it.
+Memory: at full rank every array below is n x n.  A _Dense trial keeps its
+step size, gram and term matrices and drops its rows once the gram is
+formed; the accepted trial's rows are stepped again from (V, G V, eta) by
+the same kernel, so they are the same bytes, at one O(n^2) step more per
+iteration; the trial checked them (CorrelationFactor), so they are not
+checked again.  B_j B_j^T is never held whole: the gradient forms each
+block's tile from B_j (_offdiag_tile), and the default first step does so
+from X; the identity's closed forms hold B, n x r.  No map of a gram is held
+whole either: a trial's term matrices are summed block by block from f_j of
+its gram's blocks (covmap._sum_forms).  A closed-form trial keeps its step
+size and term matrices only: its gram's blocks are formed one per worker,
+and the accepted gram is written whole only for the next gradient.  A
+general iteration thus holds at most four n x n arrays: V, G V and two
+trial grams.  The identity's first two iterations hold at most two: the
+accepted first gram and G, then G and H.  When a third iteration follows,
+the second's accepted gram is written before H is dropped, so G, H and that
+gram are held together once, and its accepted rows are formed after.  The
+caller's start is one more while the caller holds it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
@@ -103,9 +113,9 @@ from functools import partial
 import numpy as np
 
 from . import blocks
-from .covmap import (_diagonal_forms, _gram, _held_blocks, _map_symmetric, _mask_lower,
-                     _panel_product, _sum_forms, _syrk, _zero_diagonal, build_table, f_arm,
-                     weighted_discrete_map)
+from .covmap import (_diagonal_forms, _formed_blocks, _gram, _held_blocks, _map_symmetric,
+                     _mask_lower, _panel_product, _sum_forms, _zero_diagonal, build_table,
+                     f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor, _row_norms
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -378,9 +388,10 @@ class _Dense:
 
     ``trials(G)`` forms G V once and returns the iterate as its trials: the
     step eta's rows are _step_rows(V, G V, eta), checked (_checked) and
-    dropped once their gram is formed.  ``accept`` steps them again from
-    (V, G V, eta), the same bytes, which the trial checked, so they are not
-    checked again; ``factor`` wraps the rows of a stepped iterate once.
+    dropped once their gram is formed; the trial holds that gram (_Held).
+    ``accept`` steps them again from (V, G V, eta), the same bytes, which
+    the trial checked, so they are not checked again; ``factor`` wraps the
+    rows of a stepped iterate once.
     """
 
     def __init__(self, rows, start=None):
@@ -393,11 +404,41 @@ class _Dense:
         self.gnorm, self.GV = float(np.linalg.norm(G)), G @ self.rows
         return self
 
-    def gram(self, eta):
-        return _gram(_checked(*_step_rows(self.rows, self.GV, eta)).rows)
+    def trial(self, eta):
+        return _Held(_gram(_checked(*_step_rows(self.rows, self.GV, eta)).rows))
 
     def accept(self, eta):
         return _Dense(_step_rows(self.rows, self.GV, eta)[0])
+
+
+class _Held:
+    """A trial's gram g, held whole: its blocks are covmap._held_blocks'."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def blocks(self, block_fn):
+        return _held_blocks(self.g, block_fn)
+
+    def form(self):
+        return self.g
+
+
+class _Streamed:
+    """A trial's n x n gram known by its block function: ``fill(b, out)``
+    writes block b of the gram, as _gram forms it, to out and returns it.
+    Its blocks are formed one per worker (covmap._formed_blocks), so the
+    gram is held only when ``form`` writes it (covmap._map_symmetric)."""
+
+    def __init__(self, n, fill):
+        self.n, self.fill = n, fill
+
+    def blocks(self, block_fn):
+        return _formed_blocks(self.n, self.fill, block_fn)
+
+    def form(self):
+        g = np.empty((self.n, self.n))
+        return _map_symmetric(lambda b: self.fill(b, g[b]), g)
 
 
 def _finish(gb, b, inv):
@@ -414,6 +455,7 @@ def _finish(gb, b, inv):
         lower = blocks.lower(square.shape[0])
         square[lower] = square.T[lower]
         np.fill_diagonal(square, 1.0)
+    return gb
 
 
 class _IdentityStart:
@@ -474,25 +516,41 @@ class _IdentityStart:
         return (beta, alpha + beta * self.diag,
                 1.0 / np.hypot(alpha, beta * np.sqrt(self.row_sq)))
 
-    def gram(self, eta):
+    def trial(self, eta):
         """The gram of the step eta, clamped to [-1, 1] with a unit diagonal
-        and exactly symmetric, as _gram forms it."""
+        and exactly symmetric, as _gram forms it, by its blocks (_Streamed)."""
         beta, E, inv = self._parts(eta)
         left = np.hstack([beta * beta * self.BSBBS - (beta * E)[:, None] * self.BS,
                           -beta * self.BS])
         right = np.hstack([self.B, E[:, None] * self.B])
-        g = np.empty((self.B.shape[0],) * 2)
 
-        def block(b):
+        def fill(b, out):
             rows, cols = b
-            _finish(_panel_product(left[rows], right[cols], g[b]), b, inv)
+            return _finish(_panel_product(left[rows], right[cols], out), b, inv)
 
-        return _map_symmetric(block, g)
+        return _Streamed(self.B.shape[0], fill)
+
+    def gram(self, eta):
+        return self.trial(eta).form()
 
     def accept(self, eta):
         """The rows of the step eta, V = diag(a) + L B^T."""
         beta, E, inv = self._parts(eta)
         return _ClosedRows(self.B, E * inv, self.BS * (-beta * inv)[:, None])
+
+
+def _upper_strips(G, w):
+    """H = (G diag w) G^T on its row strips from the diagonal on: for each
+    ROW_BLOCK rows lo:hi, columns lo onwards, which hold the blocks of
+    blocks.over_upper and the diagonal.  The rest of H is not written.
+    Each strip is one product on the BLAS library's threads, and its left
+    factor G[lo:hi] w is the only copy of G's entries."""
+    n = G.shape[0]
+    H = np.empty((n, n))
+    for lo in range(0, n, blocks.ROW_BLOCK):
+        hi = min(lo + blocks.ROW_BLOCK, n)
+        np.matmul(G[lo:hi] * w, G[lo:].T, out=H[lo:hi, lo:])
+    return H
 
 
 class _ClosedRows:
@@ -508,16 +566,17 @@ class _ClosedRows:
 
         beta^2 H - alpha beta (a_i^2 + a_j^2) G_ij + (Q M Q^T)_ij,
 
-    H = (G diag(a)) (G diag(a))^T and Q = alpha P - beta G P.  H, formed by
-    ``trials(G)``, is the one O(n^3) product of the first two iterations,
-    shared by every trial; the rest is O(n^2) per block and one product of
-    inner dimension 2r.  The squared row norms are alpha^2 a^2 +
-    beta^2 diag(H) + diag(Q M Q^T).  A trial with one at most _ZERO_ROW^2
-    steps its rows instead, so collapsed rows and their warning are those
-    of _step_rows.  ``accept`` steps the accepted rows once, row block by
-    row block: alpha V - beta G V = alpha diag(a) - beta G diag(a) +
-    (alpha L - beta G L) B^T (_form), checked once, here or by the trial
-    that stepped them, and returns them as a _Dense iterate.
+    H = G diag(a^2) G^T and Q = alpha P - beta G P.  H, formed by
+    ``trials(G)`` on the blocks the trials read (_upper_strips), is the one
+    O(n^3) product of the first two iterations, shared by every trial; the
+    rest is O(n^2) per block and one product of inner dimension 2r.  The
+    squared row norms are alpha^2 a^2 + beta^2 diag(H) + diag(Q M Q^T).
+    A trial with one at most _ZERO_ROW^2 steps its rows instead, so
+    collapsed rows and their warning are those of _step_rows.  ``accept``
+    steps the accepted rows once, row block by row block: alpha V - beta G V
+    = alpha diag(a) - beta G diag(a) + (alpha L - beta G L) B^T (_form),
+    checked once, here or by the trial that stepped them, and returns them
+    as a _Dense iterate.
     """
 
     def __init__(self, B, a, L):
@@ -536,7 +595,7 @@ class _ClosedRows:
     def trials(self, G):
         """The second iteration at its gradient G (held, not copied)."""
         self.G, self.gnorm = G, float(np.linalg.norm(G))
-        self.H = _syrk(G * self.a)
+        self.H = _upper_strips(G, self.a * self.a)
         self.H_diag = np.diagonal(self.H).copy()
         self.P = np.hstack([self.a[:, None] * self.B, self.L])
         self.GP = G @ self.P
@@ -564,28 +623,33 @@ class _ClosedRows:
     def _stepped(self, eta):
         return _step_blocks(self.G.shape, self._form, self.rows, eta)
 
-    def gram(self, eta):
-        """The gram of the step eta, as _gram forms it."""
+    def trial(self, eta):
+        """The gram of the step eta, as _gram forms it: by its blocks
+        (_Streamed), or held (_Held) when the trial steps its rows."""
         alpha, beta, QM, Q, sq = self._parts(eta)
         if np.any(sq <= _ZERO_ROW ** 2):
-            return _gram(_checked(*self._stepped(eta)).rows)
+            return _Held(_gram(_checked(*self._stepped(eta)).rows))
         inv = 1.0 / np.sqrt(sq)
         a2 = (alpha * beta) * self.a * self.a
-        g = np.empty(self.G.shape)
 
-        def block(b):
+        def fill(b, out):
             rows, cols = b
-            gb = _panel_product(QM[rows], Q[cols], g[b])
+            gb = _panel_product(QM[rows], Q[cols], out)
             t = np.add.outer(a2[rows], a2[cols])
             t *= self.G[b]
             gb -= t
             gb += np.multiply(self.H[b], beta * beta, out=t)
-            _finish(gb, b, inv)
+            return _finish(gb, b, inv)
 
-        return _map_symmetric(block, g)
+        return _Streamed(self.G.shape[0], fill)
+
+    def gram(self, eta):
+        return self.trial(eta).form()
 
     def accept(self, eta):
-        """The rows of the step eta as a _Dense iterate."""
+        """The rows of the step eta as a _Dense iterate; H is dropped
+        first, as the rows need only G and G P."""
+        del self.H
         sq = self._parts(eta)[-1]
         stepped = self._stepped(eta)
         return _Dense(stepped[0] if np.any(sq <= _ZERO_ROW ** 2) else _checked(*stepped).rows)
@@ -712,7 +776,7 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     Maps are tabulated on entry (the objective touches all n^2 entries every
     iteration).  Each iteration forms G = sum_j w_j^2 (B_j B_j^T - diag) o
     f_j'(V V^T) (see _gradient), takes the iterate's trials at G
-    (``trials(G)``) and hands the trial ``try_eta``, the trials' ``gram(eta)``
+    (``trials(G)``) and hands the trial ``try_eta``, the trials' ``trial(eta)``
     and its objective, to ``step_policy.search`` (default Backtracking from
     default_eta0), which returns the accepted candidate, its objective, eta
     and the halvings; the trials' ``accept(eta)`` is the next iterate, and
@@ -723,7 +787,9 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
 
     Each factor's gram is formed once: the objective of every map and, for
     the accepted factor, the next gradient's f' read it.  A trial keeps its
-    step size, gram and term matrices only.  An iterate held as its rows
+    step size, gram and term matrices only, and a closed-form trial not even
+    its gram: the accepted one is written from its blocks when another
+    iteration follows.  An iterate held as its rows
     (_Dense, the start and every stepped iterate) forms G V once per
     iteration; each trial step is the row-normalized alpha V - beta G V
     (see _scales), whose rows are dropped once its gram is formed, and the
@@ -740,12 +806,15 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     trials are the second iteration's, also in closed form; so the first two
     iterations step no trial's rows, each trial gram equals the stepped
     rows' gram up to rounding, and their only O(n^3) product is H = (G
-    diag a)(G diag a)^T at the second gradient G.  The first iteration's
-    accepted rows are formed only if the run ends there; the second's are
-    formed and checked once.  The term matrices are summed over the blocks
-    of a gram (see _terms), so no map of a gram is held whole, and at full
-    rank an iteration holds at most four n x n arrays: V, G V (G and H in
-    the second) and two trial grams.  A step size must be finite and
+    diag a^2) G^T at the second gradient G, on the strips of the upper
+    triangle.  The first iteration's accepted rows are formed only if the
+    run ends there; the second's are formed and checked once.  The term
+    matrices are summed over the blocks of a gram (see covmap._sum_forms),
+    so no map of a gram is held whole, and at full rank a general iteration
+    holds at most four n x n arrays: V, G V and two trial grams.  The
+    identity's first two iterations hold at most two at a time, and three
+    once when a third iteration follows (see the module's Memory
+    paragraph).  A step size must be finite and
     nonnegative, or ValueError is raised where it is first used.  ``init``
     is not held past the first accepted step; a caller that does not hold
     it either frees it there.
@@ -761,6 +830,7 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     """
     if iters < 0:
         raise ValueError("iteration count must be nonnegative")
+    iters = int(iters)
     _check_size(problem, init)
     work = _tabulated(problem)
     diag = _diagonal_forms(work.maps, work.X)
@@ -777,7 +847,7 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
         step_policy = Backtracking(eta0=default_eta0(work))
     it, eta = _Dense(init.rows, init), None
     del init   # so a start the caller does not hold is freed after the first accepted step
-    for t in range(1, int(iters) + 1):
+    for t in range(1, iters + 1):
         leading = _leading(work, terms)[0] if work.norm == "op" else None
         if g is None:   # the identity's first iteration: G is not formed
             trials = _IdentityStart(work, leading)
@@ -788,24 +858,28 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
             del grad
         if trials.gnorm < _GRAD_TOL:
             break
-        try_eta = partial(_trial, work, diag, trials.gram, t, trace)
+        try_eta = partial(_trial, work, diag, trials.trial, t, trace)
         cand, obj, eta, halvings = step_policy.search(eta, obj, try_eta)
         trace.rows.append(TraceRow(t, obj, eta, trials.gnorm, halvings))
         if cand is None:
             # No descent step within the halving budget: the gradient is
             # stale at this point, so further iterations cannot help.
             break
-        (g, terms), it = cand, trials.accept(eta)
-        del cand, trials, try_eta
+        gram, terms = cand
+        g = gram.form() if t < iters else None   # the next gradient reads it
+        del cand, gram, try_eta
+        it = trials.accept(eta)
+        del trials
     return it.factor(), trace
 
 
-def _trial(work, diag, gram, t, trace, eta):
-    """((gram, terms), objective) of the step eta, its gram from
-    ``gram(eta)`` and its terms' diagonal part ``diag``."""
-    g = gram(eta)
-    terms = _terms(work, g, diag)
+def _trial(work, diag, trial, t, trace, eta):
+    """((gram, terms), objective) of the step eta: its gram ``trial(eta)``
+    (_Held or _Streamed) and the terms summed over its blocks, their
+    diagonal part ``diag``."""
+    gram = trial(eta)
+    terms = _sum_forms(gram.blocks, work.maps, work.X, diag)
     obj = _objective(work.weights, work.norm, terms)
     if not np.isfinite(obj):
         raise OptimizationError(f"objective non-finite at iteration {t}", trace)
-    return (g, terms), obj
+    return (gram, terms), obj

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -482,8 +483,8 @@ def _ref_identity_start(problem):
     B^T with E = alpha + beta diag(A), and the accepted rows are
     V = diag(a) + L B^T.  Iteration 2 at the dense gradient G: the trial
     gram is (alpha I - beta G) V V^T (alpha I - beta G) off the diagonal,
-    beta^2 H - alpha beta (a_i^2 + a_j^2) G + Q M Q^T with H = (G diag a)
-    (G diag a)^T, P = [diag(a) B, L], Q = alpha P - beta G P and
+    beta^2 H - alpha beta (a_i^2 + a_j^2) G + Q M Q^T with H = (G diag a^2)
+    G^T, P = [diag(a) B, L], Q = alpha P - beta G P and
     M = [[0, I], [I, B^T B]]; the accepted rows are stepped from V and
     G V = G diag(a) + (G L) B^T.  Returns a namespace of those steps."""
     slopes = [w * w * float(m.deriv(np.zeros(1))[0]) for w, m in zip(problem.weights, problem.maps)]
@@ -523,8 +524,7 @@ def _ref_identity_start(problem):
 
     def second(G):
         a, L = state.a, state.L
-        Ga = G * a
-        H = Ga @ Ga.T
+        H = (G * (a * a)) @ G.T
         hd = np.diagonal(H).copy()
         P = np.hstack([a[:, None] * B, L])
         GP = G @ P
@@ -892,19 +892,23 @@ def test_first_iteration_from_the_identity_forms_no_gram(objective_name, monkeyp
 
 @pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
 def test_two_iterations_from_the_identity_form_one_cubic_product(objective_name, monkeypatch):
-    # Every n x n x n product of pgd_gauss is a gram of rows (_syrk, also
-    # under _gram) or the stepped path's G V = grad @ rows.  A two-iteration
-    # run from the identity forms one, H, and no map sees the identity's
-    # points: every map call of more than one point is on a trial gram or
-    # iteration 2's gradient, strictly inside (-1, 1) off the diagonal.
+    # Every n x n x n product of pgd_gauss is a gram of rows (_gram, or
+    # covmap._syrk under it), the stepped path's G V = grad @ rows or H
+    # (_upper_strips).  A two-iteration run from the identity forms one, H,
+    # and no map sees the identity's points: every map call of more than one
+    # point is on a trial gram or iteration 2's gradient, strictly inside
+    # (-1, 1) off the diagonal.
     n = 300
     products = []
 
-    def counted(rows):
-        products.append(rows.shape)
-        return covmap._syrk(rows)
+    def counted(name, fn):
+        def call(*args):
+            products.append((name, args[0].shape))
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(optimizer, "_syrk", counted)
+    monkeypatch.setattr(covmap, "_syrk", counted("syrk", covmap._syrk))
+    monkeypatch.setattr(optimizer, "_upper_strips", counted("H", optimizer._upper_strips))
     monkeypatch.setattr(optimizer, "_gram", lambda rows: pytest.fail("a gram of rows"))
     monkeypatch.setattr(optimizer._Dense, "trials", lambda *a: pytest.fail("G V formed"))
     on_identity = []
@@ -918,7 +922,7 @@ def test_two_iterations_from_the_identity_form_one_cubic_product(objective_name,
     prob = _first_step_problems(n, 2)[objective_name]
     _, trace = pgd_gauss(prob, identity_factor(n), 2)
     assert len(trace.rows) == 2
-    assert products == [(n, n)]
+    assert products == [("H", (n, n))]
     assert on_identity == []
 
 
@@ -967,10 +971,81 @@ def test_identity_start_is_the_same_on_one_and_two_workers(objective_name, monke
     assert runs[0] == runs[1]
 
 
+def _formed_in_place(n, block):
+    """A trial gram as the closed forms wrote it before their trials were
+    streamed: ``block(b, g[b])`` writes each block of the upper triangle in
+    place, mirrored by _map_symmetric."""
+    g = np.empty((n, n))
+    return covmap._map_symmetric(lambda b: block(b, g[b]), g)
+
+
+def _first_gram_in_place(closed, eta):
+    beta, E, inv = closed._parts(eta)
+    left = np.hstack([beta * beta * closed.BSBBS - (beta * E)[:, None] * closed.BS,
+                      -beta * closed.BS])
+    right = np.hstack([closed.B, E[:, None] * closed.B])
+
+    def block(b, gb):
+        rows, cols = b
+        optimizer._finish(covmap._panel_product(left[rows], right[cols], gb), b, inv)
+
+    return _formed_in_place(closed.B.shape[0], block)
+
+
+def _second_gram_in_place(trials, eta):
+    alpha, beta, QM, Q, sq = trials._parts(eta)
+    inv = 1.0 / np.sqrt(sq)
+    a2 = (alpha * beta) * trials.a * trials.a
+
+    def block(b, gb):
+        rows, cols = b
+        covmap._panel_product(QM[rows], Q[cols], gb)
+        t = np.add.outer(a2[rows], a2[cols])
+        t *= trials.G[b]
+        gb -= t
+        gb += np.multiply(trials.H[b], beta * beta, out=t)
+        optimizer._finish(gb, b, inv)
+
+    return _formed_in_place(trials.G.shape[0], block)
+
+
+@pytest.mark.parametrize("n", [300, 1001])
+@pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
+def test_closed_form_trials_stream_the_blocks_of_their_grams(n, objective_name):
+    # Each closed-form trial's streamed partials are bit for bit
+    # covmap._held_blocks' partials of its formed gram, and so are its
+    # terms, and that gram is the one the closed forms wrote in place
+    # (iteration 2's from the same H).
+    work = optimizer._tabulated(_first_step_problems(n, 1)[objective_name])
+    closed = _identity_start(work)[0]
+    eta1 = default_eta0(work)
+    g = closed.gram(eta1)
+    second = closed.accept(eta1).trials(
+        optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))
+    del g
+    diag = _diagonal_forms(work.maps, work.X)
+
+    def partials(over_blocks):
+        return over_blocks(lambda b, gb: (b, gb.tobytes()))
+
+    for trials, in_place in ((closed, _first_gram_in_place), (second, _second_gram_in_place)):
+        for eta in (1e-2, 1.0, 50.0):
+            trial = trials.trial(eta)
+            assert isinstance(trial, optimizer._Streamed)
+            g = trial.form()
+            assert g.tobytes() == in_place(trials, eta).tobytes()
+            held = partial(covmap._held_blocks, g)
+            assert partials(trial.blocks) == partials(held)
+            streamed = covmap._sum_forms(trial.blocks, work.maps, work.X, diag)
+            assert ([M.tobytes() for M in streamed]
+                    == [M.tobytes() for M in optimizer._terms(work, g, diag)])
+
+
 # -- memory -------------------------------------------------------------------
-# At full rank an iteration holds at most five n x n arrays (V, G V, two trial
-# grams and one map of a gram; G and H for V and G V in the second iteration
-# from the identity), plus block temporaries.  While every trial
+# At full rank a general iteration holds at most four n x n arrays (V, G V
+# and two trial grams) plus block temporaries; the first two iterations from
+# the identity hold at most two (G and H, or the accepted first gram and G),
+# as their trial grams are streamed.  While every trial
 # kept its rows and A = X X^T lived through the run, these peaks were 8.46
 # (nuc) and 7.45 (op) arrays with the start held by the caller, and 9.45 and
 # 8.47 with the start allocated in the traced window and held by pgd_gauss.
@@ -978,14 +1053,14 @@ def test_identity_start_is_the_same_on_one_and_two_workers(objective_name, monke
 _MEM_N = 1000
 
 
-def _tabulated_problem(norm):
-    X = np.random.default_rng(40).standard_normal((_MEM_N, 5))
+def _tabulated_problem(norm, n=_MEM_N):
+    X = np.random.default_rng(40).standard_normal((n, 5))
     prob = discrete_problem(X, np.full(3, 1 / 3), norm)
     return DesignProblem(X=prob.X, maps=tuple(build_table(m) for m in prob.maps),
                          weights=prob.weights, norm=norm)
 
 
-def _peak_squares(run):
+def _peak_squares(run, n=_MEM_N):
     """Peak traced allocation of run(), in n x n arrays of doubles."""
     tracemalloc.start()
     try:
@@ -994,7 +1069,7 @@ def _peak_squares(run):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak / (8 * _MEM_N ** 2)
+    return peak / (8 * n ** 2)
 
 
 @pytest.mark.parametrize("norm", ["nuc", "op"])
@@ -1010,3 +1085,24 @@ def test_a_start_the_caller_does_not_hold_is_freed(norm):
     # is freed once the first iteration has stepped off it
     prob = _tabulated_problem(norm)
     assert _peak_squares(lambda: pgd_gauss(prob, identity_factor(_MEM_N), 2)) < 6.0
+
+
+@pytest.mark.parametrize("norm", ["nuc", "op"])
+def test_the_identity_start_holds_no_trial_gram(norm, monkeypatch):
+    # The first two iterations from the identity stream their trial grams:
+    # their peak is two arrays (the accepted first gram and G, then G and H)
+    # plus block temporaries, 2.74 (nuc and op) arrays at n = 1001 on two
+    # workers.  It was 4.46 (nuc) and 4.69 (op) with the trial grams held
+    # whole and H formed from a copy G diag(a), and 3.33 and 3.29 with H
+    # kept while the accepted rows are stepped.  A third iteration is a
+    # general one, whose peak (V, G V, two trial grams and block
+    # temporaries) was and is 5.00.  Each worker holds its own block
+    # temporaries (0.15-0.25 arrays more at 4 workers than at 2 here), so the
+    # worker count is fixed.
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
+    n = 1001
+    prob = _tabulated_problem(norm, n)
+    init = identity_factor(n)
+    assert _peak_squares(lambda: pgd_gauss(prob, init, 2), n) <= 3.0
+    assert _peak_squares(lambda: pgd_gauss(prob, init, 3), n) <= 5.1
+
