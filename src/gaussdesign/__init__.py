@@ -19,9 +19,9 @@ from .inference import (ContinuousModelSpec, IntervalReport, VarianceReport,
                         randomization_ci_continuous, randomization_ci_discrete,
                         true_variance, variance_ht_arm)
 from .optimizer import (Backtracking, DesignProblem, FixedStep,
-                        OptimizationError, OptimizerTrace, cap_rank,
-                        design_problem, discrete_problem, gradient_nuclear,
-                        gradient_operator, objective, pgd_gauss, pgd_step)
+                        OptimizationError, OptimizerTrace, design_problem,
+                        discrete_problem, gradient_nuclear, gradient_operator,
+                        objective, pgd_gauss, pgd_step)
 from .simbench import (BenchmarkReport, CompleteRandomization, GaussianDesign,
                        Rerandomization, Scenario, gen_continuous,
                        gen_factorial, gen_three_arm, mc_coverage,

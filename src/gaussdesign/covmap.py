@@ -511,25 +511,19 @@ def _reduce_symmetric(rows, block_fn):
     return _formed_blocks(rows.shape[0], partial(_rows_block, rows), block_fn)
 
 
-def _held_blocks(g, block_fn):
-    """_reduce_symmetric's partials from a held gram g (see _gram) instead
-    of its rows: g_b is the view g[b], or, on a diagonal block, a masked
-    copy of it, so g is never written."""
-    def block(b):
-        rows, cols = b
-        gb = g[b] if rows.start < cols.start else _mask_lower(g[b].copy(), b)
-        return block_fn(b, gb)
-
-    return blocks.over_upper(g.shape[0], block)
-
-
 def _formed_blocks(n, form, block_fn):
     """_reduce_symmetric's partials from the n x n gram whose block b
-    ``form(b, out)`` writes to the block temporary out and returns, masked
-    (_mask_lower) as _held_blocks masks it: the gram is never held whole."""
+    ``form(b, out)`` returns: written to the block temporary out, so the
+    gram is never held whole, or a view of a held gram, which is copied
+    before a diagonal block is masked (_mask_lower), so it is never
+    written."""
     def block(b):
         rows, cols = b
-        gb = form(b, np.empty((rows.stop - rows.start, cols.stop - cols.start)))
+        out = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+        gb = form(b, out)
+        if rows.start == cols.start and gb is not out:
+            np.copyto(out, gb)
+            gb = out
         return block_fn(b, _mask_lower(gb, b))
 
     return blocks.over_upper(n, block)
@@ -574,7 +568,7 @@ def _sum_forms(over_blocks, maps, X, diag):
     design criterion, the balance measure and the design variance.  S sums
     X_rows^T f(g_b) X_cols over the blocks b = (rows, cols) of
     ``over_blocks(block_fn)`` (_reduce_symmetric's partials from the rows,
-    _held_blocks' from a held gram, _formed_blocks' from a gram's blocks),
+    _formed_blocks' from a gram's block function),
     in block order, with g_b 0 on and below the diagonal; D = f(1) X^T X
     (``diag``, see _diagonal_forms) is the diagonal's part.  Each form is
     exactly symmetric and bit-identical on any worker count."""

@@ -21,41 +21,42 @@ alone makes progress impractically slow on scaled covariates.
 
 The O(n^3) work of an iteration is done once.  Each factor's gram (V V^T
 clamped to [-1, 1], unit diagonal) is formed once, and the objective of
-every map reads it; the accepted trial hands its gram and term matrices
-X^T f_j X on to the next gradient, so f' and (for the operator norm) the
-leading eigenvectors cost no second product.  G V is formed once per
-iteration and each trial step eta is the row-normalized alpha V - beta G V,
-alpha = 1 / (1 + eta) and beta = eta / (1 + eta), the direction of
-V - eta G V without its overflow.
+every map reads it; the next gradient reads the accepted trial's gram and
+term matrices X^T f_j X, so f' and (for the operator norm) the leading
+eigenvectors cost no second product.  G V is formed once per iteration
+and each trial step eta is the row-normalized alpha V - beta G V, alpha =
+1 / (1 + eta) and beta = eta / (1 + eta), the direction of V - eta G V
+without its overflow.
 
 Every iteration makes the same calls.  An iterate has ``trials(G)``, the
 trials of one iteration at its gradient G, and ``factor()``, its rows as a
 checked factor; the trials have ``gnorm`` = ||G||, ``trial(eta)``, the gram
-of the step eta, and ``accept(eta)``, the next iterate.  A trial's gram has
-``blocks``, the block source of its term matrices (covmap._sum_forms), and
-``form()``, the gram itself, which the loop asks of the accepted trial only
-when another iteration follows.  An iterate held as its rows (_Dense: any
-start, and every stepped iterate) forms G V in ``trials`` and steps its rows
-per trial and once more on acceptance, as above; its trial grams are held
-(_Held).
+of the step eta, and ``accept(eta)``, the next iterate.  Every gram is one
+thing, its block function ``fill(b, out)``, which returns block b of the
+gram on the grid of blocks.over_upper; the term matrices
+(covmap._formed_blocks) and the next gradient (_gradient) read it.  An
+iterate held as its rows (_Dense: any start, and every stepped iterate)
+forms G V in ``trials`` and steps its rows per trial and once more on
+acceptance, as above; its trial grams are held whole (_gram), and their
+block function returns views of them (_held).
 
 The identity start (every caller's) has closed forms that need one O(n^3)
 product in its first two iterations and evaluate no map on I.  Every map
 vanishes at 0, so the start's terms are f_j(1) X^T X.  At I, f_j' is the
-constant f_j'(0), so the first gradient G = B S B^T minus its diagonal is
-of rank r (r = d for the nuclear norm, one per map for the operator norm);
-it is not formed, which is pgd_gauss's one branch: the first iteration's
-trials (_IdentityStart) give each block of a trial gram from that form in
-O(n^2 r).  They accept the iterate V = diag(a) + L B^T (_ClosedRows), whose
-``trials(G)`` form one product H = (G diag a^2) G^T on the row strips of
-the upper triangle (_upper_strips), shared by every trial of the second
-iteration, so each block of its trial grams (alpha I - beta G) V V^T
-(alpha I - beta G) costs O(n^2 r) more; a trial whose squared row norm is
-at most _ZERO_ROW^2 steps its rows instead, so collapse is handled as in
-_step_rows.  Each closed form has one block function, which feeds the
-streamed term matrices (_Streamed) and writes the accepted gram.  Their
-``accept`` forms and checks the rows once, as a _Dense iterate: every later
-iteration, and every iteration from any other start, is a _Dense one.
+constant f_j'(0), so the first gradient G = B S B^T minus its diagonal is of
+rank r (r = d for the nuclear norm, one per map for the operator norm); it
+is not formed, which is pgd_gauss's one branch on the start: the first
+iteration's trials (_IdentityStart) give each block of a trial gram from
+that form in O(n^2 r).  They accept the iterate V = diag(a) + L B^T
+(_ClosedRows), whose ``trials(G)`` form one product H = (G diag a^2) G^T on
+the row strips of the upper triangle (_upper_strips), shared by every trial
+of the second iteration, so each block of its trial grams (alpha I - beta G)
+V V^T (alpha I - beta G) costs O(n^2 r) more; a trial whose squared row norm
+is at most _ZERO_ROW^2 steps its rows instead, so collapse is handled as in
+_step_rows.  A closed form's block function writes each block to the block
+temporary it is given, so its gram is never held whole.  Their ``accept``
+forms and checks the rows once, as a _Dense iterate: every later iteration,
+and every iteration from any other start, is a _Dense one.
 
 Memory: at full rank every array below is n x n.  A _Dense trial keeps its
 step size, gram and term matrices and drops its rows once the gram is
@@ -68,20 +69,21 @@ from X; the identity's closed forms hold B, n x r.  No map of a gram is held
 whole either: a trial's term matrices are summed block by block from f_j of
 its gram's blocks (covmap._sum_forms).  A closed-form trial keeps its step
 size and term matrices only: its gram's blocks are formed one per worker,
-and the accepted gram is written whole only for the next gradient.  A
-general iteration thus holds at most four n x n arrays: V, G V and two
-trial grams.  The identity's first two iterations hold at most two: the
-accepted first gram and G, then G and H.  When a third iteration follows,
-the second's accepted gram is written before H is dropped, so G, H and that
-gram are held together once, and its accepted rows are formed after.  The
-caller's start is one more while the caller holds it.
+by the term matrices and by the next gradient alike.  A general iteration
+thus holds at most four n x n arrays: V, G V and two trial grams; the next
+gradient is formed once V and G V are dropped, beside the accepted rows
+and gram.  The identity's first two iterations hold at most two: G, then G
+and H.  The second's block functions read H, so when a third iteration
+follows, its gradient is formed before H is dropped: G, H and that
+gradient are held together once, and the accepted rows are formed after.
+The caller's start is one more while the caller holds it.
 
 The O(n^2) elementwise work is done once per unordered pair.  The gram and
 B_j B_j^T are symmetric, so f_j(gram) and the gradient are too: maps are
 evaluated on the blocks of the upper triangle, on the one fixed grid of
 blocks.over_upper, which also serves the default first step; the gradient
 is mirrored from them (covmap._map_symmetric).  The term matrices are the
-analyses' pair sums (covmap._sum_forms, from the held gram's blocks): S_j
+analyses' pair sums (covmap._sum_forms, from the gram's blocks): S_j
 adds X_rows^T f_j(g_b) X_cols over the blocks b, g_b 0 on and below the
 diagonal, and M_j = S_j + S_j^T + D_j, exactly symmetric, with the
 diagonal's part D_j = f_j(1) X^T X formed once per run; D_j is the whole of
@@ -113,9 +115,8 @@ from functools import partial
 import numpy as np
 
 from . import blocks
-from .covmap import (_diagonal_forms, _formed_blocks, _gram, _held_blocks, _map_symmetric,
-                     _mask_lower, _panel_product, _sum_forms, _zero_diagonal, build_table,
-                     f_arm, weighted_discrete_map)
+from .covmap import (_diagonal_forms, _formed_blocks, _gram, _map_symmetric, _panel_product,
+                     _sum_forms, _zero_diagonal, build_table, f_arm, weighted_discrete_map)
 from .elliptope import CorrelationFactor, _row_norms
 
 _GRAD_EDGE = 1e-6   # f' is evaluated no closer to +-1 than this
@@ -201,16 +202,23 @@ def _check_size(problem, factor):
         raise ValueError("factor size does not match covariate rows")
 
 
-def _terms(problem, g, diag=None):
-    """M_j = X^T f_j(g) X for every map j, from the factor's gram g (see
-    _gram), by covmap._sum_forms over g's blocks (covmap._held_blocks): no
-    n x n array is formed, and each M_j is exactly symmetric and
-    bit-identical on any worker count.  ``diag`` is the diagonal's part
-    f_j(1) X^T X (covmap._diagonal_forms), formed here when None.
+def _held(g):
+    """The block function of a held gram g (see _gram): block b is the view
+    g[b], and the block temporary ``out`` is not written."""
+    return lambda b, out: g[b]
+
+
+def _terms(problem, fill, diag=None):
+    """M_j = X^T f_j(g) X for every map j, from the block function ``fill``
+    of the factor's gram g (see _held), by covmap._sum_forms over its
+    blocks (covmap._formed_blocks): no n x n array is formed, and each M_j
+    is exactly symmetric and bit-identical on any worker count.  ``diag`` is
+    the diagonal's part f_j(1) X^T X (covmap._diagonal_forms), formed here
+    when None.
     """
     if diag is None:
         diag = _diagonal_forms(problem.maps, problem.X)
-    return _sum_forms(partial(_held_blocks, g), problem.maps, problem.X, diag)
+    return _sum_forms(partial(_formed_blocks, problem.n, fill), problem.maps, problem.X, diag)
 
 
 def _objective(weights, norm, terms):
@@ -229,7 +237,7 @@ def _objective(weights, norm, terms):
 def objective(problem: DesignProblem, factor: CorrelationFactor):
     """sum_j w_j^2 ||X^T f_j(Sigma) X||_norm at Sigma = V V^T."""
     _check_size(problem, factor)
-    return _objective(problem.weights, problem.norm, _terms(problem, _gram(factor.rows)))
+    return _objective(problem.weights, problem.norm, _terms(problem, _held(_gram(factor.rows))))
 
 
 def _offdiag_tile(X, b):
@@ -249,34 +257,41 @@ def _offdiag_tile(X, b):
 
 def _leading(problem, terms):
     """(X u_j for each term matrix M_j, u_j its leading eigenvector; tie),
-    tie flagging an eigenvalue tie of some M_j.  eigh reads one triangle of
-    M_j, which is the whole: the terms are exactly symmetric (_terms)."""
+    tie flagging an eigenvalue tie of some M_j: a gap between its top two
+    eigenvalues of at most 1e-10 of the top one, so the flag does not
+    depend on the covariates' scale.  eigh reads one triangle of M_j, which
+    is the whole: the terms are exactly symmetric (_terms)."""
     tie = False
     leading = []
     for M in terms:
         lam, U = np.linalg.eigh(M)
-        if lam.size >= 2 and lam[-1] - lam[-2] < 1e-10:
+        if lam.size >= 2 and lam[-1] - lam[-2] <= 1e-10 * abs(lam[-1]):
             tie = True
         leading.append(problem.X @ U[:, -1])
     return leading, tie
 
 
-def _gradient(problem, g, leading=None):
-    """sum_j w_j^2 (B_j B_j^T - diag) o f_j'(g) at the gram g.
+def _gradient(problem, fill, leading=None):
+    """sum_j w_j^2 (B_j B_j^T - diag) o f_j'(g) at the gram g whose block
+    function is ``fill`` (see _held).
 
     B_j = X for the nuclear norm (``leading`` None), and B_j = b_j[:, None]
     with b_j = leading[j] (see _leading) for the operator norm.  Evaluated
-    once per unordered pair (see _map_symmetric): per block, each tile of
-    B_j B_j^T is formed from B_j (see _offdiag_tile), one tile shared by all
-    maps when B_j = X, and the clip, f_j' and the product (w_j^2 tile) f_j'
-    run in the order of the full evaluation, with block-sized temporaries
-    only: no n x n array is formed besides the output.
+    once per unordered pair (see _map_symmetric): per block, g's block is
+    read once, each tile of B_j B_j^T is formed from B_j (see
+    _offdiag_tile), one tile shared by all maps when B_j = X, and the clip,
+    f_j' and the product (w_j^2 tile) f_j' run in the order of the full
+    evaluation, with block-sized temporaries only: no n x n array is formed
+    besides the output.
     """
     X = np.ascontiguousarray(problem.X)
-    grad = np.zeros_like(g)
+    n = X.shape[0]
+    grad = np.zeros((n, n))
     last = len(problem.maps) - 1
 
     def block(b):
+        rows, cols = b
+        g = fill(b, np.empty((rows.stop - rows.start, cols.stop - cols.start)))
         gb = grad[b]
         shared = _offdiag_tile(X, b) if leading is None else None
         for j, (w, cmap) in enumerate(zip(problem.weights, problem.maps)):
@@ -285,7 +300,7 @@ def _gradient(problem, g, leading=None):
                 t *= w * w
             else:   # the last map scales the shared tile in place: no later map reads it
                 t = np.multiply(shared, w * w, out=shared if j == last else None)
-            d = np.clip(g[b], -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
+            d = np.clip(g, -1.0 + _GRAD_EDGE, 1.0 - _GRAD_EDGE)
             cmap.deriv(d, out=d)
             _zero_diagonal(d, b)
             t *= d
@@ -296,7 +311,7 @@ def _gradient(problem, g, leading=None):
 
 def gradient_nuclear(problem: DesignProblem, factor: CorrelationFactor):
     """(X X^T - diag) o f'(V V^T); diagonal entries exactly zero."""
-    return _gradient(problem, _gram(factor.rows))
+    return _gradient(problem, _held(_gram(factor.rows)))
 
 
 @dataclass(frozen=True)
@@ -307,9 +322,9 @@ class OperatorGradient:
 
 def gradient_operator(problem: DesignProblem, factor: CorrelationFactor):
     """Per-map leading-eigenvector gradients, weighted; flags eigenvalue ties."""
-    g = _gram(factor.rows)
-    leading, tie = _leading(problem, _terms(problem, g))
-    grad = _gradient(problem, g, leading)
+    fill = _held(_gram(factor.rows))
+    leading, tie = _leading(problem, _terms(problem, fill))
+    grad = _gradient(problem, fill, leading)
     return OperatorGradient(matrix=grad, is_subgradient=tie)
 
 
@@ -388,7 +403,8 @@ class _Dense:
 
     ``trials(G)`` forms G V once and returns the iterate as its trials: the
     step eta's rows are _step_rows(V, G V, eta), checked (_checked) and
-    dropped once their gram is formed; the trial holds that gram (_Held).
+    dropped once their gram is formed; the trial is that gram, held, as its
+    block function (_held).
     ``accept`` steps them again from (V, G V, eta), the same bytes, which
     the trial checked, so they are not checked again; ``factor`` wraps the
     rows of a stepped iterate once.
@@ -405,40 +421,10 @@ class _Dense:
         return self
 
     def trial(self, eta):
-        return _Held(_gram(_checked(*_step_rows(self.rows, self.GV, eta)).rows))
+        return _held(_gram(_checked(*_step_rows(self.rows, self.GV, eta)).rows))
 
     def accept(self, eta):
         return _Dense(_step_rows(self.rows, self.GV, eta)[0])
-
-
-class _Held:
-    """A trial's gram g, held whole: its blocks are covmap._held_blocks'."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def blocks(self, block_fn):
-        return _held_blocks(self.g, block_fn)
-
-    def form(self):
-        return self.g
-
-
-class _Streamed:
-    """A trial's n x n gram known by its block function: ``fill(b, out)``
-    writes block b of the gram, as _gram forms it, to out and returns it.
-    Its blocks are formed one per worker (covmap._formed_blocks), so the
-    gram is held only when ``form`` writes it (covmap._map_symmetric)."""
-
-    def __init__(self, n, fill):
-        self.n, self.fill = n, fill
-
-    def blocks(self, block_fn):
-        return _formed_blocks(self.n, self.fill, block_fn)
-
-    def form(self):
-        g = np.empty((self.n, self.n))
-        return _map_symmetric(lambda b: self.fill(b, g[b]), g)
 
 
 def _finish(gb, b, inv):
@@ -494,18 +480,18 @@ class _IdentityStart:
         self.BSBBS = self.B @ (self.BS.T @ self.BS)
         n = self.B.shape[0]
 
-        def block(b):
-            """The squared off-diagonal entries of A's tile b, summed by
-            row and by column, each unordered pair once."""
+        def tile(b, out):
             rows, cols = b
-            t = _mask_lower(_panel_product(
-                self.BS[rows], self.B[cols],
-                np.empty((rows.stop - rows.start, cols.stop - cols.start))), b)
+            return _panel_product(self.BS[rows], self.B[cols], out)
+
+        def squares(b, t):
+            """The squared entries of A's tile b masked on and below the
+            diagonal, summed by row and by column: each unordered pair once."""
             t *= t
             return b, t.sum(axis=1), t.sum(axis=0)
 
         self.row_sq = np.zeros(n)   # ||G_i||^2, the tiles added in block order
-        for (rows, cols), by_row, by_col in blocks.over_upper(n, block):
+        for (rows, cols), by_row, by_col in _formed_blocks(n, tile, squares):
             self.row_sq[rows] += by_row
             self.row_sq[cols] += by_col
         self.gnorm = float(np.sqrt(np.sum(self.row_sq)))
@@ -517,8 +503,9 @@ class _IdentityStart:
                 1.0 / np.hypot(alpha, beta * np.sqrt(self.row_sq)))
 
     def trial(self, eta):
-        """The gram of the step eta, clamped to [-1, 1] with a unit diagonal
-        and exactly symmetric, as _gram forms it, by its blocks (_Streamed)."""
+        """The block function of the step eta's gram, clamped to [-1, 1]
+        with a unit diagonal and exactly symmetric, as _gram forms it: each
+        block is written to its block temporary."""
         beta, E, inv = self._parts(eta)
         left = np.hstack([beta * beta * self.BSBBS - (beta * E)[:, None] * self.BS,
                           -beta * self.BS])
@@ -528,10 +515,7 @@ class _IdentityStart:
             rows, cols = b
             return _finish(_panel_product(left[rows], right[cols], out), b, inv)
 
-        return _Streamed(self.B.shape[0], fill)
-
-    def gram(self, eta):
-        return self.trial(eta).form()
+        return fill
 
     def accept(self, eta):
         """The rows of the step eta, V = diag(a) + L B^T."""
@@ -624,11 +608,12 @@ class _ClosedRows:
         return _step_blocks(self.G.shape, self._form, self.rows, eta)
 
     def trial(self, eta):
-        """The gram of the step eta, as _gram forms it: by its blocks
-        (_Streamed), or held (_Held) when the trial steps its rows."""
+        """The block function of the step eta's gram, as _gram forms it:
+        each block written to its block temporary, or, when the trial steps
+        its rows, the views of their gram, held (_held)."""
         alpha, beta, QM, Q, sq = self._parts(eta)
         if np.any(sq <= _ZERO_ROW ** 2):
-            return _Held(_gram(_checked(*self._stepped(eta)).rows))
+            return _held(_gram(_checked(*self._stepped(eta)).rows))
         inv = 1.0 / np.sqrt(sq)
         a2 = (alpha * beta) * self.a * self.a
 
@@ -641,14 +626,12 @@ class _ClosedRows:
             gb += np.multiply(self.H[b], beta * beta, out=t)
             return _finish(gb, b, inv)
 
-        return _Streamed(self.G.shape[0], fill)
-
-    def gram(self, eta):
-        return self.trial(eta).form()
+        return fill
 
     def accept(self, eta):
         """The rows of the step eta as a _Dense iterate; H is dropped
-        first, as the rows need only G and G P."""
+        first, as the rows need only G and G P, so the next gradient is
+        formed before (see pgd_gauss): the trials' grams read H."""
         del self.H
         sq = self._parts(eta)[-1]
         stepped = self._stepped(eta)
@@ -730,24 +713,6 @@ class OptimizerTrace:
                          f"{r.grad_norm:.17g},{r.halvings}\n")
 
 
-def cap_rank(factor: CorrelationFactor, k) -> CorrelationFactor:
-    """Re-embed rows into their top-k principal coordinates and renormalize.
-
-    This is an approximation: unless the factor already has rank <= k, the
-    renormalized product V V^T differs from the original correlation matrix.
-    """
-    if k < 1:
-        raise ValueError("rank cap must be positive")
-    if k >= factor.k:
-        return factor
-    _, _, vt = np.linalg.svd(factor.rows, full_matrices=False)
-    rows = factor.rows @ vt[:k].T
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("rank cap annihilated a row; choose a larger k")
-    return CorrelationFactor(rows / norms)
-
-
 def default_eta0(problem: DesignProblem):
     """0.1 / (1 + max offdiag |X X^T| * max |f'| over the table grid).
 
@@ -785,39 +750,42 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     the gradient norm (the trials' ``gnorm``) falls below 1e-10 or no
     acceptable step exists.
 
-    Each factor's gram is formed once: the objective of every map and, for
-    the accepted factor, the next gradient's f' read it.  A trial keeps its
-    step size, gram and term matrices only, and a closed-form trial not even
-    its gram: the accepted one is written from its blocks when another
-    iteration follows.  An iterate held as its rows
-    (_Dense, the start and every stepped iterate) forms G V once per
-    iteration; each trial step is the row-normalized alpha V - beta G V
-    (see _scales), whose rows are dropped once its gram is formed, and the
-    accepted trial's rows are stepped again from (V, G V, eta), the same
-    bytes, which the trial checked: each factor is checked once, and the
-    result is wrapped once on return.
+    Each factor's gram is formed once, or, in closed form, block by block
+    for each reader: the objective of every map and, for the accepted
+    factor, the next gradient's f' read its block function.  A trial keeps
+    its step size, gram and term matrices only, and a closed-form trial not
+    even its gram, whose blocks are formed where they are read.  The next
+    gradient is formed only when another iteration follows: before
+    ``accept`` for a closed-form trial, whose block function reads its
+    trials' G and H, and after it, once V and G V are dropped, for a _Dense
+    trial.  An iterate held as its rows (_Dense, the start and every stepped
+    iterate) forms G V once per iteration; each trial step is the
+    row-normalized alpha V - beta G V (see _scales), whose rows are dropped
+    once its gram is formed, and the accepted trial's rows are stepped again
+    from (V, G V, eta), the same bytes, which the trial checked: each factor
+    is checked once, and the result is wrapped once on return.
 
     The terms' diagonal part f_j(1) X^T X is formed once (see _terms).  From
     an identity start (checked once, with _is_identity) it is the start's
     terms, as every map vanishes at 0, and no gram of the start is formed,
-    the one branch of the loop: the first iteration's gradient is of rank r
-    plus a diagonal and is not formed, and its trials are _IdentityStart's
-    closed forms.  They accept the closed-form iterate _ClosedRows, whose
-    trials are the second iteration's, also in closed form; so the first two
-    iterations step no trial's rows, each trial gram equals the stepped
-    rows' gram up to rounding, and their only O(n^3) product is H = (G
-    diag a^2) G^T at the second gradient G, on the strips of the upper
-    triangle.  The first iteration's accepted rows are formed only if the
-    run ends there; the second's are formed and checked once.  The term
-    matrices are summed over the blocks of a gram (see covmap._sum_forms),
-    so no map of a gram is held whole, and at full rank a general iteration
-    holds at most four n x n arrays: V, G V and two trial grams.  The
-    identity's first two iterations hold at most two at a time, and three
-    once when a third iteration follows (see the module's Memory
-    paragraph).  A step size must be finite and
-    nonnegative, or ValueError is raised where it is first used.  ``init``
-    is not held past the first accepted step; a caller that does not hold
-    it either frees it there.
+    the loop's one branch on the start: the first iteration's gradient is of
+    rank r plus a diagonal and is not formed, and its trials are
+    _IdentityStart's closed forms.  They accept the closed-form iterate
+    _ClosedRows, whose trials are the second iteration's, also in closed
+    form; so the first two iterations step no trial's rows, each trial gram
+    equals the stepped rows' gram up to rounding, and their only O(n^3)
+    product is H = (G diag a^2) G^T at the second gradient G, on the strips
+    of the upper triangle.  The first iteration's accepted rows are formed
+    only if the run ends there; the second's are formed and checked once.
+    The term matrices are summed over the blocks of a gram (see
+    covmap._sum_forms), so no map of a gram is held whole, and at full rank
+    a general iteration holds at most four n x n arrays: V, G V and two
+    trial grams.  The identity's first two iterations hold at most two at a
+    time, and three once when a third iteration follows (see the module's
+    Memory paragraph).  A step size must be finite and nonnegative, or
+    ValueError is raised where it is first used.  ``init`` is not held past
+    the first accepted step; a caller that does not hold it either frees it
+    there.
 
     The start is evaluated once, on the tabulated maps, and that value is
     ``trace.initial_objective``.  A map that is non-finite at the table's
@@ -835,25 +803,28 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
     work = _tabulated(problem)
     diag = _diagonal_forms(work.maps, work.X)
     if _is_identity(init.rows):
-        g, terms = None, diag
+        fill, terms = None, diag
     else:
-        g = _gram(init.rows)
-        terms = _terms(work, g, diag)
+        fill = _held(_gram(init.rows))
+        terms = _terms(work, fill, diag)
     obj = _objective(work.weights, work.norm, terms)
     trace = OptimizerTrace(initial_objective=obj)
     if not np.isfinite(obj):
         raise OptimizationError("objective non-finite at the initial design", trace)
     if step_policy is None:
         step_policy = Backtracking(eta0=default_eta0(work))
+
+    def leading(terms):   # the B_j of the operator norm (see _gradient)
+        return _leading(work, terms)[0] if work.norm == "op" else None
+
+    # the identity's first iteration does not form G: its gradient is None
+    grad = None if fill is None or not iters else _gradient(work, fill, leading(terms))
     it, eta = _Dense(init.rows, init), None
-    del init   # so a start the caller does not hold is freed after the first accepted step
+    del init, fill   # a start the caller does not hold is freed after the first accepted step
     for t in range(1, iters + 1):
-        leading = _leading(work, terms)[0] if work.norm == "op" else None
-        if g is None:   # the identity's first iteration: G is not formed
-            trials = _IdentityStart(work, leading)
+        if grad is None:
+            trials = _IdentityStart(work, leading(terms))
         else:
-            grad = _gradient(work, g, leading)
-            del g   # freed before the trials form their own grams
             trials = it.trials(grad)
             del grad
         if trials.gnorm < _GRAD_TOL:
@@ -865,21 +836,28 @@ def pgd_gauss(problem: DesignProblem, init: CorrelationFactor, iters,
             # No descent step within the halving budget: the gradient is
             # stale at this point, so further iterations cannot help.
             break
-        gram, terms = cand
-        g = gram.form() if t < iters else None   # the next gradient reads it
-        del cand, gram, try_eta
+        fill, terms = cand
+        del cand, try_eta
+        # The next gradient, when another iteration follows: a closed form's
+        # fill reads its trials' G and H, which accept drops, and a _Dense
+        # trial's held gram is read once V and G V are dropped.
+        dense = isinstance(trials, _Dense)
+        grad = _gradient(work, fill, leading(terms)) if t < iters and not dense else None
         it = trials.accept(eta)
         del trials
+        if t < iters and dense:
+            grad = _gradient(work, fill, leading(terms))
+        del fill
     return it.factor(), trace
 
 
 def _trial(work, diag, trial, t, trace, eta):
-    """((gram, terms), objective) of the step eta: its gram ``trial(eta)``
-    (_Held or _Streamed) and the terms summed over its blocks, their
-    diagonal part ``diag``."""
-    gram = trial(eta)
-    terms = _sum_forms(gram.blocks, work.maps, work.X, diag)
+    """((fill, terms), objective) of the step eta: its gram's block function
+    ``trial(eta)`` and the terms summed over its blocks, their diagonal part
+    ``diag``."""
+    fill = trial(eta)
+    terms = _terms(work, fill, diag)
     obj = _objective(work.weights, work.norm, terms)
     if not np.isfinite(obj):
         raise OptimizationError(f"objective non-finite at iteration {t}", trace)
-    return (gram, terms), obj
+    return (fill, terms), obj

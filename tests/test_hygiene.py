@@ -47,7 +47,6 @@ KEPT = {
                           "continuous maps, for user-side checks",
     "true_variance": "acceptance suite: the exact design variance of an arm "
                      "estimator",
-    "cap_rank": "the planned rank-k start of Burer-Monteiro PGD",
     "objective": "acceptance suite: the PGD objective of a design",
     "gradient_nuclear": "acceptance suite: the nuclear-norm gradient",
     "gradient_operator": "acceptance suite: the operator-norm gradient",

@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,6 +174,20 @@ class TestGradientOperator:
         op = gradient_operator(prob, identity_factor(4))
         assert op.is_subgradient
 
+    def test_tie_flag_does_not_depend_on_the_covariates_scale(self):
+        # the top two eigenvalues of each X^T f_k(Sigma) X are 38-50 % of the
+        # top one apart at every scale; a gap measured in absolute terms
+        # flagged a tie at scale 1e-6, where the terms are of order 1e-12
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((30, 3))
+        fac = factor_from_rows(gen.standard_normal((30, 30)))
+        flags = [gradient_operator(DesignProblem(X=scale * X,
+                                                 maps=tuple(f_arm(3, k) for k in (1, 2, 3)),
+                                                 weights=np.full(3, 1 / 3), norm="op"),
+                                   fac).is_subgradient
+                 for scale in (1e-6, 1.0, 1e6)]
+        assert flags == [False] * 3
+
 
 class TestPgdStep:
     def test_zero_gradient_and_zero_step(self):
@@ -341,21 +354,6 @@ class TestBacktrackingPolicy:
         _, trace = pgd_gauss(prob, identity_factor(5), 30,
                              Backtracking(eta0=100.0))
         assert any(r.halvings > 0 for r in trace.rows) or len(trace.rows) <= 30
-
-
-def test_cap_rank_projects_and_renormalizes():
-    from gaussdesign.optimizer import cap_rank
-    gen = np.random.default_rng(20)
-    fac = factor_from_rows(gen.standard_normal((6, 6)))
-    capped = cap_rank(fac, 2)
-    assert capped.k == 2
-    assert np.allclose(np.linalg.norm(capped.rows, axis=1), 1.0)
-    # low-rank factors survive unchanged up to the basis rotation
-    low = factor_from_rows(gen.standard_normal((5, 2)))
-    same = cap_rank(low, 4)
-    assert same is low
-    rotated = cap_rank(low, 2)
-    assert np.allclose(rotated.to_matrix(), low.to_matrix(), atol=1e-12)
 
 
 # -- properties ---------------------------------------------------------------
@@ -818,9 +816,26 @@ def _leading_of(work, terms):
 
 def _identity_start(work):
     """(the closed forms, iteration 1's gradient, dense) at the identity."""
-    g = np.eye(work.n)
-    leading = _leading_of(work, optimizer._terms(work, g))
-    return optimizer._IdentityStart(work, leading), optimizer._gradient(work, g, leading)
+    fill = optimizer._held(np.eye(work.n))
+    leading = _leading_of(work, optimizer._terms(work, fill))
+    return optimizer._IdentityStart(work, leading), optimizer._gradient(work, fill, leading)
+
+
+def _next_gradient(work, fill):
+    """The gradient at the gram whose block function is ``fill``."""
+    return optimizer._gradient(work, fill, _leading_of(work, optimizer._terms(work, fill)))
+
+
+def _formed(n, fill):
+    """The n x n gram whose block function is ``fill``, written whole: each
+    block of the upper triangle through fill(b, g[b]), mirrored by
+    covmap._map_symmetric."""
+    g = np.empty((n, n))
+
+    def block(b):
+        g[b] = fill(b, g[b])
+
+    return covmap._map_symmetric(block, g)
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 129, 700])
@@ -837,7 +852,7 @@ def test_first_step_grams_match_the_stepped_rows(n, objective_name):
         closed, grad = _identity_start(work)
         assert closed.gnorm == pytest.approx(np.linalg.norm(grad), rel=1e-14)
         for eta in _FIRST_ETAS:
-            gram = closed.gram(eta)
+            gram = _formed(n, closed.trial(eta))
             stepped = _gram(optimizer._step_rows(np.eye(n), grad, eta)[0])
             assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
             assert np.max(np.abs(gram - stepped)) <= bound, (seed, eta)
@@ -859,14 +874,13 @@ def test_second_step_grams_match_the_stepped_rows(n, objective_name):
         work = optimizer._tabulated(_first_step_problems(n, seed)[objective_name])
         for eta1 in (default_eta0(work), 1e-2, 1.0):
             closed = _identity_start(work)[0]
-            g = closed.gram(eta1)
+            grad = _next_gradient(work, closed.trial(eta1))
             accepted = closed.accept(eta1)
-            grad = optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g)))
             V = accepted.rows()
             GV = grad @ V
             trials = accepted.trials(grad)
             for eta in _FIRST_ETAS:
-                gram = trials.gram(eta)
+                gram = _formed(n, trials.trial(eta))
                 stepped = _gram(optimizer._step_rows(V, GV, eta)[0])
                 assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
                 assert np.max(np.abs(gram - stepped)) <= bound, (seed, eta1, eta)
@@ -937,10 +951,8 @@ def test_second_iteration_steps_the_rows_of_a_vanishing_trial(norm, monkeypatch)
     eta = 1e-3
     work = optimizer._tabulated(prob)
     closed = optimizer._IdentityStart(work, _leading_of(work, _diagonal_forms(work.maps, work.X)))
-    g = closed.gram(eta)
     accepted = closed.accept(eta)
-    trials = accepted.trials(
-        optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))
+    trials = accepted.trials(_next_gradient(work, closed.trial(eta)))
     monkeypatch.setattr(optimizer, "_ZERO_ROW",
                         float(np.sqrt(np.median(trials._parts(eta)[-1]))) * (1 + eta))
     V = accepted.rows()
@@ -971,15 +983,9 @@ def test_identity_start_is_the_same_on_one_and_two_workers(objective_name, monke
     assert runs[0] == runs[1]
 
 
-def _formed_in_place(n, block):
-    """A trial gram as the closed forms wrote it before their trials were
-    streamed: ``block(b, g[b])`` writes each block of the upper triangle in
-    place, mirrored by _map_symmetric."""
-    g = np.empty((n, n))
-    return covmap._map_symmetric(lambda b: block(b, g[b]), g)
-
-
 def _first_gram_in_place(closed, eta):
+    """Iteration 1's trial gram as the closed forms wrote it in place before
+    their trials were streamed."""
     beta, E, inv = closed._parts(eta)
     left = np.hstack([beta * beta * closed.BSBBS - (beta * E)[:, None] * closed.BS,
                       -beta * closed.BS])
@@ -987,12 +993,13 @@ def _first_gram_in_place(closed, eta):
 
     def block(b, gb):
         rows, cols = b
-        optimizer._finish(covmap._panel_product(left[rows], right[cols], gb), b, inv)
+        return optimizer._finish(covmap._panel_product(left[rows], right[cols], gb), b, inv)
 
-    return _formed_in_place(closed.B.shape[0], block)
+    return _formed(closed.B.shape[0], block)
 
 
 def _second_gram_in_place(trials, eta):
+    """Iteration 2's, likewise."""
     alpha, beta, QM, Q, sq = trials._parts(eta)
     inv = 1.0 / np.sqrt(sq)
     a2 = (alpha * beta) * trials.a * trials.a
@@ -1004,51 +1011,55 @@ def _second_gram_in_place(trials, eta):
         t *= trials.G[b]
         gb -= t
         gb += np.multiply(trials.H[b], beta * beta, out=t)
-        optimizer._finish(gb, b, inv)
+        return optimizer._finish(gb, b, inv)
 
-    return _formed_in_place(trials.G.shape[0], block)
+    return _formed(trials.G.shape[0], block)
 
 
 @pytest.mark.parametrize("n", [300, 1001])
 @pytest.mark.parametrize("objective_name", ["nuc", "op", "continuous"])
 def test_closed_form_trials_stream_the_blocks_of_their_grams(n, objective_name):
-    # Each closed-form trial's streamed partials are bit for bit
-    # covmap._held_blocks' partials of its formed gram, and so are its
-    # terms, and that gram is the one the closed forms wrote in place
+    # Each closed-form trial's block function writes its blocks to the
+    # block temporary it is given, and its partials are bit for bit those
+    # of its formed gram's views (optimizer._held), and so are its terms and
+    # its gradient, and that gram is the one the closed forms wrote in place
     # (iteration 2's from the same H).
     work = optimizer._tabulated(_first_step_problems(n, 1)[objective_name])
     closed = _identity_start(work)[0]
     eta1 = default_eta0(work)
-    g = closed.gram(eta1)
-    second = closed.accept(eta1).trials(
-        optimizer._gradient(work, g, _leading_of(work, optimizer._terms(work, g))))
-    del g
+    second = closed.accept(eta1).trials(_next_gradient(work, closed.trial(eta1)))
     diag = _diagonal_forms(work.maps, work.X)
+    first = (slice(0, min(n, blocks.ROW_BLOCK)), slice(0, min(n, blocks.COL_TILE)))
 
-    def partials(over_blocks):
-        return over_blocks(lambda b, gb: (b, gb.tobytes()))
+    def partials(fill):
+        return covmap._formed_blocks(n, fill, lambda b, gb: (b, gb.tobytes()))
+
+    def terms(fill):
+        return [M.tobytes() for M in optimizer._terms(work, fill, diag)]
 
     for trials, in_place in ((closed, _first_gram_in_place), (second, _second_gram_in_place)):
         for eta in (1e-2, 1.0, 50.0):
-            trial = trials.trial(eta)
-            assert isinstance(trial, optimizer._Streamed)
-            g = trial.form()
+            fill = trials.trial(eta)
+            out = np.empty((first[0].stop, first[1].stop))
+            assert fill(first, out) is out
+            g = _formed(n, fill)
             assert g.tobytes() == in_place(trials, eta).tobytes()
-            held = partial(covmap._held_blocks, g)
-            assert partials(trial.blocks) == partials(held)
-            streamed = covmap._sum_forms(trial.blocks, work.maps, work.X, diag)
-            assert ([M.tobytes() for M in streamed]
-                    == [M.tobytes() for M in optimizer._terms(work, g, diag)])
+            held = optimizer._held(g)
+            assert partials(fill) == partials(held)
+            assert terms(fill) == terms(held)
+            leading = _leading_of(work, optimizer._terms(work, fill, diag))
+            assert (optimizer._gradient(work, fill, leading).tobytes()
+                    == optimizer._gradient(work, held, leading).tobytes())
 
 
 # -- memory -------------------------------------------------------------------
 # At full rank a general iteration holds at most four n x n arrays (V, G V
 # and two trial grams) plus block temporaries; the first two iterations from
-# the identity hold at most two (G and H, or the accepted first gram and G),
-# as their trial grams are streamed.  While every trial
-# kept its rows and A = X X^T lived through the run, these peaks were 8.46
-# (nuc) and 7.45 (op) arrays with the start held by the caller, and 9.45 and
-# 8.47 with the start allocated in the traced window and held by pgd_gauss.
+# the identity hold at most two (G, then G and H), as their trial grams are
+# streamed.  While every trial kept its rows and A = X X^T lived through the
+# run, these peaks were 8.46 (nuc) and 7.45 (op) arrays with the start held
+# by the caller, and 9.45 and 8.47 with the start allocated in the traced
+# window and held by pgd_gauss.
 
 _MEM_N = 1000
 
@@ -1090,9 +1101,10 @@ def test_a_start_the_caller_does_not_hold_is_freed(norm):
 @pytest.mark.parametrize("norm", ["nuc", "op"])
 def test_the_identity_start_holds_no_trial_gram(norm, monkeypatch):
     # The first two iterations from the identity stream their trial grams:
-    # their peak is two arrays (the accepted first gram and G, then G and H)
-    # plus block temporaries, 2.74 (nuc and op) arrays at n = 1001 on two
-    # workers.  It was 4.46 (nuc) and 4.69 (op) with the trial grams held
+    # their peak is two arrays (G, then G and H) plus block temporaries,
+    # 2.74 (nuc) and 2.71 (op) arrays at n = 1001 on two workers, and 2.77
+    # and 2.74 while the accepted first gram was written whole for the next
+    # gradient.  It was 4.46 (nuc) and 4.69 (op) with the trial grams held
     # whole and H formed from a copy G diag(a), and 3.33 and 3.29 with H
     # kept while the accepted rows are stepped.  A third iteration is a
     # general one, whose peak (V, G V, two trial grams and block

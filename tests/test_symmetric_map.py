@@ -24,9 +24,9 @@ from gaussdesign.covmap import (_eval_symmetric, _gram, _map_symmetric,
 from gaussdesign.elliptope import CorrelationFactor, factor_from_rows, identity_factor
 from gaussdesign.estimators import ExperimentRecords
 from gaussdesign.inference import aronow_samii_bound, true_variance, variance_ht_arm
-from gaussdesign.optimizer import (DesignProblem, FixedStep, _checked, _gradient, _leading,
-                                   _step_rows, _terms, default_eta0, gradient_nuclear,
-                                   gradient_operator, pgd_gauss)
+from gaussdesign.optimizer import (DesignProblem, FixedStep, _checked, _gradient, _held,
+                                   _leading, _step_rows, _terms, default_eta0,
+                                   gradient_nuclear, gradient_operator, pgd_gauss)
 from gaussdesign.simbench import GaussianDesign
 
 B = blocks.ROW_BLOCK
@@ -346,17 +346,17 @@ def test_terms_and_gradients_equal_full_evaluation(n, exact):
     g = _gram(rows)
     _with_edge_pairs(g)
     for problem in (nuc, op):
-        for got, want, dense in zip(_terms(problem, g), _full_terms(problem, g),
+        for got, want, dense in zip(_terms(problem, _held(g)), _full_terms(problem, g),
                                     _dense_terms(problem, g)):
             assert _same(got, want)
             assert np.array_equal(got, got.T)
             # the pairs and the diagonal are summed apart, so even one block
             # differs from the one product X^T f(g) X in the last bits
             assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
-    grad = _gradient(nuc, g)
+    grad = _gradient(nuc, _held(g))
     assert _same(grad, _full_grad_nuc(nuc, g))
     assert _same(gradient_nuclear(nuc, CorrelationFactor(rows)), grad)
-    grad = _gradient(op, g, _leading(op, _terms(op, g))[0])
+    grad = _gradient(op, _held(g), _leading(op, _terms(op, _held(g)))[0])
     assert _same(grad, _full_grad_op(op, g))
     assert _same(gradient_operator(op, CorrelationFactor(rows)).matrix, grad)
 
@@ -368,7 +368,7 @@ def test_terms_at_the_identity_are_the_identity_starts(n, exact):
     # the terms pgd_gauss takes at an identity start without a gram
     for problem in _problems(n, exact):
         want = [m.eval(1.0) * (problem.X.T @ problem.X) for m in problem.maps]
-        for got, closed in zip(_terms(problem, np.eye(n)), want):
+        for got, closed in zip(_terms(problem, _held(np.eye(n))), want):
             assert _same(got, closed)
 
 
@@ -379,9 +379,9 @@ def test_gradients_propagate_nan_as_full_evaluation():
     g[5, B + 3] = g[B + 3, 5] = np.nan
     want = _full_grad_nuc(nuc, g)
     assert np.isnan(want[5, B + 3])
-    assert _same(_gradient(nuc, g), want)
+    assert _same(_gradient(nuc, _held(g)), want)
     terms = _full_terms(op, _gram(_rows(n)))
-    got = _gradient(op, g, _leading(op, terms)[0])
+    got = _gradient(op, _held(g), _leading(op, terms)[0])
     want = np.zeros_like(g)
     for w, cmap, M in zip(op.weights, op.maps, terms):
         b = op.X @ np.linalg.eigh(M)[1][:, -1]
@@ -414,7 +414,7 @@ def _memory_case(n=1500):
 
 def test_nuclear_gradient_allocates_no_second_square_array():
     problem, g, square = _memory_case()
-    grad, peak = _traced_peak(_gradient, problem, g)
+    grad, peak = _traced_peak(_gradient, problem, _held(g))
     assert grad.shape == g.shape
     # the output plus block-sized temporaries; any n x n temporary would
     # add another `square`
@@ -423,7 +423,7 @@ def test_nuclear_gradient_allocates_no_second_square_array():
 
 def test_terms_allocate_no_square_array():
     problem, g, square = _memory_case()
-    terms, peak = _traced_peak(_terms, problem, g)
+    terms, peak = _traced_peak(_terms, problem, _held(g))
     assert [M.shape for M in terms] == [(4, 4)]
     # block-sized temporaries only (0.24 of `square` on one worker, 0.31 on
     # four); a map of the whole gram would add one `square`
@@ -460,9 +460,9 @@ def test_terms_are_bit_identical_on_one_and_two_workers(n):
     g = _gram(_rows(n))
     for problem in _problems(n):
         with _workers(1):
-            want = [M.tobytes() for M in _terms(problem, g)]
+            want = [M.tobytes() for M in _terms(problem, _held(g))]
         with _workers(2):
-            assert [M.tobytes() for M in _terms(problem, g)] == want
+            assert [M.tobytes() for M in _terms(problem, _held(g))] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -487,7 +487,7 @@ def test_nuclear_gradient_and_first_step_equal_the_dense_gram_formulas(n, d, ord
         want += (w * w) * A * _full_deriv(cmap, g)
     dmax = sum(w * w * float(np.max(np.abs(m.table.d_values))) for w, m in zip(weights, maps))
     with _workers(workers):
-        grad = _gradient(problem, g)
+        grad = _gradient(problem, _held(g))
         eta0 = default_eta0(problem)
     assert _same(grad, want)
     assert np.array_equal(grad, grad.T)
@@ -524,9 +524,9 @@ def _kernel_outputs(n, seed):
     nuc, op = _problems(n)
     g = _gram(rows)
     for problem in (nuc, op):
-        out += [M.tobytes() for M in _terms(problem, g)]
-    out.append(_gradient(nuc, g).tobytes())
-    out.append(_gradient(op, g, _leading(op, _terms(op, g))[0]).tobytes())
+        out += [M.tobytes() for M in _terms(problem, _held(g))]
+    out.append(_gradient(nuc, _held(g)).tobytes())
+    out.append(_gradient(op, _held(g), _leading(op, _terms(op, _held(g)))[0]).tobytes())
     for problem in (nuc, op):
         for init in (identity_factor(n), CorrelationFactor(rows)):
             for policy in (None, FixedStep(0.05)):
